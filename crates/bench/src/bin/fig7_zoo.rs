@@ -1,17 +1,14 @@
 //! Experiment E-F7 — regenerates Figure 7: the per-class percentage of
 //! Topology-Zoo instances for each routing model.
 //!
-//! Usage: `fig7_zoo [--count N] [--threads T] [--metrics]
-//! [--table-cache DIR]` — `N` limits the number of synthetic topologies
-//! (default 250; CI smoke runs use a small `N` to catch classification
-//! regressions quickly); `T` pins the classification worker pool (0 = one
-//! per core) without changing any result byte; `--metrics` appends the
-//! process-wide telemetry table (classify shard timings, cache hit rates,
-//! sweep and minor-engine counters); `--table-cache` warms a persistent
-//! compiled-table store with the portfolio baselines for every topology
-//! (first run populates it, repeat runs load everything back verified).
+//! Usage: `fig7_zoo [--count N] [--threads T] [--metrics]` — `N` limits the
+//! number of synthetic topologies (default 250; CI smoke runs use a small
+//! `N` to catch classification regressions quickly); `T` pins the
+//! classification worker pool (0 = one per core) without changing any result
+//! byte; `--metrics` appends the process-wide telemetry table (classify
+//! shard timings, cache hit rates, sweep and minor-engine counters).
 
-use frr_bench::{format_percentages, parse_experiment_args, warm_tables, ZooClassification};
+use frr_bench::{format_percentages, parse_experiment_args, ZooClassification};
 use frr_core::classify::ClassifyBudget;
 use frr_topologies::{full_zoo, ZooConfig};
 
@@ -26,9 +23,6 @@ fn main() {
         zoo.len() - config.count,
         config.count
     );
-    if let Some(store) = args.open_table_store() {
-        println!("{}", warm_tables(&zoo, &store).render());
-    }
     let zc =
         ZooClassification::classify_all_with_threads(&zoo, ClassifyBudget::default(), args.threads);
 

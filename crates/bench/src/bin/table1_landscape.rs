@@ -4,12 +4,13 @@
 //! adversaries.
 //!
 //! Usage: `table1_landscape [--count N] [--deadline-secs S] [--work-budget W]
-//! [--metrics] [--table-cache DIR]` — `N` is the largest tolerance `r` to
-//! verify (default 3; CI
+//! [--metrics]` — `N` is the largest tolerance `r` to verify (default 3; CI
 //! bench-smoke runs `--count 1` for a cheap end-to-end pass over every cell
 //! kind).  An oversized cell (graph past the exhaustive edge limit) prints a
-//! one-line skip and falls back to sampling instead of panicking; an expired
-//! budget marks cells `inconclusive` instead of fabricating a verdict.
+//! one-line skip and falls back to sampling one `(s, t)` pair instead of
+//! panicking — its label names that pair and the draw count, never
+//! "verified"; an expired budget marks cells `inconclusive` instead of
+//! fabricating a verdict.
 //! `--metrics` appends the process-wide telemetry table (sweep counters,
 //! minor-engine memo statistics) after the landscape.
 
@@ -29,7 +30,15 @@ use rand::SeedableRng;
 
 /// Outcome of one positive Table I cell.
 enum CellVerdict {
-    Verified,
+    /// Every `(s, t)` pair passed the exhaustive sweep.
+    Proven,
+    /// Only `pair` was checked: `draws` random failure sets were drawn, those
+    /// keeping the pair r-connected were routed, and none defeated the
+    /// pattern — evidence, not a proof.
+    Sampled {
+        pair: (Node, Node),
+        draws: usize,
+    },
     Failed,
     /// The run budget stopped the exhaustive (s, t) sweep; the payload says
     /// how many pairs were checked and why the sweep stopped.
@@ -39,7 +48,11 @@ enum CellVerdict {
 impl CellVerdict {
     fn text(&self) -> String {
         match self {
-            CellVerdict::Verified => "verified r-tolerant".to_string(),
+            CellVerdict::Proven => "verified r-tolerant".to_string(),
+            CellVerdict::Sampled {
+                pair: (s, t),
+                draws,
+            } => format!("sampled {s}->{t} only, {draws} draws"),
             CellVerdict::Failed => "VERIFICATION FAILED".to_string(),
             CellVerdict::Inconclusive(p) => format!("inconclusive: {p}"),
         }
@@ -49,7 +62,6 @@ impl CellVerdict {
 fn main() {
     let args = frr_bench::parse_experiment_args("table1_landscape", 3);
     let run = args.run_budget();
-    let store = args.open_table_store();
     let links_limit = args
         .links_limit
         .unwrap_or(EXHAUSTIVE_EDGE_LIMIT)
@@ -67,29 +79,15 @@ fn main() {
         let r = row.r;
         // Positive: K_{2r+1} with the distance-2 pattern.
         let kc = generators::complete(row.complete_possible_nodes);
-        let pc =
-            frr_bench::through_store(store.as_ref(), &kc, Box::new(r_tolerant_complete_pattern()));
-        let complete_cell = verify_cell(
-            &kc,
-            pc.as_ref(),
-            Node(0),
-            Node(1),
-            r,
-            links_limit,
-            &run,
-            &mut rng,
-        );
+        let pc = r_tolerant_complete_pattern();
+        let complete_cell = verify_cell(&kc, &pc, Node(0), Node(1), r, links_limit, &run, &mut rng);
         // Positive: K_{2r-1,2r-1} with the bipartite distance-3 pattern.
         let part = row.bipartite_possible_part;
         let kb = generators::complete_bipartite(part, part);
-        let pb = frr_bench::through_store(
-            store.as_ref(),
-            &kb,
-            Box::new(r_tolerant_bipartite_pattern(&kb)),
-        );
+        let pb = r_tolerant_bipartite_pattern(&kb);
         let bipartite_cell = verify_cell(
             &kb,
-            pb.as_ref(),
+            &pb,
             Node(0),
             Node(part),
             r,
@@ -134,7 +132,8 @@ fn main() {
 
 /// Verifies one positive cell: exhaustively over all `(s, t)` pairs when the
 /// graph is within the exhaustive edge limit (a one-line skip plus a sampled
-/// check otherwise — never a panic), honoring the run budget's deadline.
+/// check of the single pair `(sample_s, sample_t)` otherwise — never a
+/// panic), honoring the run budget's deadline.
 #[allow(clippy::too_many_arguments)]
 fn verify_cell<P: CompilePattern + ?Sized>(
     g: &Graph,
@@ -149,7 +148,10 @@ fn verify_cell<P: CompilePattern + ?Sized>(
     let sampled = |rng: &mut StdRng| {
         let budget = SamplingBudget::new(12, 150);
         if is_r_tolerant_sampled(g, pattern, sample_s, sample_t, r, budget, rng).is_ok() {
-            CellVerdict::Verified
+            CellVerdict::Sampled {
+                pair: (sample_s, sample_t),
+                draws: budget.draws(),
+            }
         } else {
             CellVerdict::Failed
         }
@@ -195,5 +197,5 @@ fn verify_cell<P: CompilePattern + ?Sized>(
             }
         }
     }
-    CellVerdict::Verified
+    CellVerdict::Proven
 }

@@ -3,8 +3,7 @@
 //! failure budget next to the size of the failure set actually constructed.
 //!
 //! Usage: `thm14_15_few_failures [--count N] [--deadline-secs S]
-//! [--work-budget W] [--table-cache DIR]` — `N` limits how many rows of each
-//! table are produced
+//! [--work-budget W]` — `N` limits how many rows of each table are produced
 //! (default: all; CI bench-smoke runs `--count 1` to exercise the simulation
 //! argument cheaply).  When the deadline expires, remaining rows print a
 //! one-line `indeterminate` instead of running.  Topologies past the bounded
@@ -23,7 +22,6 @@ fn main() {
     let args = frr_bench::parse_experiment_args("thm14_15_few_failures", usize::MAX);
     let run = args.run_budget();
     let links_limit = args.links_limit.unwrap_or(BOUNDED_EDGE_LIMIT);
-    let store = args.open_table_store();
     println!("=== Theorem 14: K_n fails within O(n) failures (paper budget 6n-33) ===");
     println!(
         "{:<5} {:<10} {:<36} {:>10} {:>10}",
@@ -36,7 +34,6 @@ fn main() {
             continue;
         }
         for pattern in patterns(&g) {
-            let pattern = frr_bench::through_store(store.as_ref(), &g, pattern);
             let verdict = complete_few_failures_with_budget(&g, pattern.as_ref(), &run);
             report_row(&label, &g, pattern.as_ref(), verdict, 5);
         }
@@ -58,7 +55,6 @@ fn main() {
             continue;
         }
         for pattern in patterns(&g) {
-            let pattern = frr_bench::through_store(store.as_ref(), &g, pattern);
             let verdict = bipartite_few_failures_with_budget(&g, a, b, pattern.as_ref(), &run);
             report_row(&label, &g, pattern.as_ref(), verdict, 8);
         }

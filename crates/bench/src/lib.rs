@@ -16,17 +16,15 @@
 
 use frr_core::classify::{Classification, ClassifyBudget, Feasibility};
 use frr_graph::Graph;
-use frr_routing::artifact::{TableSource, TableStore};
 use frr_routing::budget::RunBudget;
 use frr_routing::compiled::CompilePattern;
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
 use frr_topologies::Topology;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 /// The experiment bins' shared command line:
 /// `[--count N] [--deadline-secs S] [--work-budget W] [--links-limit L]
-/// [--threads T] [--table-cache DIR]`.
+/// [--threads T] [--metrics]`.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
     /// Row/instance count limit (`--count`, bin-specific default).
@@ -49,10 +47,6 @@ pub struct ExperimentArgs {
     /// (`--metrics`): the experiment bins render [`frr_obs`]'s table, the
     /// replay driver also embeds the snapshot in its JSON artifact.
     pub metrics: bool,
-    /// Directory of the persistent compiled-table store (`--table-cache`):
-    /// compiled rule tables are loaded from it when present (digest-verified)
-    /// and written back after fresh compiles, warm-starting repeat runs.
-    pub table_cache: Option<PathBuf>,
 }
 
 impl ExperimentArgs {
@@ -61,27 +55,13 @@ impl ExperimentArgs {
     pub fn run_budget(&self) -> RunBudget {
         RunBudget::from_flags(self.deadline_secs, self.work_budget)
     }
-
-    /// Opens the `--table-cache` store, if the flag was given.  An unusable
-    /// directory is a one-line stderr warning and `None` — a broken cache
-    /// must never fail an experiment run.
-    pub fn open_table_store(&self) -> Option<TableStore> {
-        let dir = self.table_cache.as_ref()?;
-        match TableStore::open(dir) {
-            Ok(store) => Some(store),
-            Err(e) => {
-                eprintln!("warning: --table-cache {}: {e}", dir.display());
-                None
-            }
-        }
-    }
 }
 
 /// The shared flags' one-line usage string.
 pub fn experiment_usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--count N] [--deadline-secs S] [--work-budget W] \
-         [--links-limit L] [--threads T] [--metrics] [--table-cache DIR]"
+         [--links-limit L] [--threads T] [--metrics]"
     )
 }
 
@@ -136,7 +116,6 @@ fn parse_experiment_args_from(
         links_limit: None,
         threads: 0,
         metrics: false,
-        table_cache: None,
     };
     let mut extras = Vec::new();
     while let Some(arg) = args.next() {
@@ -191,10 +170,6 @@ fn parse_experiment_args_from(
                 })?;
             }
             "--metrics" => parsed.metrics = true,
-            "--table-cache" => {
-                let v = value("--table-cache", "a directory")?;
-                parsed.table_cache = Some(PathBuf::from(v));
-            }
             _ => extras.push(arg),
         }
     }
@@ -215,71 +190,6 @@ pub fn pattern_portfolio(g: &Graph) -> Vec<Box<dyn CompilePattern>> {
         Box::new(ShortestPathPattern::new(g)),
         Box::new(frr_core::algorithms::Distance2Pattern::new()),
     ]
-}
-
-/// Routes one pattern's compilation through the table store: a verified
-/// store hit or a fresh compile (written back) becomes the compiled tables
-/// standing in for the pattern — [`frr_routing::compiled::CompiledPattern`]
-/// is itself a [`CompilePattern`], so every checker downstream sees
-/// identical rules either way.  When the store is absent or the pattern
-/// refuses to compile (degree ≥ 64, tabulation budget), the original
-/// pattern is returned untouched.
-pub fn through_store(
-    store: Option<&TableStore>,
-    g: &Graph,
-    pattern: Box<dyn CompilePattern>,
-) -> Box<dyn CompilePattern> {
-    let Some(store) = store else { return pattern };
-    match store.get_or_compile(g, pattern.as_ref(), None) {
-        Some((cp, _)) => Box::new(cp),
-        None => pattern,
-    }
-}
-
-/// Tally of one [`warm_tables`] pass over a topology collection.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WarmSummary {
-    /// Tables served from the store (digest-verified).
-    pub hits: usize,
-    /// Tables compiled fresh and written back.
-    pub misses: usize,
-    /// Stored artifacts rejected (then recompiled fresh).
-    pub rejects: usize,
-    /// Patterns that refused to compile (degree/budget) — not cacheable.
-    pub refused: usize,
-}
-
-impl WarmSummary {
-    /// One-line human rendering for the bins' stdout.
-    pub fn render(&self) -> String {
-        format!(
-            "table cache: {} hits, {} misses, {} rejects, {} uncompilable",
-            self.hits, self.misses, self.rejects, self.refused
-        )
-    }
-}
-
-/// Warms the table store with the full compiled tables of the deterministic
-/// portfolio baselines (rotor-with-shortcut and shortest-path) for every
-/// topology: the first run populates the store, repeat runs load everything
-/// back digest-verified.  Sequential and deterministic by construction.
-pub fn warm_tables(topologies: &[Topology], store: &TableStore) -> WarmSummary {
-    let mut summary = WarmSummary::default();
-    for t in topologies {
-        let patterns: Vec<Box<dyn CompilePattern>> = vec![
-            Box::new(RotorPattern::clockwise_with_shortcut(&t.graph)),
-            Box::new(ShortestPathPattern::new(&t.graph)),
-        ];
-        for pattern in patterns {
-            match store.get_or_compile(&t.graph, pattern.as_ref(), None) {
-                Some((_, TableSource::Store)) => summary.hits += 1,
-                Some((_, TableSource::Compiled)) => summary.misses += 1,
-                Some((_, TableSource::CompiledAfterReject(_))) => summary.rejects += 1,
-                None => summary.refused += 1,
-            }
-        }
-    }
-    summary
 }
 
 /// Classification of a whole topology collection, with per-class counts per
@@ -434,39 +344,6 @@ mod tests {
         assert!(parsed.metrics);
         assert_eq!(parsed.count, 4);
         assert!(extras.is_empty(), "--metrics takes no value");
-    }
-
-    #[test]
-    fn experiment_args_parse_the_table_cache_directory() {
-        let to_args = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
-        let (parsed, extras) = parse_experiment_args_from(
-            "bin",
-            3,
-            to_args("--table-cache target/zoo-store --count 4").into_iter(),
-        )
-        .unwrap();
-        assert_eq!(parsed.table_cache, Some(PathBuf::from("target/zoo-store")));
-        assert_eq!(parsed.count, 4);
-        assert!(extras.is_empty());
-        let err =
-            parse_experiment_args_from("bin", 3, to_args("--table-cache").into_iter()).unwrap_err();
-        assert!(err.contains("--table-cache needs"), "{err}");
-    }
-
-    #[test]
-    fn warm_tables_miss_then_hit_over_the_builtins() {
-        let dir = std::env::temp_dir().join(format!("frr-bench-warm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TableStore::open(&dir).unwrap();
-        let topologies = builtin_topologies();
-        let cold = warm_tables(&topologies, &store);
-        assert_eq!(cold.hits, 0);
-        assert!(cold.misses > 0);
-        let warm = warm_tables(&topologies, &store);
-        assert_eq!(warm.hits, cold.misses, "every miss becomes a hit");
-        assert_eq!(warm.misses, 0);
-        assert_eq!(warm.rejects, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

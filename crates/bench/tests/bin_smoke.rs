@@ -74,9 +74,26 @@ fn table1_skips_oversized_cells_and_falls_back_to_sampling() {
         text.contains("sampling instead"),
         "missing sampling fallback notice:\n{text}"
     );
+    // K3 (3 links) is sampled: its label names the one pair checked and the
+    // draw count, and never claims "verified".  K1,1 (1 link) stays within
+    // the limit and keeps the exhaustive label.
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("1 "))
+        .unwrap_or_else(|| panic!("missing r = 1 row:\n{text}"));
+    let sampled_cell =
+        &row[row.find("K3 ").expect("K3 cell")..row.find("K1,1").expect("K1,1 cell")];
     assert!(
-        text.contains("verified r-tolerant"),
-        "sampled cells must still verify r=1:\n{text}"
+        sampled_cell.contains("sampled v0->v1 only, 1950 draws"),
+        "sampled cell must name its pair and draw count:\n{text}"
+    );
+    assert!(
+        !sampled_cell.contains("verified"),
+        "a sampled cell must not claim verification:\n{text}"
+    );
+    assert!(
+        row.contains("K1,1 verified r-tolerant"),
+        "the in-limit cell keeps the exhaustive label:\n{text}"
     );
 }
 
@@ -93,19 +110,24 @@ fn table1_reports_inconclusive_on_an_expired_deadline() {
 #[test]
 fn unknown_flag_is_a_one_line_usage_error_with_exit_2() {
     let exe = env!("CARGO_BIN_EXE_table1_landscape");
-    let out = run_bin(exe, &["--no-such-flag"]);
-    assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        stderr.trim().lines().count(),
-        1,
-        "usage error must be one line:\n{stderr}"
-    );
-    assert!(stderr.contains("usage:"), "missing usage string:\n{stderr}");
-    assert!(
-        stderr.contains("--no-such-flag"),
-        "must name the offending flag:\n{stderr}"
-    );
+    // A removed flag (`--table-cache`) is rejected like any unknown one, so
+    // scripts still passing it stop with an error instead of running
+    // without it.
+    for args in [&["--no-such-flag"][..], &["--table-cache", "x"]] {
+        let out = run_bin(exe, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.trim().lines().count(),
+            1,
+            "usage error must be one line:\n{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "missing usage string:\n{stderr}");
+        assert!(
+            stderr.contains(args[0]),
+            "must name the offending flag:\n{stderr}"
+        );
+    }
 }
 
 #[test]

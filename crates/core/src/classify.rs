@@ -408,10 +408,13 @@ fn flush_memo_stats(stats: frr_graph::minors::MemoStats, registry: &frr_obs::Reg
 }
 
 /// Canonical labelled encoding of a graph: node count followed by the packed
-/// adjacency words.  Shared with the compiled-table store, which keys its
-/// on-disk artifacts by the same encoding (plus pattern name, model and
-/// destination) so identical graphs dedupe across processes.
-pub use frr_routing::artifact::canonical_graph_key as canonical_key;
+/// adjacency words — the key the classification minor cache memoizes on.
+pub fn canonical_key(b: &BitGraph) -> Box<[u64]> {
+    let mut key = Vec::with_capacity(1 + b.words().len());
+    key.push(b.node_count() as u64);
+    key.extend_from_slice(b.words());
+    key.into_boxed_slice()
+}
 
 fn minor_verdict(
     b: &BitGraph,
@@ -703,6 +706,15 @@ pub fn fits_in_k33(g: &Graph) -> bool {
 mod tests {
     use super::*;
     use frr_graph::generators;
+
+    #[test]
+    fn canonical_key_is_label_sensitive() {
+        let a = canonical_key(&BitGraph::from_graph(&generators::path(3)));
+        let b = canonical_key(&BitGraph::from_graph(&generators::cycle(3)));
+        assert_ne!(a, b);
+        let again = canonical_key(&BitGraph::from_graph(&generators::path(3)));
+        assert_eq!(a, again);
+    }
 
     #[test]
     fn outerplanar_graphs_are_possible_everywhere() {

@@ -50,10 +50,11 @@ use crate::simulator::{Outcome, RouteResult, TourResult};
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const WORD_BITS: usize = u64::BITS as usize;
 
-/// Minimal FNV-1a 64 accumulator for the stable artifact digests.
+/// Minimal FNV-1a 64 accumulator for the stable table and snapshot digests.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -84,9 +85,10 @@ impl Fnv {
     /// The bulk is folded over eight independent lanes (one xor-multiply per
     /// word per lane) that are combined into the accumulator at the end: a
     /// single FNV chain is a serial multiply dependency at ~4 cycles/word,
-    /// which made digest verification of multi-megabyte artifacts as slow
-    /// as recompiling them.  The lanes keep every bit of every word in the
-    /// digest; only the mixing order differs from byte-serial FNV-1a.
+    /// and the control plane digests every published table on each serve
+    /// tick (`Snapshot::digest`).  The lanes keep every bit of every word in
+    /// the digest; only the mixing order differs from byte-serial FNV-1a.
+    /// The pinned replay digests depend on this exact mixing order.
     pub fn words_u32(&mut self, words: &[u32]) {
         self.word(words.len() as u64);
         let mut lanes = [
@@ -121,68 +123,9 @@ impl Fnv {
 
 /// Marker word: the state's rule slice is a dense failed-mask-indexed map
 /// (`2^deg` entries follow) instead of a priority list.
-pub(crate) const DENSE: u32 = u32::MAX;
+const DENSE: u32 = u32::MAX;
 /// Dense-map entry (and internal tabulation value) for "drop the packet".
-pub(crate) const DROP: u32 = u32::MAX - 1;
-
-/// An immutable `u32` array that is either its own allocation or a zero-copy
-/// view into a shared buffer (one loaded artifact file backs every array of
-/// the pattern it decodes to — see [`crate::artifact`]).
-///
-/// Dereferences to `&[u32]`, so all read paths treat it exactly like the
-/// `Vec<u32>` it replaced; cloning is `O(1)` (an `Arc` bump plus two words),
-/// which also makes [`CompiledPattern`] clones cheap.
-#[derive(Clone)]
-pub(crate) struct Words {
-    buf: std::sync::Arc<[u32]>,
-    start: usize,
-    len: usize,
-}
-
-impl Words {
-    /// A zero-copy view of `buf[start..start + len]`.
-    pub(crate) fn view(buf: std::sync::Arc<[u32]>, start: usize, len: usize) -> Self {
-        debug_assert!(start + len <= buf.len());
-        Words { buf, start, len }
-    }
-}
-
-impl std::ops::Deref for Words {
-    type Target = [u32];
-
-    #[inline]
-    fn deref(&self) -> &[u32] {
-        &self.buf[self.start..self.start + self.len]
-    }
-}
-
-impl From<Vec<u32>> for Words {
-    fn from(v: Vec<u32>) -> Self {
-        let buf: std::sync::Arc<[u32]> = v.into();
-        let len = buf.len();
-        Words { buf, start: 0, len }
-    }
-}
-
-impl Default for Words {
-    fn default() -> Self {
-        Words::from(Vec::new())
-    }
-}
-
-impl PartialEq for Words {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Words {}
-
-impl std::fmt::Debug for Words {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
+const DROP: u32 = u32::MAX - 1;
 
 /// Total local contexts the generic tabulator may enumerate before refusing
 /// to compile (`Σ_states 2^deg` summed over all tables).  Keeps compilation
@@ -196,16 +139,19 @@ pub const TABULATE_CONTEXT_BUDGET: u64 = 1 << 22;
 /// space of the simulators — `(node, in-port)` with `⊥` allowed — has exactly
 /// `2m + n` states, one per global port plus one `⊥` state per node, indexed
 /// by `state_base(v) + in-port-index`.
+///
+/// The arrays here and in the rule tables are shared `Arc<[u32]>`, so
+/// cloning a `PortGraph` or a [`CompiledPattern`] is `O(1)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortGraph {
     n: usize,
     /// `n + 1` offsets into `ports`.
-    port_offset: Words,
+    port_offset: Arc<[u32]>,
     /// Concatenated ascending neighbor lists (`2m` entries).
-    ports: Words,
+    ports: Arc<[u32]>,
     /// For global port `p` carrying a hop `v → u`: the in-port index of `v`
     /// at `u` (the state the packet lands in).
-    reverse_port: Words,
+    reverse_port: Arc<[u32]>,
 }
 
 impl PortGraph {
@@ -235,40 +181,6 @@ impl PortGraph {
             ports: ports.into(),
             reverse_port: reverse_port.into(),
         }
-    }
-
-    /// Reassembles a CSR view from its raw arrays (the artifact decoder);
-    /// the caller is responsible for structural validity.
-    pub(crate) fn from_raw_parts(
-        n: usize,
-        port_offset: Words,
-        ports: Words,
-        reverse_port: Words,
-    ) -> Self {
-        PortGraph {
-            n,
-            port_offset,
-            ports,
-            reverse_port,
-        }
-    }
-
-    /// The raw `n + 1` CSR offset array (artifact serialization).
-    #[inline]
-    pub(crate) fn port_offsets(&self) -> &[u32] {
-        &self.port_offset
-    }
-
-    /// The raw concatenated neighbor array (artifact serialization).
-    #[inline]
-    pub(crate) fn ports_raw(&self) -> &[u32] {
-        &self.ports
-    }
-
-    /// The raw reverse-port array (artifact serialization).
-    #[inline]
-    pub(crate) fn reverse_ports_raw(&self) -> &[u32] {
-        &self.reverse_port
     }
 
     /// Number of nodes.
@@ -334,34 +246,16 @@ impl PortGraph {
 
 /// One destination's (or header's) rule table: per state, a slice of the
 /// shared `rules` arena.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RuleTable {
     /// `state_count + 1` offsets into `rules`.
-    offsets: Words,
+    offsets: Arc<[u32]>,
     /// Flat arena: priority lists of local out-port indices, or
     /// `DENSE`-marked failed-mask-indexed maps.
-    rules: Words,
+    rules: Arc<[u32]>,
 }
 
 impl RuleTable {
-    /// Reassembles a table from its raw arrays (the artifact decoder); the
-    /// caller is responsible for structural validity.
-    pub(crate) fn from_raw_parts(offsets: Words, rules: Words) -> Self {
-        RuleTable { offsets, rules }
-    }
-
-    /// The raw `state_count + 1` offset array (artifact serialization).
-    #[inline]
-    pub(crate) fn offsets_raw(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The raw rule arena (artifact serialization).
-    #[inline]
-    pub(crate) fn rules_raw(&self) -> &[u32] {
-        &self.rules
-    }
-
     /// Resolves the decision for `state` under the node's failed-port mask:
     /// the chosen local out-port, or `None` to drop.
     #[inline]
@@ -383,7 +277,7 @@ impl RuleTable {
 
 /// How a compiled pattern's tables are keyed by the packet header.
 #[derive(Debug, Clone)]
-pub(crate) enum Tables {
+enum Tables {
     /// Touring model: one header-independent table.
     Uniform(RuleTable),
     /// Destination-only model: `tables[t]`.
@@ -435,47 +329,6 @@ impl CompiledPattern {
             }
             Tables::SingleDestination { table, .. } => table.rules.len(),
         }
-    }
-
-    /// In-memory footprint of every flat array in bytes: the CSR arrays
-    /// (`port_offset`, `ports`, `reverse_port`) plus each table's offset
-    /// array *and* rule arena.  [`CompiledPattern::rule_words`] counts only
-    /// the rule arenas; this is the honest size the store gauges and metrics
-    /// tables report.
-    pub fn bytes_estimate(&self) -> usize {
-        let word = std::mem::size_of::<u32>();
-        let table_words = |t: &RuleTable| t.offsets.len() + t.rules.len();
-        let tables = match &self.tables {
-            Tables::Uniform(t) => table_words(t),
-            Tables::PerDestination(ts) | Tables::PerPair(ts) => ts.iter().map(table_words).sum(),
-            Tables::SingleDestination { table, .. } => table_words(table),
-        };
-        word * (self.csr.port_offset.len()
-            + self.csr.ports.len()
-            + self.csr.reverse_port.len()
-            + tables)
-    }
-
-    /// Reassembles a pattern from decoded parts (the artifact decoder); the
-    /// caller must have validated structure and digest.
-    pub(crate) fn from_raw_parts(
-        model: RoutingModel,
-        name: Cow<'static, str>,
-        csr: PortGraph,
-        tables: Tables,
-    ) -> Self {
-        CompiledPattern {
-            model,
-            name,
-            csr,
-            tables,
-        }
-    }
-
-    /// The header-keyed table family (artifact serialization).
-    #[inline]
-    pub(crate) fn tables(&self) -> &Tables {
-        &self.tables
     }
 
     /// For a single-destination compile
@@ -867,7 +720,10 @@ fn tabulate_table<P: ForwardingPattern + ?Sized>(
             offsets.push(rules.len() as u32);
         }
     }
-    RuleTable::from_raw_parts(offsets.into(), rules.into())
+    RuleTable {
+        offsets: offsets.into(),
+        rules: rules.into(),
+    }
 }
 
 /// Appends one state's rules to the arena: a verified priority list if the
@@ -1030,7 +886,10 @@ where
             offsets.push(rules.len() as u32);
         }
     }
-    RuleTable::from_raw_parts(offsets.into(), rules.into())
+    RuleTable {
+        offsets: offsets.into(),
+        rules: rules.into(),
+    }
 }
 
 /// Reusable scratch for simulating compiled patterns against materialized

@@ -35,10 +35,7 @@
 //!   into failed links, to non-neighbors, nondeterministically, panicking)
 //!   used by the chaos suite to pin fail-safe termination,
 //! * [`metrics`] — delivery-rate / stretch statistics for the benchmark
-//!   harness,
-//! * [`artifact`] — a versioned on-disk format for compiled rule tables
-//!   (zero-copy loads, digest-verified) and the [`artifact::TableStore`]
-//!   directory cache that warm-starts bins and the control plane.
+//!   harness.
 //!
 //! # Example
 //!
@@ -63,7 +60,6 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout))]
 
 pub mod adversary;
-pub mod artifact;
 pub mod budget;
 pub mod compiled;
 pub mod failure;
@@ -79,7 +75,6 @@ pub mod sweep;
 /// Convenience prelude bringing the most frequently used items into scope.
 pub mod prelude {
     pub use crate::adversary::{Adversary, BruteForceAdversary, Counterexample, RandomAdversary};
-    pub use crate::artifact::{ArtifactError, TableSource, TableStore};
     pub use crate::budget::{
         CancelToken, Progress, RunBudget, StopCause, StopSignal, Verdict, WorkerPanicked,
     };

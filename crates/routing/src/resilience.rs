@@ -388,6 +388,12 @@ impl SamplingBudget {
             trials,
         }
     }
+
+    /// Total failure sets drawn: `trials` for each size `0..=max_failures`.
+    /// Only those keeping the pair `r`-connected are routed.
+    pub fn draws(&self) -> usize {
+        (self.max_failures + 1) * self.trials
+    }
 }
 
 /// Sampled `r`-tolerance check for larger graphs: draws random failure sets
@@ -906,7 +912,7 @@ pub fn is_r_tolerant_with_budget<P: CompilePattern + ?Sized>(
                 (2 * r.max(1)).min(g.edge_count()),
                 FALLBACK_SAMPLING_TRIALS / 8,
             );
-            sampled_trials = (sampling.trials * (sampling.max_failures + 1)) as u64;
+            sampled_trials = sampling.draws() as u64;
             let mut rng = StdRng::seed_from_u64(FALLBACK_SAMPLING_SEED);
             let found =
                 guard_fallback(|| is_r_tolerant_sampled(g, pattern, s, t, r, sampling, &mut rng))?;

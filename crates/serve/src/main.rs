@@ -9,12 +9,11 @@
 //!
 //! ```text
 //! frr-serve replay [--count N] [--threads T] [--deadline-secs S] [--work-budget W]
-//!                  [--metrics] [--table-cache DIR] [--topology NAME] [--seed S]
-//!                  [--batch B] [--queries-per-epoch Q] [--inject KIND@POS]...
+//!                  [--metrics] [--topology NAME] [--seed S] [--batch B]
+//!                  [--queries-per-epoch Q] [--inject KIND@POS]...
 //!                  [--malformed-every K] [--hammer N] [--resilience-r R]
 //!                  [--json-name NAME] [--no-json]
-//! frr-serve metrics [--count N] [--threads T] [--table-cache DIR]
-//!                   [--topology NAME] [--seed S] [--json]
+//! frr-serve metrics [--count N] [--threads T] [--topology NAME] [--seed S] [--json]
 //! ```
 //!
 //! `--count` is the number of churn events (the bin's natural instance
@@ -23,11 +22,7 @@
 //! recompile pool.  `--metrics` wires the service to the process-wide
 //! telemetry registry: the replay prints a live metrics table every few
 //! batches, embeds the snapshot in the JSON artifact and renders the final
-//! table.  `--table-cache` points the supervisor at a persistent
-//! [`frr_routing::artifact::TableStore`]: rebuilds consult the store before
-//! compiling, so a second run over the same trace warm-starts every
-//! destination straight to `Fresh`.  The `metrics` subcommand runs a short
-//! wired replay and prints
+//! table.  The `metrics` subcommand runs a short wired replay and prints
 //! just the registry (table by default, stable JSON with `--json`).  An
 //! unknown flag or malformed value prints a one-line usage error to stderr
 //! and exits with status 2.
@@ -41,8 +36,8 @@ fn usage() -> String {
         "{} [--topology NAME] [--seed S] [--batch B] [--queries-per-epoch Q] \
          [--inject KIND@POS] [--malformed-every K] [--hammer N] [--resilience-r R] \
          [--json-name NAME] [--no-json]\n\
-         usage: frr-serve metrics [--count N] [--threads T] [--table-cache DIR] \
-         [--topology NAME] [--seed S] [--json]",
+         usage: frr-serve metrics [--count N] [--threads T] [--topology NAME] \
+         [--seed S] [--json]",
         frr_bench::experiment_usage("frr-serve replay")
     )
 }
@@ -69,7 +64,6 @@ fn run_replay(args: impl Iterator<Item = String>) {
         threads: shared.threads,
         deadline_secs: shared.deadline_secs,
         metrics: shared.metrics,
-        table_cache: shared.table_cache,
         ..ReplayConfig::default()
     };
     if let Some(work) = shared.work_budget {
@@ -256,7 +250,6 @@ fn run_metrics(args: impl Iterator<Item = String>) {
         threads: shared.threads,
         deadline_secs: shared.deadline_secs,
         metrics: true,
-        table_cache: shared.table_cache,
         ..ReplayConfig::default()
     };
     let mut as_json = false;

@@ -81,12 +81,6 @@ pub struct ReplayConfig {
     /// that flipping this changes *only* telemetry — digests and ledgers
     /// stay byte-identical.
     pub metrics: bool,
-    /// Persistent compiled-table store directory: rebuilds consult it before
-    /// compiling and write fresh tables back, so a restarted replay reaches
-    /// `Fresh` without recompiling unchanged `(graph, destination)` pairs.
-    /// Snapshot digests are pinned independent of this setting (a verified
-    /// store hit is byte-identical to a fresh compile).
-    pub table_cache: Option<std::path::PathBuf>,
 }
 
 impl Default for ReplayConfig {
@@ -108,7 +102,6 @@ impl Default for ReplayConfig {
             resilience_r: 1,
             resilience_work: 256,
             metrics: false,
-            table_cache: None,
         }
     }
 }
@@ -296,22 +289,10 @@ pub fn replay_with_observer(
     } else {
         &noop
     };
-    let store = cfg.table_cache.as_ref().and_then(|dir| {
-        match frr_routing::artifact::TableStore::with_registry(dir, registry) {
-            Ok(store) => Some(std::sync::Arc::new(store)),
-            Err(e) => {
-                // An unusable cache directory degrades to cold compiles; it
-                // must never fail the replay.
-                eprintln!("warning: table cache {}: {e}", dir.display());
-                None
-            }
-        }
-    });
     let sup = SupervisorConfig {
         threads: cfg.threads,
         deadline: cfg.deadline_secs.map(Duration::from_secs_f64),
         backoff_base: Duration::from_millis(cfg.backoff_base_ms),
-        store,
         ..SupervisorConfig::default()
     };
     let mut service = Service::with_registry(

@@ -94,24 +94,6 @@ impl PatternSpec {
         !matches!(self, PatternSpec::Hostile(HostileKind::Nondeterministic))
     }
 
-    /// The `(pattern name, routing model)` key this spec's compiled tables
-    /// carry in the persistent table store, *without* constructing the
-    /// pattern (the warm path must not pay the BFS precompute a
-    /// [`ShortestPathPattern::new`] does).  `None` for specs whose tables
-    /// must never be cached: hostile compiles are the chaos suite's fault
-    /// injection and the nondeterministic pattern has no stable tables.
-    pub fn cache_identity(&self) -> Option<(&'static str, frr_routing::model::RoutingModel)> {
-        use frr_routing::model::RoutingModel;
-        match self {
-            PatternSpec::ShortestPath | PatternSpec::Hostile(HostileKind::WellBehaved) => Some((
-                "shortest-path+rotor-fallback",
-                RoutingModel::DestinationOnly,
-            )),
-            PatternSpec::Rotor => Some(("rotor+shortcut", RoutingModel::DestinationOnly)),
-            PatternSpec::Hostile(_) => None,
-        }
-    }
-
     fn digest_tag(&self) -> u64 {
         match self {
             PatternSpec::ShortestPath | PatternSpec::Hostile(HostileKind::WellBehaved) => 1,

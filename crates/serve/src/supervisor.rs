@@ -15,7 +15,6 @@
 use crate::service::PatternSpec;
 use frr_graph::budget::StopSignal;
 use frr_graph::{Graph, Node};
-use frr_routing::artifact::TableStore;
 use frr_routing::budget::RunBudget;
 use frr_routing::compiled::{CompilePattern, CompiledPattern};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,11 +36,6 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Persistent compiled-table store: rebuilds consult it before
-    /// compiling (a digest-verified hit skips the compile entirely — the
-    /// warm-restart path) and write fresh tables back.  Only specs with a
-    /// [`PatternSpec::cache_identity`] participate; `None` disables it.
-    pub store: Option<Arc<TableStore>>,
 }
 
 impl Default for SupervisorConfig {
@@ -52,7 +46,6 @@ impl Default for SupervisorConfig {
             max_attempts: 3,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(50),
-            store: None,
         }
     }
 }
@@ -96,8 +89,7 @@ pub struct RebuildOutcome {
     pub destination: usize,
     /// The freshly built table, when an attempt succeeded.
     pub table: Option<Arc<CompiledPattern>>,
-    /// Attempts actually spent (0 for [`RebuildFailure::Cancelled`] and for
-    /// tables served from the persistent store without compiling).
+    /// Attempts actually spent (0 only for [`RebuildFailure::Cancelled`]).
     pub attempts: u32,
     /// The terminal failure, when no attempt succeeded.
     pub failure: Option<RebuildFailure>,
@@ -159,12 +151,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// One destination's supervised rebuild: `catch_unwind` around the compile,
 /// deadline check per attempt, exponential backoff between retries.
 ///
-/// When the config carries a persistent [`TableStore`] and the spec has a
-/// stable [`PatternSpec::cache_identity`], the store is consulted first — a
-/// digest-verified hit returns with **zero** compile attempts (the
-/// warm-restart path), a rejected or missing artifact falls through to the
-/// supervised compile, whose fresh table is then written back best-effort.
-///
 /// Refusals (`compile_destination` returning `None`) are deterministic, so
 /// they fail fast without retries; panics and deadline expiries are retried
 /// because they may be transient (a hostile input mix, a loaded machine).
@@ -175,22 +161,6 @@ fn rebuild_one(
     cfg: &SupervisorConfig,
     tally: &mut RebuildTally,
 ) -> RebuildOutcome {
-    let identity = cfg
-        .store
-        .as_ref()
-        .and_then(|s| spec.cache_identity().map(|(name, model)| (s, name, model)));
-    if let Some((store, name, model)) = &identity {
-        // A rejected artifact (Err) already bumped `store.reject`; compile
-        // fresh exactly as if it were absent.
-        if let Ok(Some(table)) = store.load(survivor, name, *model, Some(Node(destination))) {
-            return RebuildOutcome {
-                destination,
-                table: Some(Arc::new(table)),
-                attempts: 0,
-                failure: None,
-            };
-        }
-    }
     let max_attempts = cfg.max_attempts.max(1);
     let mut last_failure = RebuildFailure::Refused;
     for attempt in 1..=max_attempts {
@@ -205,10 +175,6 @@ fn rebuild_one(
         }));
         match built {
             Ok(Some(table)) if !budget.deadline_expired() => {
-                if let Some((store, _, _)) = &identity {
-                    // Best effort: an unwritable store never fails a rebuild.
-                    let _ = store.store(survivor, &table);
-                }
                 return RebuildOutcome {
                     destination,
                     table: Some(Arc::new(table)),
