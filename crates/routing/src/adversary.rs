@@ -13,7 +13,7 @@ use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
 use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
-use crate::resilience::compile_guarded;
+use crate::resilience::{compile_guarded, replay_route};
 use crate::simulator::{route, state_space_bound, Outcome};
 use crate::sweep::{
     failure_set_at, sharded_first, sharded_first_controlled, sweep_find_first_budgeted,
@@ -107,7 +107,6 @@ impl Adversary for BruteForceAdversary {
         g: &Graph,
         pattern: &P,
     ) -> Option<Counterexample> {
-        let max_hops = state_space_bound(g);
         let compiled = pattern.compile(g);
         let compiled = compiled.as_ref();
         sweep_find_first_limited(
@@ -115,29 +114,8 @@ impl Adversary for BruteForceAdversary {
             self.max_failures,
             Some(self.max_sets),
             |engine: &mut SweepEngine<'_>| {
-                for s in g.nodes() {
-                    for t in g.nodes() {
-                        if s == t || !engine.same_component(s, t) {
-                            continue;
-                        }
-                        let outcome = match compiled {
-                            Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                            None => engine.route_outcome(pattern, s, t, max_hops),
-                        };
-                        if !outcome.is_delivered() {
-                            let failures = engine.current_failure_set();
-                            let result = route(g, &failures, pattern, s, t, max_hops);
-                            return Some(Counterexample {
-                                failures,
-                                source: s,
-                                destination: t,
-                                outcome: result.outcome,
-                                path: result.path,
-                            });
-                        }
-                    }
-                }
-                None
+                let (s, t) = engine.first_undelivered(compiled, pattern, 0..g.node_count())?;
+                Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
             },
         )
     }
@@ -166,7 +144,6 @@ impl BruteForceAdversary {
         pattern: &P,
         budget: &RunBudget,
     ) -> Result<Verdict, WorkerPanicked> {
-        let max_hops = state_space_bound(g);
         let compiled = compile_guarded(g, pattern);
         let compiled = compiled.as_ref();
         let mask_budget = self.max_sets.min(budget.work_limit().unwrap_or(u64::MAX));
@@ -176,29 +153,8 @@ impl BruteForceAdversary {
             Some(mask_budget),
             &budget.stop_signal(),
             |engine: &mut SweepEngine<'_>| {
-                for s in g.nodes() {
-                    for t in g.nodes() {
-                        if s == t || !engine.same_component(s, t) {
-                            continue;
-                        }
-                        let outcome = match compiled {
-                            Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                            None => engine.route_outcome(pattern, s, t, max_hops),
-                        };
-                        if !outcome.is_delivered() {
-                            let failures = engine.current_failure_set();
-                            let result = route(g, &failures, pattern, s, t, max_hops);
-                            return Some(Counterexample {
-                                failures,
-                                source: s,
-                                destination: t,
-                                outcome: result.outcome,
-                                path: result.path,
-                            });
-                        }
-                    }
-                }
-                None
+                let (s, t) = engine.first_undelivered(compiled, pattern, 0..g.node_count())?;
+                Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
             },
         );
         match report.end {

@@ -398,6 +398,14 @@ impl CompiledPattern {
         }
     }
 
+    /// `true` if the table serving a packet depends on its source (the
+    /// source–destination model): walks of different sources towards one
+    /// destination then follow different forwarding functions.
+    #[inline]
+    pub(crate) fn tables_per_pair(&self) -> bool {
+        matches!(self.tables, Tables::PerPair(_))
+    }
+
     /// One forwarding decision on the compiled tables: the **global port**
     /// taken out of `v` given its in-port index and failed-port mask, or
     /// `None` to drop.  The next node is `csr.ports[p]` and the next in-port

@@ -81,7 +81,7 @@ fn check_edge_limit(g: &Graph, limit: usize) -> Result<(), EdgeLimitExceeded> {
 /// Replays a failing routing scenario through the plain simulator to attach
 /// the packet's path to the counterexample (the sweep hot loop itself never
 /// builds paths).
-fn replay_route<P: ForwardingPattern + ?Sized>(
+pub(crate) fn replay_route<P: ForwardingPattern + ?Sized>(
     g: &Graph,
     pattern: &P,
     failures: FailureSet,
@@ -152,11 +152,9 @@ fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
     mask_budget: Option<u64>,
     stop: &StopSignal,
 ) -> SweepReport<Counterexample> {
-    let max_hops = state_space_bound(g);
-    let n = g.node_count();
-    let (t_lo, t_hi) = match destination {
-        Some(t) => (t.index(), t.index() + 1),
-        None => (0, n),
+    let destinations = match destination {
+        Some(t) => t.index()..t.index() + 1,
+        None => 0..g.node_count(),
     };
     // Compile once per sweep; the tables are shared by every worker thread.
     // `None` (degree or tabulation budget exceeded, or a panicking compile)
@@ -170,21 +168,8 @@ fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
         mask_budget,
         stop,
         |engine: &mut SweepEngine<'_>| {
-            for s in (0..n).map(Node) {
-                for t in (t_lo..t_hi).map(Node) {
-                    if s == t || !engine.same_component(s, t) {
-                        continue;
-                    }
-                    let outcome = match compiled {
-                        Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                        None => engine.route_outcome(pattern, s, t, max_hops),
-                    };
-                    if !outcome.is_delivered() {
-                        return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
-                    }
-                }
-            }
-            None
+            let (s, t) = engine.first_undelivered(compiled, pattern, destinations.clone())?;
+            Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
         },
     )
 }
@@ -319,30 +304,46 @@ pub fn check_r_tolerance<P: CompilePattern + ?Sized>(
     r: usize,
 ) -> Result<Result<(), Counterexample>, EdgeLimitExceeded> {
     check_edge_limit(g, EXHAUSTIVE_EDGE_LIMIT)?;
-    let max_hops = state_space_bound(g);
     let compiled = pattern.compile(g);
     let compiled = compiled.as_ref();
     let found = sweep_find_first(g, None, |engine: &mut SweepEngine<'_>| {
-        // The r-connectivity promise on the overlay, without cloning G \ F.
-        let promise = r == 0
-            || s == t
-            || st_edge_connectivity_filtered(g, s, t, |u, v| !engine.link_failed(u, v)) >= r;
-        if !promise {
-            return None;
-        }
-        let outcome = match compiled {
-            Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-            None => engine.route_outcome(pattern, s, t, max_hops),
-        };
-        if !outcome.is_delivered() {
-            return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
-        }
-        None
+        tolerance_violation(engine, compiled, pattern, s, t, r)
     });
     Ok(match found {
         Some(ce) => Err(ce),
         None => Ok(()),
     })
+}
+
+/// The `r`-tolerance probe of one failure mask: the counterexample if `s`
+/// and `t` stay `r`-connected in `G \ F` (the promise) yet the packet is not
+/// delivered.
+///
+/// The checks run cheapest first.  With `r ≥ 1` a pair split by `F` fails
+/// the promise, which the component decomposition answers in O(1).  The
+/// packet is routed next, and the max-flow promise is computed only for an
+/// undelivered packet: the violation set is still promise ∧ ¬delivered.
+fn tolerance_violation<P: ForwardingPattern + ?Sized>(
+    engine: &mut SweepEngine<'_>,
+    compiled: Option<&CompiledPattern>,
+    pattern: &P,
+    s: Node,
+    t: Node,
+    r: usize,
+) -> Option<Counterexample> {
+    if s == t || (r >= 1 && !engine.same_component(s, t)) {
+        return None;
+    }
+    let g = engine.graph();
+    let max_hops = state_space_bound(g);
+    let outcome = match compiled {
+        Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
+        None => engine.route_outcome(pattern, s, t, max_hops),
+    };
+    let promise =
+        || r == 0 || st_edge_connectivity_filtered(g, s, t, |u, v| !engine.link_failed(u, v)) >= r;
+    (!outcome.is_delivered() && promise())
+        .then(|| replay_route(g, pattern, engine.current_failure_set(), s, t))
 }
 
 /// Panicking wrapper over [`check_r_tolerance`], kept for the historical
@@ -607,11 +608,19 @@ pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
     if nodes.is_empty() {
         return None;
     }
+    let compiled = pattern.compile(g);
+    let mut sim = compiled.as_ref().map(CompiledSim::new);
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
         let failures = random_failure_set(g, k, rng);
         let start = nodes[rng.gen_range(0..nodes.len())];
-        let result = tour(g, &failures, pattern, start, max_hops);
+        let result = match (&compiled, &mut sim) {
+            (Some(cp), Some(sim)) => {
+                sim.load_failures(cp, &failures);
+                sim.tour(cp, start, max_hops)
+            }
+            _ => tour(g, &failures, pattern, start, max_hops),
+        };
         if !result.covered_component {
             return Some(Counterexample {
                 failures,
@@ -931,7 +940,6 @@ pub fn is_r_tolerant_with_budget<P: CompilePattern + ?Sized>(
     if g.edge_count() > EXHAUSTIVE_EDGE_LIMIT {
         return tolerance_fallback(0, 0, StopCause::EdgeLimit);
     }
-    let max_hops = state_space_bound(g);
     let compiled = compile_guarded(g, pattern);
     let compiled = compiled.as_ref();
     let report = sweep_find_first_budgeted(
@@ -939,22 +947,7 @@ pub fn is_r_tolerant_with_budget<P: CompilePattern + ?Sized>(
         None,
         budget.work_limit(),
         &budget.stop_signal(),
-        |engine: &mut SweepEngine<'_>| {
-            let promise = r == 0
-                || s == t
-                || st_edge_connectivity_filtered(g, s, t, |u, v| !engine.link_failed(u, v)) >= r;
-            if !promise {
-                return None;
-            }
-            let outcome = match compiled {
-                Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                None => engine.route_outcome(pattern, s, t, max_hops),
-            };
-            if !outcome.is_delivered() {
-                return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
-            }
-            None
-        },
+        |engine: &mut SweepEngine<'_>| tolerance_violation(engine, compiled, pattern, s, t, r),
     );
     match report.end {
         SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),

@@ -27,13 +27,22 @@
 //!   exact simulator semantics (same `(node, in-port)` state space, same
 //!   fault rules) against the overlay, tracking seen states in a packed
 //!   bitset instead of a `HashSet`.
+//! * [`SweepEngine::first_undelivered`] is the all-pairs delivery check of
+//!   the routing sweeps.  On compiled tables the forwarding for a fixed
+//!   `(F, t)` is one function over the `2m + n` `(node, in-port)` states, so
+//!   every source's fate is a walk in one shared functional graph: each walk
+//!   stops at the first state an earlier source already labelled, and all
+//!   states it walked take its outcome.  One labelling pass per destination
+//!   replaces `n − 1` independent walks.
 //! * [`sweep_find_first`] drives a whole sweep over the canonical
 //!   **Gray-code enumeration order** of [`GrayMasks`] (weight-ordered:
 //!   smaller failure sets first), sharding the enumeration positions across
-//!   `std::thread::scope` workers.  Each worker syncs its engine once at its
-//!   range start and then advances by [`SweepEngine::toggle_edge`] per
-//!   position.  Workers publish the smallest hit position through an atomic
-//!   so later ranges can abort early, and the merge picks the smallest
+//!   `std::thread::scope` workers that claim blocks of positions from a
+//!   shared counter.  Each worker loads its engine at the start of a block
+//!   that does not continue its last one and otherwise advances by
+//!   [`SweepEngine::toggle_edge`] per position.  Workers publish the
+//!   smallest hit position through an atomic so later blocks are skipped,
+//!   and the merge picks the smallest
 //!   position — results are byte-identical to a sequential scan of the Gray
 //!   order no matter the thread count.
 //!
@@ -47,17 +56,19 @@
 //! the `W = 1` path stays as tight as the historical single-`u64` code.
 
 use crate::budget::StopCause;
-use crate::compiled::CompiledPattern;
+use crate::compiled::{CompiledPattern, RuleTable};
 use crate::failure::{capped_mask_count, FailureSet, GrayMasks};
 use crate::mask::{mask_words, IntoMaskRef, MaskBuf, MaskRef};
 use crate::model::LocalContext;
 use crate::pattern::ForwardingPattern;
-use crate::simulator::Outcome;
+use crate::simulator::{state_space_bound, Outcome};
 use frr_graph::bitgraph::{BitGraph, BitIter};
 use frr_graph::budget::StopSignal;
 use frr_graph::{Edge, Graph, Node};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 const WORD_BITS: usize = u64::BITS as usize;
 
@@ -159,9 +170,15 @@ pub struct SweepEngine<'g> {
     // ---- per-simulation scratch ----
     /// Packed bitset over the `n · (n + 1)` distinct `(node, in-port)` states.
     seen_states: Vec<u64>,
-    /// Packed bitset over the `2m + n` compiled `(node, in-port-index)`
-    /// states (the CSR state-id scheme of [`crate::compiled`]).
-    seen_compiled: Vec<u64>,
+    /// One label per compiled `(node, in-port-index)` state (the `2m + n`
+    /// CSR state ids of [`crate::compiled`]).  A label written in an earlier
+    /// epoch reads as unset, so starting a walk or a destination costs one
+    /// epoch increment instead of a fill.
+    labels: Vec<StateLabel>,
+    /// The current labelling epoch (see [`SweepEngine::next_epoch`]).
+    epoch: u32,
+    /// The compiled state ids of the walk in progress.
+    walk: Vec<u32>,
     /// Packed node bitsets for component BFS / tour coverage.
     visit_a: Vec<u64>,
     visit_b: Vec<u64>,
@@ -170,6 +187,15 @@ pub struct SweepEngine<'g> {
     /// loops pay one register increment; flushed to a registry only on cold
     /// paths (see [`SweepStats`]).
     stats: SweepStats,
+}
+
+/// A compiled state's label: the epoch that wrote it and the outcome of
+/// every walk through it, or `None` while the walk that reached it is still
+/// running (meeting such a state again is a forwarding loop).
+#[derive(Debug, Clone, Copy, Default)]
+struct StateLabel {
+    epoch: u32,
+    fate: Option<Outcome>,
 }
 
 /// What one [`SweepEngine`] did: overlay installs, incremental patches and
@@ -181,7 +207,7 @@ pub struct SweepEngine<'g> {
 /// [`frr_obs::global`] registry when a worker retires (cold), under these
 /// names: `sweep.masks_loaded`, `sweep.edges_toggled`, `sweep.bridge_tests`,
 /// `sweep.bridges_found`, `sweep.component_merges`, `sweep.routes`,
-/// `sweep.tours`, plus the driver-level `sweep.masks_swept`.
+/// `sweep.hops`, `sweep.tours`, plus the sweep-level `sweep.masks_swept`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Full overlay installs ([`SweepEngine::load_mask`]).
@@ -194,8 +220,13 @@ pub struct SweepStats {
     pub bridges_found: u64,
     /// Edge revivals that merged two components.
     pub component_merges: u64,
-    /// Routing simulations (`route_outcome` + `route_outcome_compiled`).
+    /// `(source, destination)` pairs decided (`route_outcome`,
+    /// `route_outcome_compiled` and each pair `first_undelivered` checks).
     pub routes: u64,
+    /// Forwarding decisions those routing queries took.  Labelled walks stop
+    /// at states an earlier source already decided, so `hops / routes` is
+    /// the walking the labelling leaves.
+    pub hops: u64,
     /// Touring simulations (`tour_covers` + `tour_covers_compiled`).
     pub tours: u64,
 }
@@ -209,6 +240,7 @@ impl SweepStats {
         self.bridges_found += other.bridges_found;
         self.component_merges += other.component_merges;
         self.routes += other.routes;
+        self.hops += other.hops;
         self.tours += other.tours;
     }
 
@@ -222,6 +254,7 @@ impl SweepStats {
             ("sweep.bridges_found", self.bridges_found),
             ("sweep.component_merges", self.component_merges),
             ("sweep.routes", self.routes),
+            ("sweep.hops", self.hops),
             ("sweep.tours", self.tours),
         ]);
     }
@@ -238,7 +271,7 @@ impl<'g> SweepEngine<'g> {
         let max_degree = (0..n).map(|v| g.neighbors(Node(v)).count()).max();
         let port_words = max_degree.unwrap_or(0).div_ceil(WORD_BITS).max(1);
         let state_words = (n * (n + 1)).div_ceil(WORD_BITS).max(1);
-        let compiled_state_words = (2 * edges.len() + n).div_ceil(WORD_BITS).max(1);
+        let compiled_states = 2 * edges.len() + n;
         let rank =
             |v: Node, u: Node| g.neighbors(v).position(|x| x == u).expect("incident edge") as u32;
         let edge_local = edges
@@ -261,7 +294,9 @@ impl<'g> SweepEngine<'g> {
             comp_size: Vec::with_capacity(n),
             free_comp: Vec::new(),
             seen_states: vec![0; state_words],
-            seen_compiled: vec![0; compiled_state_words],
+            labels: vec![StateLabel::default(); compiled_states],
+            epoch: 0,
+            walk: Vec::with_capacity(compiled_states),
             visit_a: vec![0; words],
             visit_b: vec![0; words],
             visit_c: vec![0; words],
@@ -593,6 +628,7 @@ impl<'g> SweepEngine<'g> {
             if hops >= max_hops {
                 return Outcome::HopLimit;
             }
+            self.stats.hops += 1;
             let ctx = LocalContext {
                 node: current,
                 inport,
@@ -685,13 +721,26 @@ impl<'g> SweepEngine<'g> {
         }
     }
 
-    /// Inserts a compiled `(node, in-port-index)` state; `true` if new.
+    /// Starts a fresh labelling epoch: every compiled-state label written
+    /// before now reads as unset.  The stamps are reset only when the `u32`
+    /// counter wraps.
     #[inline]
-    fn insert_compiled_state(&mut self, cp: &CompiledPattern, v: usize, inport_idx: u32) -> bool {
-        let i = (cp.csr().state_base(v) + inport_idx) as usize;
-        let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-        let fresh = self.seen_compiled[w] & b == 0;
-        self.seen_compiled[w] |= b;
+    fn next_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            self.labels.fill(StateLabel::default());
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Marks compiled state `state` as on the walk in progress; `false` if
+    /// the current epoch already marked it.
+    #[inline]
+    fn mark_state(&mut self, state: usize) -> bool {
+        let epoch = self.epoch;
+        let label = &mut self.labels[state];
+        let fresh = label.epoch != epoch;
+        *label = StateLabel { epoch, fate: None };
         fresh
     }
 
@@ -701,6 +750,56 @@ impl<'g> SweepEngine<'g> {
     #[inline]
     fn failed_port_word(&self, v: usize) -> u64 {
         self.failed_ports[v * self.port_words]
+    }
+
+    /// Walks a packet from `source` towards `destination` on compiled
+    /// `table`, within the current epoch, and labels every state it walked
+    /// with the outcome.  The walk ends on delivery, a drop, the hop limit,
+    /// a state of its own walk (a loop), or a state an earlier walk of the
+    /// same epoch labelled — whose outcome it then shares, because the
+    /// forwarding from a state does not depend on how the packet got there.
+    ///
+    /// `source != destination`.
+    fn labelled_walk(
+        &mut self,
+        cp: &CompiledPattern,
+        table: &RuleTable,
+        source: usize,
+        destination: usize,
+        max_hops: usize,
+    ) -> Outcome {
+        let csr = cp.csr();
+        let epoch = self.epoch;
+        let mut v = source;
+        let mut inport_idx = csr.degree(v);
+        self.walk.clear();
+        let outcome = loop {
+            let state = (csr.state_base(v) + inport_idx) as usize;
+            let label = self.labels[state];
+            if label.epoch == epoch {
+                break label.fate.unwrap_or(Outcome::Loop);
+            }
+            // Every walked state took one hop onwards.
+            if self.walk.len() >= max_hops {
+                break Outcome::HopLimit;
+            }
+            self.labels[state] = StateLabel { epoch, fate: None };
+            self.walk.push(state as u32);
+            let port = match cp.decide(table, v, inport_idx, self.failed_port_word(v)) {
+                Some(p) => p as usize,
+                None => break Outcome::Stuck,
+            };
+            v = csr.port_target(port);
+            inport_idx = csr.reverse_port(port);
+            if v == destination {
+                break Outcome::Delivered;
+            }
+        };
+        self.stats.hops += self.walk.len() as u64;
+        for &state in &self.walk {
+            self.labels[state as usize].fate = Some(outcome);
+        }
+        outcome
     }
 
     /// [`SweepEngine::route_outcome`] on compiled rule tables: the hot loop
@@ -722,31 +821,77 @@ impl<'g> SweepEngine<'g> {
         if source == destination {
             return Outcome::Delivered;
         }
-        self.seen_compiled.fill(0);
-        let csr = cp.csr();
+        self.next_epoch();
         let table = cp.table(source, destination);
-        let mut v = source.index();
-        let mut inport_idx = csr.degree(v);
-        self.insert_compiled_state(cp, v, inport_idx);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return Outcome::HopLimit;
+        self.labelled_walk(cp, table, source.index(), destination.index(), max_hops)
+    }
+
+    /// The earliest pair `(s, t)`, in source-major, destination-minor order
+    /// with `t` drawn from `destinations`, that is connected in `G \ F` but
+    /// whose packet is not delivered under the loaded overlay — `None` if
+    /// every connected pair delivers.  This is the all-pairs check of the
+    /// routing sweeps; the outcome of a pair is exactly that of
+    /// [`SweepEngine::route_outcome`] with the state-space hop bound.
+    ///
+    /// On compiled tables each destination gets one labelling epoch: the
+    /// sources walk in ascending order and each stops at the first state an
+    /// earlier source already decided (see the module docs), so a
+    /// destination costs `O(2m + n)` forwarding decisions, not one walk per
+    /// source.  Source–destination tables differ per source, so there every
+    /// pair gets its own epoch — plain loop detection on the same walk.
+    /// Once a failing pair `(s*, t*)` is known, later destinations only
+    /// check sources below `s*`.  Without tables (`compiled` is `None`)
+    /// each pair runs the interpreted [`SweepEngine::route_outcome`].
+    pub fn first_undelivered<P: ForwardingPattern + ?Sized>(
+        &mut self,
+        compiled: Option<&CompiledPattern>,
+        pattern: &P,
+        destinations: Range<usize>,
+    ) -> Option<(Node, Node)> {
+        let n = self.n;
+        let max_hops = state_space_bound(self.graph);
+        let Some(cp) = compiled else {
+            for s in (0..n).map(Node) {
+                for t in destinations.clone().map(Node) {
+                    if s != t
+                        && self.same_component(s, t)
+                        && !self.route_outcome(pattern, s, t, max_hops).is_delivered()
+                    {
+                        return Some((s, t));
+                    }
+                }
             }
-            let port = match cp.decide(table, v, inport_idx, self.failed_port_word(v)) {
-                Some(p) => p as usize,
-                None => return Outcome::Stuck,
-            };
-            v = csr.port_target(port);
-            inport_idx = csr.reverse_port(port);
-            hops += 1;
-            if v == destination.index() {
-                return Outcome::Delivered;
+            return None;
+        };
+        debug_assert!(cp.matches_shape(n, self.edges.len()));
+        // A walk revisits a state before it can exceed the hop bound, so no
+        // labelled walk ends in `HopLimit`.
+        debug_assert!(cp.csr().state_count() < max_hops);
+        let per_pair = cp.tables_per_pair();
+        let mut first: Option<(Node, Node)> = None;
+        for t in destinations {
+            // Later destinations come after `first` for every source but
+            // the ones below it.
+            let sources = first.map_or(n, |(s, _)| s.index());
+            if !per_pair {
+                self.next_epoch();
             }
-            if !self.insert_compiled_state(cp, v, inport_idx) {
-                return Outcome::Loop;
+            for s in 0..sources {
+                if s == t || !self.same_component(Node(s), Node(t)) {
+                    continue;
+                }
+                self.stats.routes += 1;
+                if per_pair {
+                    self.next_epoch();
+                }
+                let table = cp.table(Node(s), Node(t));
+                if self.labelled_walk(cp, table, s, t, max_hops) != Outcome::Delivered {
+                    first = Some((Node(s), Node(t)));
+                    break;
+                }
             }
         }
+        first
     }
 
     /// [`SweepEngine::tour_covers`] on compiled rule tables.
@@ -762,14 +907,14 @@ impl<'g> SweepEngine<'g> {
         if remaining == 0 {
             return true;
         }
-        self.seen_compiled.fill(0);
+        self.next_epoch();
         self.visit_a.fill(0);
         self.visit_a[start.index() / WORD_BITS] |= 1u64 << (start.index() % WORD_BITS);
         let csr = cp.csr();
         let table = cp.table(start, start);
         let mut v = start.index();
         let mut inport_idx = csr.degree(v);
-        self.insert_compiled_state(cp, v, inport_idx);
+        self.mark_state((csr.state_base(v) + inport_idx) as usize);
         let mut hops = 0usize;
         loop {
             if hops >= max_hops {
@@ -792,7 +937,7 @@ impl<'g> SweepEngine<'g> {
                     }
                 }
             }
-            if !self.insert_compiled_state(cp, v, inport_idx) {
+            if !self.mark_state((csr.state_base(v) + inport_idx) as usize) {
                 return false;
             }
         }
@@ -833,34 +978,46 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The machine's core count, read once: `available_parallelism` reads the
+/// cgroup quota files on every call, and a sweep of a small graph is short
+/// enough for that I/O to show.
+fn cores() -> u64 {
+    static CORES: OnceLock<u64> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64))
+}
+
 /// Deterministic sharded first-hit search over the index range `0..total`,
 /// with cooperative stopping and panic isolation.
 ///
-/// The range is split into **contiguous** chunks, one `std::thread::scope`
-/// worker per chunk, each with its own worker-local state from `init`
-/// (a sweep engine, a scratch buffer, …).  Each worker reports its first
-/// `Some` as `(index, value)`; the merge keeps the smallest index, so the
-/// result is byte-identical to a sequential ascending scan at any thread
-/// count — **provided `probe` is a pure function of `(state-as-initialized,
+/// The workers — the calling thread plus `std::thread::scope` threads, each
+/// with its own worker-local state from `init` (a sweep engine, a scratch
+/// buffer, …) — claim blocks of `poll_interval` consecutive indices from a
+/// shared counter until the range runs out, so a worker on a busier core
+/// simply claims fewer blocks.  A worker's indices therefore ascend, with
+/// gaps where others worked.  Each worker reports its first `Some` as
+/// `(index, value)`; the merge keeps the smallest index, so the result is
+/// byte-identical to a sequential ascending scan at any thread count —
+/// **provided `probe` is a pure function of `(state-as-initialized,
 /// index)`** up to observable results, i.e. any state the probe result
 /// depends on is a deterministic function of the index (the sweep states
-/// below advance monotonically through enumeration positions, which
-/// satisfies this).  A shared atomic of the best index lets later chunks
-/// abort early (polled every `poll_interval` indices); that is an
+/// below advance monotonically through enumeration positions and reload
+/// after a gap, which satisfies this).  A shared atomic of the best index
+/// lets workers skip blocks past it (checked at every claim); that is an
 /// optimization, never a correctness input.
 ///
 /// Robustness properties layered on top of the deterministic merge:
 ///
-/// * **Cooperative stopping** — `stop` is polled every `poll_interval`
-///   indices (same cadence as the best-index poll).  When it fires, every
-///   worker winds down at its next poll point and the outcome records
+/// * **Cooperative stopping** — `stop` is polled at every claim, i.e.
+///   every `poll_interval` indices (same cadence as the best-index check).
+///   When it fires, every worker winds down at its next claim and the
+///   outcome records
 ///   `stopped`; an idle signal is checked once up front and costs the hot
 ///   loop nothing, keeping unbudgeted runs byte- and cycle-identical.
 /// * **Panic isolation** — every probe runs under `catch_unwind`.  A
 ///   panicking probe becomes a [`ShardEvent::Panic`] at its index,
 ///   participates in the earliest-position merge exactly like a hit (so the
 ///   reported panic is the one a sequential scan would have tripped first),
-///   and makes sibling shards abort early through the shared best index.
+///   and makes sibling workers stop early through the shared best index.
 ///   The worker's state is dropped without reuse after a panic — a
 ///   half-updated engine overlay is never probed again.
 ///
@@ -882,8 +1039,7 @@ where
     F: Fn(&mut S, u64) -> Option<T> + Sync,
 {
     let stop_active = !stop.is_idle();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let workers = cores.min(total / min_chunk.max(1)).max(1);
+    let workers = cores().min(total / min_chunk.max(1)).max(1);
     if workers <= 1 {
         let mut state = init();
         let mut probes = 0u64;
@@ -924,57 +1080,53 @@ where
     let best = AtomicU64::new(u64::MAX);
     let total_probes = AtomicU64::new(0);
     let any_stopped = AtomicBool::new(false);
-    let chunk = total.div_ceil(workers);
-    let events: Vec<Option<(u64, ShardEvent<T>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(total));
-                let (best, init, probe) = (&best, &init, &probe);
-                let (total_probes, any_stopped) = (&total_probes, &any_stopped);
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut probes = 0u64;
-                    let mut event = None;
-                    for i in lo..hi {
-                        if i % poll_interval == 0 {
-                            // A strictly smaller index already has an event:
-                            // no index of this range can win the merge.
-                            if best.load(Ordering::Relaxed) < i {
-                                break;
-                            }
-                            if stop_active
-                                && (any_stopped.load(Ordering::Relaxed) || stop.should_stop())
-                            {
-                                any_stopped.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        probes += 1;
-                        match catch_unwind(AssertUnwindSafe(|| probe(&mut state, i))) {
-                            Ok(None) => {}
-                            Ok(Some(t)) => {
-                                best.fetch_min(i, Ordering::Relaxed);
-                                event = Some((i, ShardEvent::Hit(t)));
-                                break;
-                            }
-                            Err(payload) => {
-                                best.fetch_min(i, Ordering::Relaxed);
-                                event = Some((i, ShardEvent::Panic(panic_message(payload))));
-                                break;
-                            }
-                        }
+    let next = AtomicU64::new(0);
+    let run = || {
+        let mut state = init();
+        let mut probes = 0u64;
+        let mut event = None;
+        'claims: loop {
+            let lo = next.fetch_add(poll_interval, Ordering::Relaxed);
+            // Past the range, or a strictly smaller index already has an
+            // event: no index of this block can win the merge.
+            if lo >= total || best.load(Ordering::Relaxed) < lo {
+                break;
+            }
+            if stop_active && (any_stopped.load(Ordering::Relaxed) || stop.should_stop()) {
+                any_stopped.store(true, Ordering::Relaxed);
+                break;
+            }
+            for i in lo..lo.saturating_add(poll_interval).min(total) {
+                probes += 1;
+                match catch_unwind(AssertUnwindSafe(|| probe(&mut state, i))) {
+                    Ok(None) => {}
+                    Ok(Some(t)) => {
+                        best.fetch_min(i, Ordering::Relaxed);
+                        event = Some((i, ShardEvent::Hit(t)));
+                        break 'claims;
                     }
-                    total_probes.fetch_add(probes, Ordering::Relaxed);
-                    event
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
+                    Err(payload) => {
+                        best.fetch_min(i, Ordering::Relaxed);
+                        event = Some((i, ShardEvent::Panic(panic_message(payload))));
+                        break 'claims;
+                    }
+                }
+            }
+        }
+        total_probes.fetch_add(probes, Ordering::Relaxed);
+        event
+    };
+    // The calling thread is one of the workers: one thread fewer to start
+    // and wake per search.
+    let events: Vec<Option<(u64, ShardEvent<T>)>> = std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+        let first = run();
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| {
                 h.join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
+            }))
             .collect()
     });
     ShardOutcome {
@@ -1016,6 +1168,32 @@ where
         }
         None => None,
     }
+}
+
+/// Probe work, in `(source, destination)` pairs, that one sweep worker must
+/// carry before a second worker pays for its start-up.  On 2 cores the zoo's
+/// r = 1 audit ran fastest at `2^14` of `2^12`, `2^14` and `2^16`; `2^12`
+/// also splits sweeps as small as the 21-node, 26-mask Arpanet1972 one.
+const SHARD_WORK_PAIRS: u64 = 1 << 14;
+
+/// Probe work, in pairs, between two polls of the shared best index and the
+/// stop signal.
+const POLL_WORK_PAIRS: u64 = 1 << 10;
+
+/// `(min_chunk, poll_interval)` in masks for sweeping an `n`-node graph.
+///
+/// A mask's probe decides up to `n²` pairs, so the masks a worker needs
+/// shrink as the graph grows: tiny graphs keep thousands of masks per
+/// worker, while an r = 1 sweep of a zoo network — at most `m + 1` masks,
+/// each routing every connected pair — still splits across the cores.
+/// Once a single mask carries [`POLL_WORK_PAIRS`] of work, workers poll
+/// after every mask, so a sibling's early hit stops them quickly.
+fn shard_sizes(n: usize) -> (u64, u64) {
+    let per_mask = (n as u64 * n as u64).max(1);
+    (
+        (SHARD_WORK_PAIRS / per_mask).max(1),
+        (POLL_WORK_PAIRS / per_mask).max(1),
+    )
 }
 
 /// Runs `check` over every failure mask of `g` (optionally popcount-capped)
@@ -1123,10 +1301,11 @@ where
 /// plus cooperative stopping and panic isolation, reporting *how* the sweep
 /// ended and how far it got instead of a bare `Option`.
 ///
-/// * `stop` is polled at the sharded driver's poll cadence (every 64
-///   positions on capped sweeps, every 256 uncapped); an idle signal is
-///   checked once and adds nothing to the hot loop, so unbudgeted callers
-///   get byte-identical results to [`sweep_find_first_limited`].
+/// * `stop` is polled at the sharded search's poll cadence (about every
+///   [`POLL_WORK_PAIRS`] pairs of probe work, at least once per mask); an
+///   idle signal is checked once and adds nothing to the hot loop, so
+///   unbudgeted callers get byte-identical results to
+///   [`sweep_find_first_limited`].
 /// * A `check` panic surfaces as [`SweepEnd::Panicked`] with the earliest
 ///   panicking position (deterministic merge, same rule as hits) while
 ///   sibling shards abort early.
@@ -1148,13 +1327,7 @@ where
     let full = capped_mask_count(m, cap.unwrap_or(m)).clamp_u64();
     let total = full.min(mask_budget.unwrap_or(u64::MAX));
     let clipped = total < full;
-    // Capped sweeps amortize a lazier enumerator advance, so they prefer
-    // larger chunks; both values predate the Gray rewrite.
-    let (min_chunk, poll) = if cap.is_some() {
-        (2048, 64)
-    } else {
-        (512, 256)
-    };
+    let (min_chunk, poll) = shard_sizes(g.node_count());
     struct SweepState<'g> {
         engine: SweepEngine<'g>,
         masks: GrayMasks,
@@ -1194,6 +1367,11 @@ where
             weight: 0,
         },
         |state, i| {
+            if i != state.pos {
+                // Other workers swept the positions in between: the engine
+                // reloads at `i` instead of replaying their flips.
+                state.synced = false;
+            }
             while state.pos <= i {
                 if !state.masks.advance() {
                     return None;
