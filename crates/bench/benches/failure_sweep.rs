@@ -8,13 +8,14 @@
 //! reports the before/after of the sweep rewrite on the same machine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use frr_bench::proven;
 use frr_core::algorithms::{HamiltonianTouringPattern, K5SourcePattern};
 use frr_core::impossibility::touring_adversary;
 use frr_graph::connectivity::same_component;
 use frr_graph::generators;
 use frr_routing::failure::{failure_set_from_mask, FailureSet};
 use frr_routing::pattern::{ForwardingPattern, RotorPattern};
-use frr_routing::resilience::{is_k_resilient_touring, is_perfectly_resilient};
+use frr_routing::resilience::Property;
 use frr_routing::simulator::{route, state_space_bound, tour};
 use std::time::Duration;
 
@@ -77,7 +78,7 @@ fn bench_k5_perfect_resilience(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("k5_perfect_resilience/engine", |b| {
-        b.iter(|| black_box(is_perfectly_resilient(&k5, &pattern).is_ok()))
+        b.iter(|| black_box(proven(&k5, &pattern, Property::PERFECT)))
     });
     group.bench_function("k5_perfect_resilience/clone_baseline", |b| {
         b.iter(|| black_box(clone_based_perfect_resilience(&k5, &pattern)))
@@ -96,7 +97,7 @@ fn bench_k7_touring(c: &mut Criterion) {
     // Full bounded sweep (passes ⇒ no early exit): Theorem 17's pattern
     // tours K7 under any 2 failures.
     group.bench_function("k7_touring_sweep/engine", |b| {
-        b.iter(|| black_box(is_k_resilient_touring(&k7, &thm17, 2).is_ok()))
+        b.iter(|| black_box(proven(&k7, &thm17, Property::bounded_touring(2))))
     });
     group.bench_function("k7_touring_sweep/walk_baseline", |b| {
         b.iter(|| black_box(walk_based_k_resilient_touring(&k7, &thm17, 2)))
@@ -154,7 +155,7 @@ fn bench_beyond_64_links(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(5));
     group.bench_function("ring72_touring_sweep_k1/engine", |b| {
-        b.iter(|| black_box(is_k_resilient_touring(&ring, &rotor, 1).is_ok()))
+        b.iter(|| black_box(proven(&ring, &rotor, Property::bounded_touring(1))))
     });
     group.finish();
 }

@@ -2,11 +2,12 @@
 //! constructive patterns (experiments E-ALG / E-F9 positive cells).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use frr_bench::proven;
 use frr_core::algorithms::{
     K33SourcePattern, K5Minus2DestPattern, K5SourcePattern, OuterplanarTouringPattern,
 };
 use frr_graph::generators;
-use frr_routing::resilience::{is_perfectly_resilient, is_perfectly_resilient_touring};
+use frr_routing::resilience::Property;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -19,25 +20,25 @@ fn bench_patterns(c: &mut Criterion) {
     let k5 = generators::complete(5);
     let alg1 = K5SourcePattern::new(&k5);
     group.bench_function("verify/algorithm1-on-K5", |b| {
-        b.iter(|| black_box(is_perfectly_resilient(&k5, &alg1).is_ok()))
+        b.iter(|| black_box(proven(&k5, &alg1, Property::PERFECT)))
     });
 
     let k33 = generators::complete_bipartite(3, 3);
     let thm9 = K33SourcePattern::new(&k33);
     group.bench_function("verify/theorem9-on-K33", |b| {
-        b.iter(|| black_box(is_perfectly_resilient(&k33, &thm9).is_ok()))
+        b.iter(|| black_box(proven(&k33, &thm9, Property::PERFECT)))
     });
 
     let k5m2 = generators::complete_minus(5, 2);
     let thm12 = K5Minus2DestPattern::new(&k5m2);
     group.bench_function("verify/theorem12-on-K5m2", |b| {
-        b.iter(|| black_box(is_perfectly_resilient(&k5m2, &thm12).is_ok()))
+        b.iter(|| black_box(proven(&k5m2, &thm12, Property::PERFECT)))
     });
 
     let mop = generators::maximal_outerplanar(6);
     let touring = OuterplanarTouringPattern::new(&mop).expect("outerplanar");
     group.bench_function("verify/cor6-touring-mop6", |b| {
-        b.iter(|| black_box(is_perfectly_resilient_touring(&mop, &touring).is_ok()))
+        b.iter(|| black_box(proven(&mop, &touring, Property::PERFECT_TOURING)))
     });
     group.finish();
 }

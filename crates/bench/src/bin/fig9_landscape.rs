@@ -3,7 +3,7 @@
 //! running the paper's algorithms (positive cells, exhaustively verified) or
 //! its adversaries against the pattern portfolio (negative cells).
 
-use frr_bench::pattern_portfolio;
+use frr_bench::{pattern_portfolio, proven};
 use frr_core::algorithms::{
     K33Minus2DestPattern, K33SourcePattern, K5Minus2DestPattern, K5SourcePattern,
     OuterplanarDestinationPattern, OuterplanarTouringPattern,
@@ -12,7 +12,7 @@ use frr_core::impossibility::{
     destination_only_adversary, source_destination_adversary, touring_adversary,
 };
 use frr_core::landscape::figure9_entries;
-use frr_routing::resilience::{is_perfectly_resilient, is_perfectly_resilient_touring};
+use frr_routing::resilience::Property;
 
 fn main() {
     println!("=== Figure 9: feasibility landscape (paper verdict vs. this repo) ===");
@@ -24,9 +24,10 @@ fn main() {
         let g = &entry.graph;
         // Touring cell.
         let touring = if let Some(p) = OuterplanarTouringPattern::new(g) {
-            match is_perfectly_resilient_touring(g, &p) {
-                Ok(()) => "Possible (verified)",
-                Err(_) => "Possible? (check failed)",
+            if proven(g, &p, Property::PERFECT_TOURING) {
+                "Possible (verified)"
+            } else {
+                "Possible? (check failed)"
             }
         } else {
             let mut defeated = true;
@@ -46,13 +47,13 @@ fn main() {
         // apply, otherwise run the adversaries.
         let dest = if g.edge_count() <= 20 {
             let verified = if g.node_count() <= 5 && g.edge_count() <= 8 {
-                is_perfectly_resilient(g, &K5Minus2DestPattern::new(g)).is_ok()
+                proven(g, &K5Minus2DestPattern::new(g), Property::PERFECT)
             } else if g.node_count() <= 6 && g.edge_count() <= 7 {
-                is_perfectly_resilient(g, &K33Minus2DestPattern::new(g)).is_ok()
+                proven(g, &K33Minus2DestPattern::new(g), Property::PERFECT)
             } else {
                 let p = OuterplanarDestinationPattern::new(g);
                 p.supported_destinations().len() == g.node_count()
-                    && is_perfectly_resilient(g, &p).is_ok()
+                    && proven(g, &p, Property::PERFECT)
             };
             if verified {
                 "Possible (verified)"
@@ -75,14 +76,16 @@ fn main() {
 
         // Source-destination cell.
         let srcdest = if g.node_count() <= 5 {
-            match is_perfectly_resilient(g, &K5SourcePattern::new(g)) {
-                Ok(()) => "Possible (verified)",
-                Err(_) => "check failed",
+            if proven(g, &K5SourcePattern::new(g), Property::PERFECT) {
+                "Possible (verified)"
+            } else {
+                "check failed"
             }
         } else if g.node_count() == 6 && g.edge_count() <= 9 {
-            match is_perfectly_resilient(g, &K33SourcePattern::new(g)) {
-                Ok(()) => "Possible (verified)",
-                Err(_) => "check failed",
+            if proven(g, &K33SourcePattern::new(g), Property::PERFECT) {
+                "Possible (verified)"
+            } else {
+                "check failed"
             }
         } else {
             let mut all_defeated = true;

@@ -18,11 +18,11 @@ use frr_core::algorithms::{r_tolerant_bipartite_pattern, r_tolerant_complete_pat
 use frr_core::impossibility::r_tolerance_counterexample;
 use frr_core::landscape::table1_tolerance_rows;
 use frr_graph::{generators, Graph, Node};
-use frr_routing::budget::{Progress, RunBudget, StopCause};
+use frr_routing::budget::{Progress, RunBudget, Verdict};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::pattern::ShortestPathPattern;
 use frr_routing::resilience::{
-    check_r_tolerance, is_r_tolerant_sampled, EdgeLimitExceeded, SamplingBudget,
+    check, is_r_tolerant_sampled, EdgeLimitExceeded, Property, SamplingBudget,
     EXHAUSTIVE_EDGE_LIMIT,
 };
 use rand::rngs::StdRng;
@@ -40,8 +40,8 @@ enum CellVerdict {
         draws: usize,
     },
     Failed,
-    /// The run budget stopped the exhaustive (s, t) sweep; the payload says
-    /// how many pairs were checked and why the sweep stopped.
+    /// The run budget stopped one pair's sweep; the payload is that sweep's
+    /// progress (masks examined, fallback samples drawn, why it stopped).
     Inconclusive(Progress),
 }
 
@@ -133,7 +133,7 @@ fn main() {
 /// Verifies one positive cell: exhaustively over all `(s, t)` pairs when the
 /// graph is within the exhaustive edge limit (a one-line skip plus a sampled
 /// check of the single pair `(sample_s, sample_t)` otherwise — never a
-/// panic), honoring the run budget's deadline.
+/// panic), each pair's sweep under the run budget.
 #[allow(clippy::too_many_arguments)]
 fn verify_cell<P: CompilePattern + ?Sized>(
     g: &Graph,
@@ -145,55 +145,35 @@ fn verify_cell<P: CompilePattern + ?Sized>(
     run: &RunBudget,
     rng: &mut StdRng,
 ) -> CellVerdict {
-    let sampled = |rng: &mut StdRng| {
-        let budget = SamplingBudget::new(12, 150);
-        if is_r_tolerant_sampled(g, pattern, sample_s, sample_t, r, budget, rng).is_ok() {
-            CellVerdict::Sampled {
-                pair: (sample_s, sample_t),
-                draws: budget.draws(),
-            }
-        } else {
-            CellVerdict::Failed
-        }
-    };
     if g.edge_count() > links_limit {
         let e = EdgeLimitExceeded {
             links: g.edge_count(),
             limit: links_limit,
         };
         println!("    [skip] exhaustive cell: {e}; sampling instead");
-        return sampled(rng);
+        let budget = SamplingBudget::new(12, 150);
+        return match is_r_tolerant_sampled(g, pattern, sample_s, sample_t, r, budget, rng) {
+            Ok(()) => CellVerdict::Sampled {
+                pair: (sample_s, sample_t),
+                draws: budget.draws(),
+            },
+            Err(_) => CellVerdict::Failed,
+        };
     }
-    let mut pairs_checked = 0u64;
     for s in g.nodes() {
         for t in g.nodes() {
             if s == t {
                 continue;
             }
-            if run.deadline_expired() || run.cancelled() {
-                return CellVerdict::Inconclusive(Progress {
-                    masks_examined: pairs_checked,
-                    weight_reached: r,
-                    elapsed: run.elapsed(),
-                    stopped_by: if run.cancelled() {
-                        StopCause::Cancelled
-                    } else {
-                        StopCause::Deadline
-                    },
-                    sampled_trials: 0,
-                });
-            }
-            pairs_checked += 1;
-            match check_r_tolerance(g, pattern, s, t, r) {
-                Ok(Ok(())) => {}
-                Ok(Err(_)) => return CellVerdict::Failed,
-                Err(e) => {
-                    println!(
-                        "    [skip] K with {} links: {e}; sampling instead",
-                        g.edge_count()
-                    );
-                    return sampled(rng);
-                }
+            let property = Property::Tolerance {
+                source: s,
+                destination: t,
+                r,
+            };
+            match check(g, pattern, property, run) {
+                Ok(Verdict::Proven) => {}
+                Ok(Verdict::Refuted(_)) | Err(_) => return CellVerdict::Failed,
+                Ok(Verdict::Indeterminate(progress)) => return CellVerdict::Inconclusive(progress),
             }
         }
     }

@@ -19,6 +19,7 @@ use frr_graph::Graph;
 use frr_routing::budget::RunBudget;
 use frr_routing::compiled::CompilePattern;
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
+use frr_routing::resilience::{check, Property};
 use frr_topologies::Topology;
 use std::collections::BTreeMap;
 
@@ -181,6 +182,12 @@ fn parse_experiment_args_from(
 /// arguments or a malformed count.
 pub fn parse_count_arg(bin: &str, default: usize) -> usize {
     parse_experiment_args(bin, default).count
+}
+
+/// `true` if an unlimited [`check`] proves `property` of `pattern` on `g`
+/// (a counterexample or a panicking probe both read as `false`).
+pub fn proven<P: CompilePattern + ?Sized>(g: &Graph, pattern: &P, property: Property) -> bool {
+    check(g, pattern, property, &RunBudget::unlimited()).is_ok_and(|v| v.is_proven())
 }
 
 /// The candidate-pattern portfolio the impossibility experiments probe.

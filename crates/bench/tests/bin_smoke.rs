@@ -105,6 +105,12 @@ fn table1_reports_inconclusive_on_an_expired_deadline() {
         text.contains("inconclusive: deadline expired"),
         "expired deadline must yield inconclusive cells with progress:\n{text}"
     );
+    // The progress is the stopped sweep's own: it counts masks, not pairs,
+    // and names the fallback samples drawn after the stop.
+    assert!(
+        text.contains("fallback samples"),
+        "the inconclusive cell must report the sweep's fallback sampling:\n{text}"
+    );
 }
 
 #[test]

@@ -241,7 +241,7 @@ impl CompilePattern for ArborescenceFailoverPattern {
 mod tests {
     use super::*;
     use frr_graph::generators;
-    use frr_routing::resilience::{is_k_resilient_touring, is_r_resilient};
+    use frr_routing::resilience::Property;
 
     #[test]
     fn theorem17_k5_tours_under_one_failure() {
@@ -249,9 +249,11 @@ mod tests {
         let g = generators::complete(5);
         let p = HamiltonianTouringPattern::for_complete(5);
         assert_eq!(p.cycle_count(), 2);
-        if let Err(ce) = is_k_resilient_touring(&g, &p, 1) {
-            panic!("Theorem 17 failed on K5 with one failure: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::bounded_touring(1));
+        assert!(
+            verdict.is_proven(),
+            "Theorem 17 failed on K5 with one failure: {verdict}"
+        );
     }
 
     #[test]
@@ -260,9 +262,11 @@ mod tests {
         let g = generators::complete(7);
         let p = HamiltonianTouringPattern::for_complete(7);
         assert_eq!(p.cycle_count(), 3);
-        if let Err(ce) = is_k_resilient_touring(&g, &p, 2) {
-            panic!("Theorem 17 failed on K7 with two failures: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::bounded_touring(2));
+        assert!(
+            verdict.is_proven(),
+            "Theorem 17 failed on K7 with two failures: {verdict}"
+        );
     }
 
     #[test]
@@ -271,9 +275,11 @@ mod tests {
         let g = generators::complete_bipartite(4, 4);
         let p = HamiltonianTouringPattern::for_complete_bipartite(4);
         assert_eq!(p.cycle_count(), 2);
-        if let Err(ce) = is_k_resilient_touring(&g, &p, 1) {
-            panic!("Theorem 17 failed on K4,4 with one failure: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::bounded_touring(1));
+        assert!(
+            verdict.is_proven(),
+            "Theorem 17 failed on K4,4 with one failure: {verdict}"
+        );
     }
 
     #[test]
@@ -281,7 +287,7 @@ mod tests {
         let g = generators::cycle(6);
         let p = HamiltonianTouringPattern::best_effort(&g, 2).unwrap();
         assert_eq!(p.cycle_count(), 1);
-        assert!(is_k_resilient_touring(&g, &p, 0).is_ok());
+        assert!(crate::unlimited(&g, &p, Property::bounded_touring(0)).is_proven());
         // A tree has no Hamiltonian cycle at all.
         assert!(HamiltonianTouringPattern::best_effort(&generators::path(5), 1).is_none());
     }
@@ -293,9 +299,11 @@ mod tests {
         assert_eq!(p.arborescence_count(Node(0)), 4);
         // The Hamiltonian-path arborescence scheme survives at least 2 failures
         // on K5 (it is built from 4 arc-disjoint trees).
-        if let Err(ce) = is_r_resilient(&g, &p, 2) {
-            panic!("arborescence failover failed on K5 with two failures: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::bounded(2));
+        assert!(
+            verdict.is_proven(),
+            "arborescence failover failed on K5 with two failures: {verdict}"
+        );
     }
 
     #[test]
@@ -307,9 +315,11 @@ mod tests {
         let g = generators::cycle(6);
         let p = ArborescenceFailoverPattern::greedy(&g, 2);
         assert!(p.arborescence_count(Node(0)) >= 1);
-        if let Err(ce) = is_r_resilient(&g, &p, 0) {
-            panic!("greedy arborescence failover failed on C6 without failures: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::bounded(0));
+        assert!(
+            verdict.is_proven(),
+            "greedy arborescence failover failed on C6 without failures: {verdict}"
+        );
     }
 
     #[test]

@@ -187,7 +187,7 @@ mod tests {
     use frr_graph::traversal::distance;
     use frr_graph::{generators, Node};
     use frr_routing::failure::AllFailureSets;
-    use frr_routing::resilience::{is_r_tolerant, is_r_tolerant_sampled, SamplingBudget};
+    use frr_routing::resilience::{is_r_tolerant_sampled, Property, SamplingBudget};
     use frr_routing::simulator::{route, state_space_bound};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -257,7 +257,16 @@ mod tests {
             for t in g.nodes() {
                 if s != t {
                     assert!(
-                        is_r_tolerant(&g, &p, s, t, 2).is_ok(),
+                        crate::unlimited(
+                            &g,
+                            &p,
+                            Property::Tolerance {
+                                source: s,
+                                destination: t,
+                                r: 2
+                            }
+                        )
+                        .is_proven(),
                         "failed for {s}->{t}"
                     );
                 }
@@ -293,7 +302,16 @@ mod tests {
             for t in g.nodes() {
                 if s != t {
                     assert!(
-                        is_r_tolerant(&g, &p, s, t, 2).is_ok(),
+                        crate::unlimited(
+                            &g,
+                            &p,
+                            Property::Tolerance {
+                                source: s,
+                                destination: t,
+                                r: 2
+                            }
+                        )
+                        .is_proven(),
                         "failed for {s}->{t}"
                     );
                 }

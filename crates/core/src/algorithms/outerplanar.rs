@@ -176,9 +176,7 @@ mod tests {
     use super::*;
     use frr_graph::generators;
     use frr_routing::failure::AllFailureSets;
-    use frr_routing::resilience::{
-        is_perfectly_resilient_for_destination, is_perfectly_resilient_touring,
-    };
+    use frr_routing::resilience::Property;
     use frr_routing::simulator::{route, state_space_bound};
 
     #[test]
@@ -198,9 +196,12 @@ mod tests {
         ] {
             let p = OuterplanarTouringPattern::new(&g)
                 .unwrap_or_else(|| panic!("{} must be outerplanar", g.summary()));
-            if let Err(ce) = is_perfectly_resilient_touring(&g, &p) {
-                panic!("right-hand rule failed to tour {}: {ce}", g.summary());
-            }
+            let verdict = crate::unlimited(&g, &p, Property::PERFECT_TOURING);
+            assert!(
+                verdict.is_proven(),
+                "right-hand rule failed to tour {}: {verdict}",
+                g.summary()
+            );
         }
     }
 
@@ -219,9 +220,18 @@ mod tests {
         let p = OuterplanarDestinationPattern::new(&g);
         assert_eq!(p.supported_destinations().len(), g.node_count());
         for t in g.nodes() {
-            if let Err(ce) = is_perfectly_resilient_for_destination(&g, &p, t) {
-                panic!("Corollary 5 routing failed on the wheel for destination {t}: {ce}");
-            }
+            let verdict = crate::unlimited(
+                &g,
+                &p,
+                Property::Routing {
+                    max_failures: None,
+                    destination: Some(t),
+                },
+            );
+            assert!(
+                verdict.is_proven(),
+                "Corollary 5 routing failed on the wheel for destination {t}: {verdict}"
+            );
         }
     }
 
@@ -237,12 +247,19 @@ mod tests {
             let p = OuterplanarDestinationPattern::new(&g);
             for t in g.nodes() {
                 assert!(p.supports(t));
-                if let Err(ce) = is_perfectly_resilient_for_destination(&g, &p, t) {
-                    panic!(
-                        "Corollary 5 routing failed on {} for {t}: {ce}",
-                        g.summary()
-                    );
-                }
+                let verdict = crate::unlimited(
+                    &g,
+                    &p,
+                    Property::Routing {
+                        max_failures: None,
+                        destination: Some(t),
+                    },
+                );
+                assert!(
+                    verdict.is_proven(),
+                    "Corollary 5 routing failed on {} for {t}: {verdict}",
+                    g.summary()
+                );
             }
         }
     }
@@ -274,9 +291,18 @@ mod tests {
         assert!(!frr_graph::outerplanar::is_outerplanar(&g));
         assert!(!p.supported_destinations().is_empty());
         for t in p.supported_destinations() {
-            if let Err(ce) = is_perfectly_resilient_for_destination(&g, &p, t) {
-                panic!("supported destination {t} must be perfectly resilient: {ce}");
-            }
+            let verdict = crate::unlimited(
+                &g,
+                &p,
+                Property::Routing {
+                    max_failures: None,
+                    destination: Some(t),
+                },
+            );
+            assert!(
+                verdict.is_proven(),
+                "supported destination {t} must be perfectly resilient: {verdict}"
+            );
         }
     }
 

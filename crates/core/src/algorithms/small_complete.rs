@@ -273,15 +273,14 @@ fn k33_table(_g: &Graph, s: Node, t: Node) -> PriorityTable {
 mod tests {
     use super::*;
     use frr_graph::generators;
-    use frr_routing::resilience::is_perfectly_resilient;
+    use frr_routing::resilience::Property;
 
     #[test]
     fn theorem8_algorithm1_is_perfectly_resilient_on_k5() {
         let g = generators::complete(5);
         let p = K5SourcePattern::new(&g);
-        if let Err(ce) = is_perfectly_resilient(&g, &p) {
-            panic!("Algorithm 1 failed on K5: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+        assert!(verdict.is_proven(), "Algorithm 1 failed on K5: {verdict}");
     }
 
     #[test]
@@ -298,9 +297,12 @@ mod tests {
             generators::star(4),
         ] {
             let p = K5SourcePattern::new(&g);
-            if let Err(ce) = is_perfectly_resilient(&g, &p) {
-                panic!("Algorithm 1 failed on {}: {ce}", g.summary());
-            }
+            let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+            assert!(
+                verdict.is_proven(),
+                "Algorithm 1 failed on {}: {verdict}",
+                g.summary()
+            );
         }
     }
 
@@ -314,9 +316,11 @@ mod tests {
     fn theorem9_pattern_is_perfectly_resilient_on_k33() {
         let g = generators::complete_bipartite(3, 3);
         let p = K33SourcePattern::new(&g);
-        if let Err(ce) = is_perfectly_resilient(&g, &p) {
-            panic!("Theorem 9 pattern failed on K3,3: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+        assert!(
+            verdict.is_proven(),
+            "Theorem 9 pattern failed on K3,3: {verdict}"
+        );
     }
 
     #[test]
@@ -324,9 +328,11 @@ mod tests {
         for missing in 1..=3usize {
             let g = generators::complete_bipartite_minus(3, 3, missing);
             let p = K33SourcePattern::new(&g);
-            if let Err(ce) = is_perfectly_resilient(&g, &p) {
-                panic!("Theorem 9 pattern failed on K3,3 minus {missing} links: {ce}");
-            }
+            let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+            assert!(
+                verdict.is_proven(),
+                "Theorem 9 pattern failed on K3,3 minus {missing} links: {verdict}"
+            );
         }
     }
 

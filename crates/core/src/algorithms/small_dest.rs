@@ -276,15 +276,17 @@ impl CompilePattern for K33Minus2DestPattern {}
 mod tests {
     use super::*;
     use frr_graph::generators;
-    use frr_routing::resilience::is_perfectly_resilient;
+    use frr_routing::resilience::Property;
 
     #[test]
     fn theorem12_k5_minus_two_is_perfectly_resilient() {
         let g = generators::complete_minus(5, 2);
         let p = K5Minus2DestPattern::new(&g);
-        if let Err(ce) = is_perfectly_resilient(&g, &p) {
-            panic!("Theorem 12 pattern failed on K5^-2: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+        assert!(
+            verdict.is_proven(),
+            "Theorem 12 pattern failed on K5^-2: {verdict}"
+        );
     }
 
     #[test]
@@ -295,9 +297,11 @@ mod tests {
         g.remove_edge(Node(4), Node(2));
         g.remove_edge(Node(4), Node(3));
         let p = K5Minus2DestPattern::new(&g);
-        if let Err(ce) = is_perfectly_resilient(&g, &p) {
-            panic!("Theorem 12 pattern failed on the Fig. 5 variant: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+        assert!(
+            verdict.is_proven(),
+            "Theorem 12 pattern failed on the Fig. 5 variant: {verdict}"
+        );
     }
 
     #[test]
@@ -305,9 +309,11 @@ mod tests {
         for c in 3..=5usize {
             let g = generators::complete_minus(5, c);
             let p = K5Minus2DestPattern::new(&g);
-            if let Err(ce) = is_perfectly_resilient(&g, &p) {
-                panic!("Theorem 12 pattern failed on K5^-{c}: {ce}");
-            }
+            let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+            assert!(
+                verdict.is_proven(),
+                "Theorem 12 pattern failed on K5^-{c}: {verdict}"
+            );
         }
     }
 
@@ -321,9 +327,11 @@ mod tests {
     fn theorem13_k33_minus_two_is_perfectly_resilient() {
         let g = generators::complete_bipartite_minus(3, 3, 2);
         let p = K33Minus2DestPattern::new(&g);
-        if let Err(ce) = is_perfectly_resilient(&g, &p) {
-            panic!("Theorem 13 pattern failed on K3,3^-2: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+        assert!(
+            verdict.is_proven(),
+            "Theorem 13 pattern failed on K3,3^-2: {verdict}"
+        );
     }
 
     #[test]
@@ -334,9 +342,11 @@ mod tests {
         g.remove_edge(Node(2), Node(3));
         g.remove_edge(Node(2), Node(4));
         let p = K33Minus2DestPattern::new(&g);
-        if let Err(ce) = is_perfectly_resilient(&g, &p) {
-            panic!("Theorem 13 pattern failed on the degree-1 destination variant: {ce}");
-        }
+        let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+        assert!(
+            verdict.is_proven(),
+            "Theorem 13 pattern failed on the degree-1 destination variant: {verdict}"
+        );
     }
 
     #[test]
@@ -344,9 +354,11 @@ mod tests {
         for c in 3..=4usize {
             let g = generators::complete_bipartite_minus(3, 3, c);
             let p = K33Minus2DestPattern::new(&g);
-            if let Err(ce) = is_perfectly_resilient(&g, &p) {
-                panic!("Theorem 13 pattern failed on K3,3^-{c}: {ce}");
-            }
+            let verdict = crate::unlimited(&g, &p, Property::PERFECT);
+            assert!(
+                verdict.is_proven(),
+                "Theorem 13 pattern failed on K3,3^-{c}: {verdict}"
+            );
         }
     }
 

@@ -629,24 +629,28 @@ pub fn spot_check_possible(
     use crate::algorithms::{
         K33SourcePattern, K5SourcePattern, OuterplanarDestinationPattern, OuterplanarTouringPattern,
     };
+    use frr_routing::compiled::CompilePattern;
     use frr_routing::model::RoutingModel;
-    use frr_routing::resilience::{
-        is_perfectly_resilient, is_perfectly_resilient_touring, EXHAUSTIVE_EDGE_LIMIT,
-    };
+    use frr_routing::resilience::{Property, EXHAUSTIVE_EDGE_LIMIT};
 
     let mut checked = Vec::new();
     if g.edge_count() > EXHAUSTIVE_EDGE_LIMIT {
         return Ok(checked);
     }
+    let verify = |pattern: &dyn CompilePattern, property| match crate::refute(g, pattern, property)
+    {
+        Some(ce) => Err(Box::new(ce)),
+        None => Ok(()),
+    };
     if classification.touring == Feasibility::Possible {
         if let Some(pattern) = OuterplanarTouringPattern::new(g) {
-            is_perfectly_resilient_touring(g, &pattern).map_err(Box::new)?;
+            verify(&pattern, Property::PERFECT_TOURING)?;
             checked.push(RoutingModel::Touring);
         }
     }
     if classification.destination_only == Feasibility::Possible && classification.outerplanar {
         let pattern = OuterplanarDestinationPattern::new(g);
-        is_perfectly_resilient(g, &pattern).map_err(Box::new)?;
+        verify(&pattern, Property::PERFECT)?;
         checked.push(RoutingModel::DestinationOnly);
     }
     if classification.source_destination == Feasibility::Possible {
@@ -658,16 +662,16 @@ pub fn spot_check_possible(
                 .iter()
                 .all(|e| (e.u().index() < 3) != (e.v().index() < 3));
         if g.node_count() <= 5 {
-            is_perfectly_resilient(g, &K5SourcePattern::new(g)).map_err(Box::new)?;
+            verify(&K5SourcePattern::new(g), Property::PERFECT)?;
             checked.push(RoutingModel::SourceDestination);
         } else if canonical_k33 {
-            is_perfectly_resilient(g, &K33SourcePattern::new(g)).map_err(Box::new)?;
+            verify(&K33SourcePattern::new(g), Property::PERFECT)?;
             checked.push(RoutingModel::SourceDestination);
         } else if classification.outerplanar {
             // An outerplanar graph's destination-only scheme is a fortiori a
             // source–destination scheme.
             let pattern = OuterplanarDestinationPattern::new(g);
-            is_perfectly_resilient(g, &pattern).map_err(Box::new)?;
+            verify(&pattern, Property::PERFECT)?;
             checked.push(RoutingModel::SourceDestination);
         }
     }

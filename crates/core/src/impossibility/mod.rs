@@ -33,6 +33,7 @@ pub use small_graphs::{
 use frr_graph::Graph;
 use frr_routing::adversary::{Adversary, BruteForceAdversary, Counterexample, RandomAdversary};
 use frr_routing::compiled::CompilePattern;
+use frr_routing::resilience::{Property, EXHAUSTIVE_EDGE_LIMIT};
 
 /// A generic adversary suitable for the source–destination model on a small
 /// graph: random search first (cheap), exhaustive search as a fallback.
@@ -62,24 +63,16 @@ pub fn destination_only_adversary<P: CompilePattern + ?Sized>(
     source_destination_adversary(g, pattern, max_failures)
 }
 
-/// A generic adversary for the touring model: exhaustive enumeration via the
-/// touring resilience checker where affordable, otherwise a bounded-failure
-/// search (the paper's touring counterexamples embed `K4` / `K2,3` and need
-/// only a handful of failures — Lemmas 3/4).  Graphs too large for even the
-/// bounded sweep degrade gracefully to "no counterexample found" via the
-/// `Result`-returning checker instead of aborting.
+/// A generic adversary for the touring model: exhaustive enumeration where
+/// affordable, otherwise a bounded-failure search (the paper's touring
+/// counterexamples embed `K4` / `K2,3` and need only a handful of failures —
+/// Lemmas 3/4).  Graphs too large for even the bounded sweep fall back to
+/// [`check`](frr_routing::resilience::check)'s reproducible sampler instead
+/// of aborting.
 pub fn touring_adversary<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
 ) -> Option<Counterexample> {
-    use frr_routing::resilience::{
-        check_bounded_touring_resilience, is_perfectly_resilient_touring, EXHAUSTIVE_EDGE_LIMIT,
-    };
-    if g.edge_count() <= EXHAUSTIVE_EDGE_LIMIT {
-        is_perfectly_resilient_touring(g, pattern).err()
-    } else {
-        check_bounded_touring_resilience(g, pattern, 4)
-            .ok()
-            .and_then(Result::err)
-    }
+    let max_failures = (g.edge_count() > EXHAUSTIVE_EDGE_LIMIT).then_some(4);
+    crate::refute(g, pattern, Property::Touring { max_failures })
 }

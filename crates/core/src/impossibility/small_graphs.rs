@@ -18,7 +18,7 @@ use frr_graph::{generators, Edge, Graph, Node};
 use frr_routing::adversary::{verify_counterexample, Adversary, Counterexample, RandomAdversary};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::failure::FailureSet;
-use frr_routing::resilience::{is_perfectly_resilient, is_perfectly_resilient_touring};
+use frr_routing::resilience::Property;
 use frr_routing::simulator::{route, state_space_bound};
 
 /// Builds the failure set that keeps exactly `alive` links of `g` alive.
@@ -219,7 +219,7 @@ pub fn k5_minus1_destination_counterexample<P: CompilePattern + ?Sized>(
     pattern: &P,
 ) -> Option<Counterexample> {
     let g = generators::complete_minus(5, 1);
-    is_perfectly_resilient(&g, pattern).err()
+    crate::refute(&g, pattern, Property::PERFECT)
 }
 
 /// Searches (exhaustively) for a counterexample to destination-only perfect
@@ -228,7 +228,7 @@ pub fn k33_minus1_destination_counterexample<P: CompilePattern + ?Sized>(
     pattern: &P,
 ) -> Option<Counterexample> {
     let g = generators::complete_bipartite_minus(3, 3, 1);
-    is_perfectly_resilient(&g, pattern).err()
+    crate::refute(&g, pattern, Property::PERFECT)
 }
 
 /// Searches (exhaustively) for a counterexample to perfectly resilient touring
@@ -237,7 +237,7 @@ pub fn k4_touring_counterexample<P: CompilePattern + ?Sized>(
     pattern: &P,
 ) -> Option<Counterexample> {
     let g = generators::complete(4);
-    is_perfectly_resilient_touring(&g, pattern).err()
+    crate::refute(&g, pattern, Property::PERFECT_TOURING)
 }
 
 /// Searches (exhaustively) for a counterexample to perfectly resilient touring
@@ -246,7 +246,7 @@ pub fn k23_touring_counterexample<P: CompilePattern + ?Sized>(
     pattern: &P,
 ) -> Option<Counterexample> {
     let g = generators::complete_bipartite(2, 3);
-    is_perfectly_resilient_touring(&g, pattern).err()
+    crate::refute(&g, pattern, Property::PERFECT_TOURING)
 }
 
 #[cfg(test)]
@@ -335,7 +335,7 @@ mod tests {
         // Sanity contrast: Algorithm 1 is perfectly resilient on K5 (Thm 8),
         // while no pattern survives K5^-1 in the destination-only model.
         let k5 = generators::complete(5);
-        assert!(is_perfectly_resilient(&k5, &K5SourcePattern::new(&k5)).is_ok());
+        assert!(crate::refute(&k5, &K5SourcePattern::new(&k5), Property::PERFECT).is_none());
     }
 
     #[test]

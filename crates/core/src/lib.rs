@@ -41,7 +41,8 @@
 //! let g = generators::complete(5);
 //! let pattern = K5SourcePattern::new(&g);
 //! // Exhaustively verified: every failure set, every connected (s, t) pair.
-//! assert!(frr_routing::resilience::is_perfectly_resilient(&g, &pattern).is_ok());
+//! let verdict = check(&g, &pattern, Property::PERFECT, &RunBudget::unlimited());
+//! assert!(verdict.unwrap().is_proven());
 //! ```
 
 // Library code must surface failures as typed errors or documented panics
@@ -58,6 +59,12 @@ pub mod classify;
 pub mod impossibility;
 pub mod landscape;
 
+use frr_graph::Graph;
+use frr_routing::adversary::Counterexample;
+use frr_routing::budget::{RunBudget, Verdict};
+use frr_routing::compiled::CompilePattern;
+use frr_routing::resilience::{check, Property};
+
 /// Renders a `std::panic::catch_unwind` payload for typed worker-panic
 /// errors (duplicated from `frr_routing::sweep`, which keeps its helper
 /// crate-private).
@@ -69,6 +76,29 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             Err(_) => "non-string panic payload".to_string(),
         },
     }
+}
+
+/// The counterexample an unlimited [`check`] finds for `property`, if any.
+/// A panicking probe is re-raised: the pattern itself is broken.
+pub(crate) fn refute<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+    property: Property,
+) -> Option<Counterexample> {
+    match check(g, pattern, property, &RunBudget::unlimited()).unwrap_or_else(|e| panic!("{e}")) {
+        Verdict::Refuted(ce) => Some(ce),
+        Verdict::Proven | Verdict::Indeterminate(_) => None,
+    }
+}
+
+/// [`check`] under [`RunBudget::unlimited`], for the unit tests.
+#[cfg(test)]
+pub(crate) fn unlimited<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+    property: Property,
+) -> Verdict {
+    check(g, pattern, property, &RunBudget::unlimited()).expect("no probe panics")
 }
 
 /// Convenience prelude bringing the most frequently used items into scope.

@@ -162,14 +162,28 @@ fn constructions_compile_exactly_on_seeded_random_graphs() {
 fn exhaustive_checkers_agree_on_the_paper_theorems() {
     // End-to-end: the (internally compiled) exhaustive checkers must still
     // certify the paper's positive results on their home graphs.
-    use frr_routing::resilience::{is_perfectly_resilient, is_perfectly_resilient_touring};
+    use frr_routing::budget::RunBudget;
+    use frr_routing::resilience::{check, Property};
+    let proven = |g, p: &dyn CompilePattern, property| {
+        check(g, p, property, &RunBudget::unlimited())
+            .unwrap()
+            .is_proven()
+    };
     let k5 = generators::complete(5);
-    assert!(is_perfectly_resilient(&k5, &K5SourcePattern::new(&k5)).is_ok());
+    assert!(proven(&k5, &K5SourcePattern::new(&k5), Property::PERFECT));
     let k33 = generators::complete_bipartite(3, 3);
-    assert!(is_perfectly_resilient(&k33, &K33SourcePattern::new(&k33)).is_ok());
+    assert!(proven(
+        &k33,
+        &K33SourcePattern::new(&k33),
+        Property::PERFECT
+    ));
     let k5m2 = generators::complete_minus(5, 2);
-    assert!(is_perfectly_resilient(&k5m2, &K5Minus2DestPattern::new(&k5m2)).is_ok());
+    assert!(proven(
+        &k5m2,
+        &K5Minus2DestPattern::new(&k5m2),
+        Property::PERFECT
+    ));
     let mop = generators::maximal_outerplanar(7);
     let p = OuterplanarTouringPattern::new(&mop).expect("outerplanar");
-    assert!(is_perfectly_resilient_touring(&mop, &p).is_ok());
+    assert!(proven(&mop, &p, Property::PERFECT_TOURING));
 }

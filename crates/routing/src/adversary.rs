@@ -9,15 +9,15 @@
 //! randomized search — used to cross-check them and to probe patterns on
 //! arbitrary graphs.
 
-use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
+use crate::budget::{Progress, RunBudget, StopCause, StopSignal, Verdict, WorkerPanicked};
 use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
 use crate::resilience::{compile_guarded, replay_route};
 use crate::simulator::{route, state_space_bound, Outcome};
 use crate::sweep::{
-    failure_set_at, sharded_first, sharded_first_controlled, sweep_find_first_budgeted,
-    sweep_find_first_limited, ShardEvent, SweepEnd, SweepEngine,
+    failure_set_at, sharded_first, sharded_first_controlled, sweep_find_first_budgeted, ShardEvent,
+    SweepEnd, SweepEngine,
 };
 use frr_graph::{Edge, Graph, Node};
 use rand::rngs::StdRng;
@@ -109,15 +109,23 @@ impl Adversary for BruteForceAdversary {
     ) -> Option<Counterexample> {
         let compiled = pattern.compile(g);
         let compiled = compiled.as_ref();
-        sweep_find_first_limited(
+        let report = sweep_find_first_budgeted(
             g,
             self.max_failures,
             Some(self.max_sets),
+            &StopSignal::none(),
             |engine: &mut SweepEngine<'_>| {
                 let (s, t) = engine.first_undelivered(compiled, pattern, 0..g.node_count())?;
                 Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
             },
-        )
+        );
+        match report.end {
+            SweepEnd::Found(ce) => Some(ce),
+            SweepEnd::Exhausted | SweepEnd::Stopped(_) => None,
+            SweepEnd::Panicked { position, message } => {
+                panic!("sweep worker panicked at enumeration position {position}: {message}")
+            }
+        }
     }
 
     fn name(&self) -> String {

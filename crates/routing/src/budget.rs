@@ -2,9 +2,9 @@
 //! cooperative cancellation for every long-running verification call.
 //!
 //! Every checker in this workspace answers an exponential question (`2^m`
-//! failure-mask sweeps, budgeted minor search).  The `*_with_budget` API
-//! variants built on this module make those calls *interruptible* and
-//! *fail-safe*:
+//! failure-mask sweeps, budgeted minor search).  The checks built on this
+//! module ([`crate::resilience::check`], the brute-force adversary's
+//! budgeted search) are *interruptible* and *fail-safe*:
 //!
 //! * a [`RunBudget`] carries an optional deadline, an optional work-unit
 //!   budget (masks for sweeps, trials for samplers — unifying the historical
@@ -18,9 +18,9 @@
 //!   [`WorkerPanicked`] error carrying the offending failure mask — sibling
 //!   shards wind down cleanly instead of taking the process with them.
 //!
-//! The unbudgeted entry points keep their exact historical semantics: a
-//! [`RunBudget::unlimited`] run takes the same code path and returns
-//! byte-identical results.
+//! A [`RunBudget::unlimited`] run is the plain exhaustive answer: it sweeps
+//! the whole space and returns `Proven` or `Refuted`, with the same
+//! canonical first counterexample at any thread count.
 
 use crate::adversary::Counterexample;
 use crate::failure::FailureSet;
@@ -48,8 +48,7 @@ impl Default for RunBudget {
 }
 
 impl RunBudget {
-    /// A budget with no limits — budgeted APIs behave byte-identically to
-    /// their unbudgeted counterparts under it.
+    /// A budget with no limits: a check under it sweeps its whole space.
     pub fn unlimited() -> Self {
         RunBudget {
             started: Instant::now(),

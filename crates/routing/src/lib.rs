@@ -24,13 +24,14 @@
 //! * [`sweep`] — the allocation-free failure-sweep engine: bitmask failure
 //!   overlays on a [`frr_graph::BitGraph`], reusable scratch, and
 //!   deterministic multi-threaded mask-range sharding,
-//! * [`resilience`] — exhaustive and sampled resilience checkers (perfect
-//!   resilience, `r`-tolerance, bounded failures, touring),
+//! * [`resilience`] — the one resilience checker, [`resilience::check`]:
+//!   perfect resilience, `r`-tolerance, bounded failures and touring,
+//!   exhaustive with a reproducible sampling fallback,
 //! * [`adversary`] — generic brute-force and randomized adversaries that
 //!   search for failure scenarios defeating a given pattern,
 //! * [`budget`] — the run-budget control layer: wall-clock deadlines,
 //!   work-unit budgets, cooperative [`budget::CancelToken`] cancellation and
-//!   the typed [`budget::Verdict`] the `*_with_budget` API variants return,
+//!   the typed [`budget::Verdict`] every check returns,
 //! * [`hostile`] — deliberately misbehaving forwarding patterns (forwarding
 //!   into failed links, to non-neighbors, nondeterministically, panicking)
 //!   used by the chaos suite to pin fail-safe termination,
@@ -84,10 +85,6 @@ pub mod prelude {
     pub use crate::metrics::DeliveryStats;
     pub use crate::model::{LocalContext, RoutingModel};
     pub use crate::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
-    pub use crate::resilience::{
-        check_bounded_r_resilience_with_budget, check_bounded_touring_resilience_with_budget,
-        is_perfectly_resilient, is_perfectly_resilient_touring, is_perfectly_resilient_with_budget,
-        is_r_tolerant, is_r_tolerant_with_budget, SamplingBudget,
-    };
+    pub use crate::resilience::{check, Property, SamplingBudget};
     pub use crate::simulator::{route, tour, Outcome, RouteResult, TourResult};
 }

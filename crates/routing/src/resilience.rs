@@ -2,11 +2,13 @@
 //! and perfect touring — exhaustively for the paper's small named graphs and
 //! by reproducible sampling for larger networks.
 //!
-//! All checkers are *verification oracles* over the simulator: they quantify
-//! over failure sets and source/destination pairs and report either success
-//! or a concrete counterexample scenario that can be replayed.
+//! One entry point, [`check`], asks every form of the question: the
+//! [`Property`] names what to verify and the [`RunBudget`] bounds the run
+//! ([`RunBudget::unlimited`] for the plain exhaustive answer).  The answer is
+//! a typed [`Verdict`]: `Proven`, `Refuted` with a concrete counterexample
+//! that can be replayed, or `Indeterminate` with the progress made.
 //!
-//! The exhaustive checkers run on the [`crate::sweep`] engine: failure sets
+//! The exhaustive sweep runs on the [`crate::sweep`] engine: failure sets
 //! are width-generic bitmask overlays (one `u64` word per 64 links) over a
 //! [`frr_graph::BitGraph`], connectivity is one component decomposition per
 //! failure set (instead of one BFS per source/destination pair on a cloned
@@ -22,21 +24,19 @@ use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
 use crate::failure::{random_failure_set, FailureSet};
 use crate::pattern::ForwardingPattern;
 use crate::simulator::{route, state_space_bound, tour, Outcome};
-use crate::sweep::{
-    failure_set_at, sweep_find_first, sweep_find_first_budgeted, SweepEnd, SweepEngine, SweepReport,
-};
-use frr_graph::budget::StopSignal;
+use crate::sweep::{failure_set_at, sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use frr_graph::connectivity::st_edge_connectivity_filtered;
 use frr_graph::{Graph, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Largest number of links for which the exhaustive checkers enumerate the
-/// full failure-set power set by default.
+/// Largest number of links for which [`check`] enumerates the full
+/// failure-set power set (unbounded [`Property::Routing`] and
+/// [`Property::Touring`], and every [`Property::Tolerance`]).
 pub const EXHAUSTIVE_EDGE_LIMIT: usize = 20;
 
-/// Largest number of links for the checkers that bound the number of
+/// Largest number of links for the checks that bound the number of
 /// failures to some `k`: the Gray-code enumeration emits exactly the
 /// `Σ_{i≤k} C(m,i)` small failure masks (no over-cap masks are ever
 /// visited), masks are multi-word, and the per-mask overlay work is one or
@@ -45,8 +45,7 @@ pub const EXHAUSTIVE_EDGE_LIMIT: usize = 20;
 /// datacenter graphs fit under this limit.
 pub const BOUNDED_EDGE_LIMIT: usize = 128;
 
-/// A bounded checker was asked to sweep a graph with more links than
-/// [`BOUNDED_EDGE_LIMIT`] allows.
+/// A graph has more links than an exhaustive sweep allows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeLimitExceeded {
     /// Link count of the offending graph.
@@ -67,15 +66,298 @@ impl std::fmt::Display for EdgeLimitExceeded {
 
 impl std::error::Error for EdgeLimitExceeded {}
 
-fn check_edge_limit(g: &Graph, limit: usize) -> Result<(), EdgeLimitExceeded> {
-    if g.edge_count() <= limit {
-        Ok(())
-    } else {
-        Err(EdgeLimitExceeded {
-            links: g.edge_count(),
-            limit,
-        })
+/// The property a [`check`] verifies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Property {
+    /// Delivery for every ordered pair `(s, t)` that stays connected in
+    /// `G \ F`: perfect resilience when `max_failures` is `None`,
+    /// `r`-bounded resilience for `Some(r)` (only failure sets of at most
+    /// `r` links count).  A pinned `destination` checks only pairs towards
+    /// that node.
+    Routing {
+        /// Largest failure set swept (`None` = every failure set).
+        max_failures: Option<usize>,
+        /// The only destination checked (`None` = every destination).
+        destination: Option<Node>,
+    },
+    /// `r`-tolerance (Definition 1) for one pair: delivery from `source` to
+    /// `destination` under every failure set that leaves them `r`-connected
+    /// (`r` link-disjoint surviving paths).
+    Tolerance {
+        /// Packet source.
+        source: Node,
+        /// Packet destination.
+        destination: Node,
+        /// Required surviving edge connectivity.
+        r: usize,
+    },
+    /// Touring (§VII): from every start node, the walk visits the start
+    /// node's whole surviving component, for every failure set of at most
+    /// `max_failures` links (`None` = every failure set).
+    Touring {
+        /// Largest failure set swept (`None` = every failure set).
+        max_failures: Option<usize>,
+    },
+}
+
+impl Property {
+    /// Perfect resilience: every failure set, every connected pair.
+    pub const PERFECT: Property = Property::Routing {
+        max_failures: None,
+        destination: None,
+    };
+
+    /// Perfect touring: every failure set, every start node.
+    pub const PERFECT_TOURING: Property = Property::Touring { max_failures: None };
+
+    /// `r`-bounded resilience: failure sets of at most `r` links, every
+    /// connected pair.
+    pub const fn bounded(r: usize) -> Property {
+        Property::Routing {
+            max_failures: Some(r),
+            destination: None,
+        }
     }
+
+    /// `k`-bounded touring: failure sets of at most `k` links, every start
+    /// node.
+    ///
+    /// ```
+    /// use frr_graph::generators;
+    /// use frr_routing::budget::RunBudget;
+    /// use frr_routing::pattern::RotorPattern;
+    /// use frr_routing::resilience::{check, Property};
+    ///
+    /// let star = generators::star(4);
+    /// let rotor = RotorPattern::clockwise(&star);
+    /// let two_failures = check(&star, &rotor, Property::bounded_touring(2), &RunBudget::unlimited());
+    /// assert!(two_failures.unwrap().is_proven());
+    /// ```
+    pub const fn bounded_touring(k: usize) -> Property {
+        Property::Touring {
+            max_failures: Some(k),
+        }
+    }
+
+    /// The popcount cap of the swept failure sets.
+    fn max_failures(self) -> Option<usize> {
+        match self {
+            Property::Routing { max_failures, .. } | Property::Touring { max_failures } => {
+                max_failures
+            }
+            Property::Tolerance { .. } => None,
+        }
+    }
+
+    /// The largest graph [`check`] sweeps exhaustively for this property:
+    /// [`BOUNDED_EDGE_LIMIT`] under a failure cap, [`EXHAUSTIVE_EDGE_LIMIT`]
+    /// otherwise.
+    fn edge_limit(self) -> usize {
+        match self.max_failures() {
+            Some(_) => BOUNDED_EDGE_LIMIT,
+            None => EXHAUSTIVE_EDGE_LIMIT,
+        }
+    }
+}
+
+/// Verifies `property` of `pattern` on `g` within `budget`.
+///
+/// * The sweep visits every failure mask in the canonical Gray enumeration
+///   order (see [`crate::failure::GrayMasks`]: smaller failure sets first)
+///   and returns the earliest counterexample in `(mask, source,
+///   destination)` order — the same one at any thread count.  `Proven`
+///   means the whole configured space was swept.
+/// * The property sets the edge limit: [`BOUNDED_EDGE_LIMIT`] under a
+///   failure cap, [`EXHAUSTIVE_EDGE_LIMIT`] otherwise.  Under
+///   [`RunBudget::unlimited`] a graph within it always gets `Proven` or
+///   `Refuted`.
+/// * A deadline or work-budget stop degrades to a reproducible sampler
+///   ([`is_r_tolerant_sampled`] for [`Property::Tolerance`],
+///   [`sampled_touring_violation`] for [`Property::Touring`], a
+///   random-pair sampler for [`Property::Routing`] that keeps a pinned
+///   destination pinned).  A sampled counterexample is `Refuted`; otherwise
+///   the verdict is [`Verdict::Indeterminate`] with the sweep's progress.
+///   A cancelled run skips the sampler.
+/// * A graph beyond the edge limit is never swept: it goes
+///   straight to the sampler with [`StopCause::EdgeLimit`].
+/// * A probe panic (a misbehaving pattern, a tripped debug assertion)
+///   surfaces as `Err(WorkerPanicked)` with the offending failure set.
+///
+/// Failure sets flow through the sweep as width-generic masks
+/// ([`crate::mask::MaskRef`] views over one `u64` word per 64 links); a
+/// counterexample materializes the violating set as a [`FailureSet`] and
+/// carries the replayed walk.
+///
+/// ```
+/// use frr_graph::generators;
+/// use frr_routing::budget::RunBudget;
+/// use frr_routing::pattern::ShortestPathPattern;
+/// use frr_routing::resilience::{check, Property};
+///
+/// let ring = generators::cycle(6);
+/// let p = ShortestPathPattern::new(&ring);
+/// let one_failure = check(&ring, &p, Property::bounded(1), &RunBudget::unlimited());
+/// assert!(one_failure.unwrap().is_proven());
+/// ```
+pub fn check<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+    property: Property,
+    budget: &RunBudget,
+) -> Result<Verdict, WorkerPanicked> {
+    if g.edge_count() > property.edge_limit() {
+        return stop_verdict(g, pattern, property, budget, 0, 0, StopCause::EdgeLimit);
+    }
+    // Compile once per sweep; the tables are shared by every worker thread.
+    // `None` (degree or tabulation budget exceeded, or a panicking compile)
+    // keeps the interpreted trait-object path — outcomes are identical
+    // either way.
+    let compiled = compile_guarded(g, pattern);
+    let compiled = compiled.as_ref();
+    let max_failures = property.max_failures();
+    let report = sweep_find_first_budgeted(
+        g,
+        max_failures,
+        budget.work_limit(),
+        &budget.stop_signal(),
+        |engine: &mut SweepEngine<'_>| probe(engine, compiled, pattern, property),
+    );
+    match report.end {
+        SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),
+        SweepEnd::Exhausted => Ok(Verdict::Proven),
+        SweepEnd::Panicked { position, message } => Err(WorkerPanicked {
+            position,
+            failures: failure_set_at(g, max_failures, position),
+            message,
+        }),
+        SweepEnd::Stopped(cause) => stop_verdict(
+            g,
+            pattern,
+            property,
+            budget,
+            report.masks_examined,
+            report.max_weight,
+            cause,
+        ),
+    }
+}
+
+/// `r`-bounded resilience in its historical `Result` shape, kept for the
+/// frozen benchmark (`perfbench/`): `Err(EdgeLimitExceeded)` above
+/// [`BOUNDED_EDGE_LIMIT`] links — tested before [`check`] runs, so an
+/// oversize graph never samples — and otherwise [`check`] under
+/// [`RunBudget::unlimited`].
+///
+/// # Panics
+///
+/// Re-raises a probe panic as a [`WorkerPanicked`] message.
+pub fn check_bounded_r_resilience<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+    r: usize,
+) -> Result<Result<(), Counterexample>, EdgeLimitExceeded> {
+    if g.edge_count() > BOUNDED_EDGE_LIMIT {
+        return Err(EdgeLimitExceeded {
+            links: g.edge_count(),
+            limit: BOUNDED_EDGE_LIMIT,
+        });
+    }
+    let verdict = check(g, pattern, Property::bounded(r), &RunBudget::unlimited());
+    match verdict.unwrap_or_else(|e| panic!("{e}")) {
+        Verdict::Proven => Ok(Ok(())),
+        Verdict::Refuted(ce) => Ok(Err(ce)),
+        Verdict::Indeterminate(p) => unreachable!("unbudgeted sweep stopped: {p}"),
+    }
+}
+
+/// [`check`] of `r`-bounded resilience, kept under this name for the
+/// frozen benchmark (`perfbench/`).
+pub fn check_bounded_r_resilience_with_budget<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+    r: usize,
+    budget: &RunBudget,
+) -> Result<Verdict, WorkerPanicked> {
+    check(g, pattern, Property::bounded(r), budget)
+}
+
+/// Compiles `pattern`, treating a *panicking* `compile` the same as a
+/// refusing one: the caller keeps the interpreted trait-object path
+/// (outcomes are identical either way), and if the pattern also misbehaves
+/// at forwarding time the per-probe isolation reports it as a typed
+/// [`WorkerPanicked`] at the offending mask instead of a compile-time abort.
+pub(crate) fn compile_guarded<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+) -> Option<CompiledPattern> {
+    catch_unwind(AssertUnwindSafe(|| pattern.compile(g)))
+        .ok()
+        .flatten()
+}
+
+/// The probe of one failure mask: the counterexample to `property` under
+/// the engine's overlay, if any.
+fn probe<P: ForwardingPattern + ?Sized>(
+    engine: &mut SweepEngine<'_>,
+    compiled: Option<&CompiledPattern>,
+    pattern: &P,
+    property: Property,
+) -> Option<Counterexample> {
+    let g = engine.graph();
+    match property {
+        Property::Routing { destination, .. } => {
+            let destinations = match destination {
+                Some(t) => t.index()..t.index() + 1,
+                None => 0..g.node_count(),
+            };
+            let (s, t) = engine.first_undelivered(compiled, pattern, destinations)?;
+            Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
+        }
+        Property::Tolerance {
+            source,
+            destination,
+            r,
+        } => tolerance_violation(engine, compiled, pattern, source, destination, r),
+        Property::Touring { .. } => {
+            let max_hops = state_space_bound(g);
+            let start = g.nodes().find(|&start| match compiled {
+                Some(cp) => !engine.tour_covers_compiled(cp, start, max_hops),
+                None => !engine.tour_covers(pattern, start, max_hops),
+            })?;
+            Some(replay_tour(g, pattern, engine.current_failure_set(), start))
+        }
+    }
+}
+
+/// The `r`-tolerance probe of one failure mask: the counterexample if `s`
+/// and `t` stay `r`-connected in `G \ F` (the promise) yet the packet is not
+/// delivered.
+///
+/// The checks run cheapest first.  With `r ≥ 1` a pair split by `F` fails
+/// the promise, which the component decomposition answers in O(1).  The
+/// packet is routed next, and the max-flow promise is computed only for an
+/// undelivered packet: the violation set is still promise ∧ ¬delivered.
+fn tolerance_violation<P: ForwardingPattern + ?Sized>(
+    engine: &mut SweepEngine<'_>,
+    compiled: Option<&CompiledPattern>,
+    pattern: &P,
+    s: Node,
+    t: Node,
+    r: usize,
+) -> Option<Counterexample> {
+    if s == t || (r >= 1 && !engine.same_component(s, t)) {
+        return None;
+    }
+    let g = engine.graph();
+    let max_hops = state_space_bound(g);
+    let outcome = match compiled {
+        Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
+        None => engine.route_outcome(pattern, s, t, max_hops),
+    };
+    let promise =
+        || r == 0 || st_edge_connectivity_filtered(g, s, t, |u, v| !engine.link_failed(u, v)) >= r;
+    (!outcome.is_delivered() && promise())
+        .then(|| replay_route(g, pattern, engine.current_failure_set(), s, t))
 }
 
 /// Replays a failing routing scenario through the plain simulator to attach
@@ -124,255 +406,77 @@ fn replay_tour<P: ForwardingPattern + ?Sized>(
     }
 }
 
-/// Compiles `pattern` for the budgeted sweeps, treating a *panicking*
-/// `compile` the same as a refusing one: the sweep keeps the interpreted
-/// trait-object path (outcomes are identical either way), and if the pattern
-/// also misbehaves at forwarding time the per-probe isolation reports it as
-/// a typed [`WorkerPanicked`] at the offending mask instead of a
-/// compile-time abort.
-pub(crate) fn compile_guarded<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-) -> Option<CompiledPattern> {
-    catch_unwind(AssertUnwindSafe(|| pattern.compile(g)))
-        .ok()
-        .flatten()
-}
+/// Trials the sampling fallback spends after a budgeted sweep stops early
+/// (a [`StopCause::Deadline`] or [`StopCause::WorkBudget`] stop, and
+/// [`StopCause::EdgeLimit`] for oversize graphs).
+pub const FALLBACK_SAMPLING_TRIALS: usize = 256;
 
-/// Shared sweep for the routing checkers: every failure mask (optionally
-/// popcount-capped), every still-connected `(s, t)` pair (optionally with a
-/// pinned destination), earliest event in the canonical
-/// `(Gray-enumerated mask, source, destination)` order — a counterexample,
-/// exhaustion, a cooperative stop, or an isolated probe panic.
-fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    max_failures: Option<usize>,
-    destination: Option<Node>,
-    mask_budget: Option<u64>,
-    stop: &StopSignal,
-) -> SweepReport<Counterexample> {
-    let destinations = match destination {
-        Some(t) => t.index()..t.index() + 1,
-        None => 0..g.node_count(),
-    };
-    // Compile once per sweep; the tables are shared by every worker thread.
-    // `None` (degree or tabulation budget exceeded, or a panicking compile)
-    // keeps the interpreted trait-object path — outcomes are identical
-    // either way.
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
-    sweep_find_first_budgeted(
-        g,
-        max_failures,
-        mask_budget,
-        stop,
-        |engine: &mut SweepEngine<'_>| {
-            let (s, t) = engine.first_undelivered(compiled, pattern, destinations.clone())?;
-            Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
-        },
-    )
-}
+/// Seed of the fallback sampler — fixed, so budgeted runs that degrade to
+/// sampling stay reproducible run to run.
+const FALLBACK_SAMPLING_SEED: u64 = 0x5EED_FA11;
 
-/// [`sweep_routing_budgeted`] under no budget, collapsed to the historical
-/// `Result`: an unbudgeted sweep can only find, exhaust, or propagate a
-/// probe panic.
-fn sweep_routing<P: CompilePattern + ?Sized>(
+/// Assembles the [`Verdict`] for a sweep that stopped early (or, for an
+/// oversize graph, never ran): degrade to the property's reproducible
+/// sampler, report honest `Indeterminate` when it finds nothing, and skip
+/// sampling entirely on explicit cancellation — a cancelled caller wants
+/// the run gone, not more work.  A sampler panic maps to a typed
+/// [`WorkerPanicked`] (position 0, no mask: trials have no Gray
+/// enumeration position).
+fn stop_verdict<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
-    max_failures: Option<usize>,
-    destination: Option<Node>,
-) -> Result<(), Counterexample> {
-    let report = sweep_routing_budgeted(
-        g,
-        pattern,
-        max_failures,
-        destination,
-        None,
-        &StopSignal::none(),
-    );
-    match report.end {
-        SweepEnd::Found(ce) => Err(ce),
-        SweepEnd::Exhausted => Ok(()),
-        SweepEnd::Stopped(cause) => unreachable!("unbudgeted sweep stopped: {cause}"),
-        SweepEnd::Panicked { position, message } => {
-            panic!("resilience sweep worker panicked at enumeration position {position}: {message}")
+    property: Property,
+    budget: &RunBudget,
+    masks_examined: u64,
+    weight_reached: usize,
+    cause: StopCause,
+) -> Result<Verdict, WorkerPanicked> {
+    let mut sampled_trials = 0u64;
+    if cause != StopCause::Cancelled {
+        let mut rng = StdRng::seed_from_u64(FALLBACK_SAMPLING_SEED);
+        let cap = property.max_failures().unwrap_or(g.edge_count());
+        let trials = FALLBACK_SAMPLING_TRIALS;
+        let (draws, found) = catch_unwind(AssertUnwindSafe(|| match property {
+            Property::Routing { destination, .. } => (
+                trials,
+                sampled_resilience_violation(g, pattern, trials, cap, destination, &mut rng),
+            ),
+            Property::Touring { .. } => (
+                trials,
+                sampled_touring_violation(g, pattern, trials, cap, &mut rng),
+            ),
+            Property::Tolerance {
+                source,
+                destination,
+                r,
+            } => {
+                let sampling = SamplingBudget::new((2 * r.max(1)).min(cap), trials / 8);
+                let found =
+                    is_r_tolerant_sampled(g, pattern, source, destination, r, sampling, &mut rng);
+                (sampling.draws(), found.err())
+            }
+        }))
+        .map_err(|payload| WorkerPanicked {
+            position: 0,
+            failures: None,
+            message: crate::sweep::panic_message(payload),
+        })?;
+        if let Some(ce) = found {
+            return Ok(Verdict::Refuted(ce));
         }
+        sampled_trials = draws as u64;
     }
+    Ok(Verdict::Indeterminate(Progress {
+        masks_examined,
+        weight_reached,
+        elapsed: budget.elapsed(),
+        stopped_by: cause,
+        sampled_trials,
+    }))
 }
 
-/// Checks perfect resilience exhaustively: for **every** failure set `F` and
-/// every ordered pair `(s, t)` that stays connected in `G \ F`, the packet
-/// must be delivered.
-///
-/// Returns `Ok(())` or the first counterexample found (in the canonical
-/// `(Gray-enumerated failure mask, source, destination)` order — see
-/// [`crate::failure::GrayMasks`] — deterministic regardless of how many
-/// worker threads the sweep uses).
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`EXHAUSTIVE_EDGE_LIMIT`] links — use
-/// [`sampled_resilience_violation`] for larger networks.
-pub fn is_perfectly_resilient<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-) -> Result<(), Counterexample> {
-    assert!(
-        g.edge_count() <= EXHAUSTIVE_EDGE_LIMIT,
-        "exhaustive perfect-resilience check limited to {EXHAUSTIVE_EDGE_LIMIT} links"
-    );
-    sweep_routing(g, pattern, None, None)
-}
-
-/// Checks perfect resilience for a **fixed destination** `t` exhaustively
-/// (every failure set, every source still connected to `t`).
-pub fn is_perfectly_resilient_for_destination<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    t: Node,
-) -> Result<(), Counterexample> {
-    assert!(
-        g.edge_count() <= EXHAUSTIVE_EDGE_LIMIT,
-        "exhaustive perfect-resilience check limited to {EXHAUSTIVE_EDGE_LIMIT} links"
-    );
-    sweep_routing(g, pattern, None, Some(t))
-}
-
-/// Checks `r`-resilience exhaustively: delivery is only required for failure
-/// sets with at most `r` failed links (and connected `(s, t)` pairs).
-///
-/// The outer `Result` reports whether the graph fits the sweep at all
-/// (`Err(EdgeLimitExceeded)` above [`BOUNDED_EDGE_LIMIT`] links — callers
-/// degrade to sampling instead of aborting); the inner one carries the
-/// verdict.
-pub fn check_bounded_r_resilience<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    r: usize,
-) -> Result<Result<(), Counterexample>, EdgeLimitExceeded> {
-    check_edge_limit(g, BOUNDED_EDGE_LIMIT)?;
-    Ok(sweep_routing(g, pattern, Some(r), None))
-}
-
-/// Panicking wrapper over [`check_bounded_r_resilience`], kept for the
-/// historical call sites.
-///
-/// Failure sets flow through the sweep as width-generic masks
-/// ([`crate::mask::MaskRef`] views over one `u64` word per 64 links); the
-/// returned [`Counterexample`] materializes the violating set as a
-/// [`FailureSet`], which round-trips back to mask form via
-/// [`FailureSet::from_mask`] / [`crate::mask::MaskBuf`] over the graph's
-/// ascending [`Graph::edges`] order.
-///
-/// ```
-/// use frr_graph::{generators, Node};
-/// use frr_routing::resilience::is_r_resilient;
-/// use frr_routing::pattern::ShortestPathPattern;
-///
-/// let g = generators::cycle(6);
-/// let p = ShortestPathPattern::new(&g);
-/// assert!(is_r_resilient(&g, &p, 1).is_ok());
-/// ```
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`BOUNDED_EDGE_LIMIT`] links — use
-/// [`check_bounded_r_resilience`] (graceful `Err`) or
-/// [`check_bounded_r_resilience_with_budget`] (sampling degrade) instead.
-pub fn is_r_resilient<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    r: usize,
-) -> Result<(), Counterexample> {
-    check_bounded_r_resilience(g, pattern, r).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Checks `r`-tolerance (Definition 1) exhaustively for a fixed `(s, t)` pair:
-/// delivery is required for every failure set under which `s` and `t` remain
-/// `r`-connected (have `r` link-disjoint surviving paths).
-///
-/// The outer `Result` reports whether the graph fits the exhaustive sweep at
-/// all (`Err(EdgeLimitExceeded)` above [`EXHAUSTIVE_EDGE_LIMIT`] links —
-/// callers print a skip or degrade to [`is_r_tolerant_sampled`] instead of
-/// aborting); the inner one carries the verdict.
-pub fn check_r_tolerance<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    s: Node,
-    t: Node,
-    r: usize,
-) -> Result<Result<(), Counterexample>, EdgeLimitExceeded> {
-    check_edge_limit(g, EXHAUSTIVE_EDGE_LIMIT)?;
-    let compiled = pattern.compile(g);
-    let compiled = compiled.as_ref();
-    let found = sweep_find_first(g, None, |engine: &mut SweepEngine<'_>| {
-        tolerance_violation(engine, compiled, pattern, s, t, r)
-    });
-    Ok(match found {
-        Some(ce) => Err(ce),
-        None => Ok(()),
-    })
-}
-
-/// The `r`-tolerance probe of one failure mask: the counterexample if `s`
-/// and `t` stay `r`-connected in `G \ F` (the promise) yet the packet is not
-/// delivered.
-///
-/// The checks run cheapest first.  With `r ≥ 1` a pair split by `F` fails
-/// the promise, which the component decomposition answers in O(1).  The
-/// packet is routed next, and the max-flow promise is computed only for an
-/// undelivered packet: the violation set is still promise ∧ ¬delivered.
-fn tolerance_violation<P: ForwardingPattern + ?Sized>(
-    engine: &mut SweepEngine<'_>,
-    compiled: Option<&CompiledPattern>,
-    pattern: &P,
-    s: Node,
-    t: Node,
-    r: usize,
-) -> Option<Counterexample> {
-    if s == t || (r >= 1 && !engine.same_component(s, t)) {
-        return None;
-    }
-    let g = engine.graph();
-    let max_hops = state_space_bound(g);
-    let outcome = match compiled {
-        Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-        None => engine.route_outcome(pattern, s, t, max_hops),
-    };
-    let promise =
-        || r == 0 || st_edge_connectivity_filtered(g, s, t, |u, v| !engine.link_failed(u, v)) >= r;
-    (!outcome.is_delivered() && promise())
-        .then(|| replay_route(g, pattern, engine.current_failure_set(), s, t))
-}
-
-/// Panicking wrapper over [`check_r_tolerance`], kept for the historical
-/// call sites.
-///
-/// The returned [`Counterexample`] carries the violating failure set as a
-/// [`FailureSet`] (its mask form is recoverable via the graph's ascending
-/// [`Graph::edges`] order and a [`crate::mask::MaskBuf`]) plus the packet's
-/// replayed path.
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`EXHAUSTIVE_EDGE_LIMIT`] links — use
-/// [`is_r_tolerant_sampled`] (or [`is_r_tolerant_with_budget`], which
-/// degrades to sampling on its own) for larger networks.
-pub fn is_r_tolerant<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    s: Node,
-    t: Node,
-    r: usize,
-) -> Result<(), Counterexample> {
-    check_r_tolerance(g, pattern, s, t, r)
-        .unwrap_or_else(|e| panic!("exhaustive r-tolerance check: {e}"))
-}
-
-/// Sampling effort for the randomized resilience checkers: for every failure
-/// count `k` in `0..=max_failures`, draw `trials` random failure sets of size
-/// `k`.
+/// Sampling effort for [`is_r_tolerant_sampled`]: for every failure count
+/// `k` in `0..=max_failures`, draw `trials` random failure sets of size `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingBudget {
     /// Largest failure-set size to sample.
@@ -410,7 +514,7 @@ pub fn is_r_tolerant_sampled<P: CompilePattern + ?Sized, R: Rng>(
     rng: &mut R,
 ) -> Result<(), Counterexample> {
     let max_hops = state_space_bound(g);
-    let compiled = pattern.compile(g);
+    let compiled = compile_guarded(g, pattern);
     let mut sim = compiled.as_ref().map(CompiledSim::new);
     for k in 0..=budget.max_failures {
         for _ in 0..budget.trials {
@@ -439,123 +543,15 @@ pub fn is_r_tolerant_sampled<P: CompilePattern + ?Sized, R: Rng>(
     Ok(())
 }
 
-/// Shared sweep for the touring checkers, budget-aware.
-fn sweep_touring_budgeted<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    max_failures: Option<usize>,
-    mask_budget: Option<u64>,
-    stop: &StopSignal,
-) -> SweepReport<Counterexample> {
-    let max_hops = state_space_bound(g);
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
-    sweep_find_first_budgeted(
-        g,
-        max_failures,
-        mask_budget,
-        stop,
-        |engine: &mut SweepEngine<'_>| {
-            for start in g.nodes() {
-                let covered = match compiled {
-                    Some(cp) => engine.tour_covers_compiled(cp, start, max_hops),
-                    None => engine.tour_covers(pattern, start, max_hops),
-                };
-                if !covered {
-                    return Some(replay_tour(g, pattern, engine.current_failure_set(), start));
-                }
-            }
-            None
-        },
-    )
-}
-
-/// [`sweep_touring_budgeted`] under no budget, collapsed to the historical
-/// `Result`.
-fn sweep_touring<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    max_failures: Option<usize>,
-) -> Result<(), Counterexample> {
-    let report = sweep_touring_budgeted(g, pattern, max_failures, None, &StopSignal::none());
-    match report.end {
-        SweepEnd::Found(ce) => Err(ce),
-        SweepEnd::Exhausted => Ok(()),
-        SweepEnd::Stopped(cause) => unreachable!("unbudgeted sweep stopped: {cause}"),
-        SweepEnd::Panicked { position, message } => {
-            panic!("touring sweep worker panicked at enumeration position {position}: {message}")
-        }
-    }
-}
-
-/// Checks perfect touring resilience exhaustively: for every failure set and
-/// every start node, the walk must visit the start node's entire surviving
-/// component (§VII).
-pub fn is_perfectly_resilient_touring<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-) -> Result<(), Counterexample> {
-    assert!(
-        g.edge_count() <= EXHAUSTIVE_EDGE_LIMIT,
-        "exhaustive touring check limited to {EXHAUSTIVE_EDGE_LIMIT} links"
-    );
-    sweep_touring(g, pattern, None)
-}
-
-/// Checks `k`-resilient touring: coverage is only required for failure sets
-/// with at most `k` failed links.
-///
-/// The outer `Result` reports whether the graph fits the sweep at all
-/// (`Err(EdgeLimitExceeded)` above [`BOUNDED_EDGE_LIMIT`] links); the inner
-/// one carries the verdict.
-pub fn check_bounded_touring_resilience<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    k: usize,
-) -> Result<Result<(), Counterexample>, EdgeLimitExceeded> {
-    check_edge_limit(g, BOUNDED_EDGE_LIMIT)?;
-    Ok(sweep_touring(g, pattern, Some(k)))
-}
-
-/// Panicking wrapper over [`check_bounded_touring_resilience`], kept for the
-/// historical call sites.
-///
-/// As with the routing checkers, the sweep's failure sets are width-generic
-/// masks ([`crate::mask::MaskRef`] / [`crate::mask::MaskBuf`], one `u64`
-/// word per 64 links), and the returned [`Counterexample`] materializes the
-/// violating set as a [`FailureSet`] with the failing tour's walk attached.
-///
-/// ```
-/// use frr_graph::generators;
-/// use frr_routing::pattern::RotorPattern;
-/// use frr_routing::resilience::is_k_resilient_touring;
-///
-/// let star = generators::star(4);
-/// let p = RotorPattern::clockwise(&star);
-/// assert!(is_k_resilient_touring(&star, &p, 2).is_ok());
-/// ```
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`BOUNDED_EDGE_LIMIT`] links — use
-/// [`check_bounded_touring_resilience`] (graceful `Err`) or
-/// [`check_bounded_touring_resilience_with_budget`] (sampling degrade)
-/// instead.
-pub fn is_k_resilient_touring<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    k: usize,
-) -> Result<(), Counterexample> {
-    check_bounded_touring_resilience(g, pattern, k).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Randomly samples failure scenarios on a (possibly large) graph and returns
-/// the first violation of perfect resilience found, if any.
-pub fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
+/// Randomly samples failure scenarios and `(s, t)` pairs (with `t` pinned to
+/// `destination` when given) and returns the first violation of resilience
+/// found, if any — [`check`]'s fallback for [`Property::Routing`].
+fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
     g: &Graph,
     pattern: &P,
     trials: usize,
     max_failures: usize,
+    destination: Option<Node>,
     rng: &mut R,
 ) -> Option<Counterexample> {
     let max_hops = state_space_bound(g);
@@ -563,13 +559,13 @@ pub fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
     if nodes.len() < 2 {
         return None;
     }
-    let compiled = pattern.compile(g);
+    let compiled = compile_guarded(g, pattern);
     let mut sim = compiled.as_ref().map(CompiledSim::new);
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
         let failures = random_failure_set(g, k, rng);
         let s = nodes[rng.gen_range(0..nodes.len())];
-        let t = nodes[rng.gen_range(0..nodes.len())];
+        let t = destination.unwrap_or_else(|| nodes[rng.gen_range(0..nodes.len())]);
         if s == t || !failures.keeps_connected(g, s, t) {
             continue;
         }
@@ -594,8 +590,7 @@ pub fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
 }
 
 /// Randomly samples failure scenarios and start nodes on a (possibly large)
-/// graph and returns the first violation of touring resilience found — the
-/// touring twin of [`sampled_resilience_violation`].
+/// graph and returns the first violation of touring resilience found.
 pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
     g: &Graph,
     pattern: &P,
@@ -608,7 +603,7 @@ pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
     if nodes.is_empty() {
         return None;
     }
-    let compiled = pattern.compile(g);
+    let compiled = compile_guarded(g, pattern);
     let mut sim = compiled.as_ref().map(CompiledSim::new);
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
@@ -634,335 +629,6 @@ pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
     None
 }
 
-/// Trials the graceful sampling fallback spends after a budgeted exhaustive
-/// sweep stops early (per [`StopCause::Deadline`] / [`StopCause::WorkBudget`]
-/// stop, and for [`StopCause::EdgeLimit`] oversize graphs).
-pub const FALLBACK_SAMPLING_TRIALS: usize = 256;
-
-/// Seed of the fallback sampler — fixed, so budgeted runs that degrade to
-/// sampling stay reproducible run to run.
-const FALLBACK_SAMPLING_SEED: u64 = 0x5EED_FA11;
-
-/// Runs `f` with panic isolation, mapping a panic to a typed
-/// [`WorkerPanicked`] (position 0, no mask: sampler trials have no Gray
-/// enumeration position).
-fn guard_fallback<T>(f: impl FnOnce() -> T) -> Result<T, WorkerPanicked> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| WorkerPanicked {
-        position: 0,
-        failures: None,
-        message: crate::sweep::panic_message(payload),
-    })
-}
-
-/// Assembles the [`Verdict`] for a routing sweep that stopped early: degrade
-/// to the reproducible sampler on deadline/work-budget expiry (and for
-/// oversize graphs that never swept), report honest `Indeterminate` when the
-/// sampler finds nothing, and skip sampling entirely on explicit
-/// cancellation — a cancelled caller wants the run gone, not more work.
-fn routing_stop_verdict<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    sampler_max_failures: usize,
-    budget: &RunBudget,
-    masks_examined: u64,
-    weight_reached: usize,
-    cause: StopCause,
-) -> Result<Verdict, WorkerPanicked> {
-    let mut sampled_trials = 0u64;
-    if cause != StopCause::Cancelled {
-        let mut rng = StdRng::seed_from_u64(FALLBACK_SAMPLING_SEED);
-        sampled_trials = FALLBACK_SAMPLING_TRIALS as u64;
-        let found = guard_fallback(|| {
-            sampled_resilience_violation(
-                g,
-                pattern,
-                FALLBACK_SAMPLING_TRIALS,
-                sampler_max_failures,
-                &mut rng,
-            )
-        })?;
-        if let Some(ce) = found {
-            return Ok(Verdict::Refuted(ce));
-        }
-    }
-    Ok(Verdict::Indeterminate(Progress {
-        masks_examined,
-        weight_reached,
-        elapsed: budget.elapsed(),
-        stopped_by: cause,
-        sampled_trials,
-    }))
-}
-
-/// The touring twin of [`routing_stop_verdict`], degrading to
-/// [`sampled_touring_violation`].
-fn touring_stop_verdict<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    sampler_max_failures: usize,
-    budget: &RunBudget,
-    masks_examined: u64,
-    weight_reached: usize,
-    cause: StopCause,
-) -> Result<Verdict, WorkerPanicked> {
-    let mut sampled_trials = 0u64;
-    if cause != StopCause::Cancelled {
-        let mut rng = StdRng::seed_from_u64(FALLBACK_SAMPLING_SEED);
-        sampled_trials = FALLBACK_SAMPLING_TRIALS as u64;
-        let found = guard_fallback(|| {
-            sampled_touring_violation(
-                g,
-                pattern,
-                FALLBACK_SAMPLING_TRIALS,
-                sampler_max_failures,
-                &mut rng,
-            )
-        })?;
-        if let Some(ce) = found {
-            return Ok(Verdict::Refuted(ce));
-        }
-    }
-    Ok(Verdict::Indeterminate(Progress {
-        masks_examined,
-        weight_reached,
-        elapsed: budget.elapsed(),
-        stopped_by: cause,
-        sampled_trials,
-    }))
-}
-
-/// Collapses a budgeted routing sweep report into the typed [`Verdict`],
-/// reconstructing the offending mask of a panicked probe.
-fn finish_routing_report<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    cap: Option<usize>,
-    sampler_max_failures: usize,
-    budget: &RunBudget,
-    report: SweepReport<Counterexample>,
-) -> Result<Verdict, WorkerPanicked> {
-    match report.end {
-        SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),
-        SweepEnd::Exhausted => Ok(Verdict::Proven),
-        SweepEnd::Panicked { position, message } => Err(WorkerPanicked {
-            position,
-            failures: failure_set_at(g, cap, position),
-            message,
-        }),
-        SweepEnd::Stopped(cause) => routing_stop_verdict(
-            g,
-            pattern,
-            sampler_max_failures,
-            budget,
-            report.masks_examined,
-            report.max_weight,
-            cause,
-        ),
-    }
-}
-
-/// The touring twin of [`finish_routing_report`].
-fn finish_touring_report<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    cap: Option<usize>,
-    sampler_max_failures: usize,
-    budget: &RunBudget,
-    report: SweepReport<Counterexample>,
-) -> Result<Verdict, WorkerPanicked> {
-    match report.end {
-        SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),
-        SweepEnd::Exhausted => Ok(Verdict::Proven),
-        SweepEnd::Panicked { position, message } => Err(WorkerPanicked {
-            position,
-            failures: failure_set_at(g, cap, position),
-            message,
-        }),
-        SweepEnd::Stopped(cause) => touring_stop_verdict(
-            g,
-            pattern,
-            sampler_max_failures,
-            budget,
-            report.masks_examined,
-            report.max_weight,
-            cause,
-        ),
-    }
-}
-
-/// Budgeted [`is_perfectly_resilient`]: the exhaustive perfect-resilience
-/// sweep under a [`RunBudget`].
-///
-/// * Under [`RunBudget::unlimited`] the sweep is the exact unbudgeted code
-///   path: `Proven` / `Refuted` correspond byte-for-byte to the historical
-///   `Ok` / `Err` results (same canonical first counterexample at any
-///   thread count).
-/// * A deadline or work-budget stop degrades to the reproducible
-///   [`sampled_resilience_violation`] sampler; if it finds nothing the
-///   verdict is an honest [`Verdict::Indeterminate`] with progress.
-/// * Oversize graphs (beyond [`EXHAUSTIVE_EDGE_LIMIT`]) never panic here:
-///   they go straight to the sampler with [`StopCause::EdgeLimit`].
-/// * A probe panic (a misbehaving pattern, a tripped debug assertion)
-///   surfaces as `Err(WorkerPanicked)` with the offending mask.
-pub fn is_perfectly_resilient_with_budget<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    budget: &RunBudget,
-) -> Result<Verdict, WorkerPanicked> {
-    if g.edge_count() > EXHAUSTIVE_EDGE_LIMIT {
-        return routing_stop_verdict(
-            g,
-            pattern,
-            g.edge_count(),
-            budget,
-            0,
-            0,
-            StopCause::EdgeLimit,
-        );
-    }
-    let report = sweep_routing_budgeted(
-        g,
-        pattern,
-        None,
-        None,
-        budget.work_limit(),
-        &budget.stop_signal(),
-    );
-    finish_routing_report(g, pattern, None, g.edge_count(), budget, report)
-}
-
-/// Budgeted [`check_bounded_r_resilience`]: `r`-bounded resilience under a
-/// [`RunBudget`], with the same degrade ladder as
-/// [`is_perfectly_resilient_with_budget`] (sampler capped at `r` failures;
-/// oversize graphs beyond [`BOUNDED_EDGE_LIMIT`] sample with
-/// [`StopCause::EdgeLimit`] instead of returning an error).
-pub fn check_bounded_r_resilience_with_budget<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    r: usize,
-    budget: &RunBudget,
-) -> Result<Verdict, WorkerPanicked> {
-    if g.edge_count() > BOUNDED_EDGE_LIMIT {
-        return routing_stop_verdict(g, pattern, r, budget, 0, 0, StopCause::EdgeLimit);
-    }
-    let report = sweep_routing_budgeted(
-        g,
-        pattern,
-        Some(r),
-        None,
-        budget.work_limit(),
-        &budget.stop_signal(),
-    );
-    finish_routing_report(g, pattern, Some(r), r, budget, report)
-}
-
-/// Budgeted [`is_perfectly_resilient_touring`]: the exhaustive touring sweep
-/// under a [`RunBudget`], degrading to [`sampled_touring_violation`].
-pub fn is_perfectly_resilient_touring_with_budget<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    budget: &RunBudget,
-) -> Result<Verdict, WorkerPanicked> {
-    if g.edge_count() > EXHAUSTIVE_EDGE_LIMIT {
-        return touring_stop_verdict(
-            g,
-            pattern,
-            g.edge_count(),
-            budget,
-            0,
-            0,
-            StopCause::EdgeLimit,
-        );
-    }
-    let report =
-        sweep_touring_budgeted(g, pattern, None, budget.work_limit(), &budget.stop_signal());
-    finish_touring_report(g, pattern, None, g.edge_count(), budget, report)
-}
-
-/// Budgeted [`check_bounded_touring_resilience`]: `k`-bounded touring under
-/// a [`RunBudget`].
-pub fn check_bounded_touring_resilience_with_budget<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    k: usize,
-    budget: &RunBudget,
-) -> Result<Verdict, WorkerPanicked> {
-    if g.edge_count() > BOUNDED_EDGE_LIMIT {
-        return touring_stop_verdict(g, pattern, k, budget, 0, 0, StopCause::EdgeLimit);
-    }
-    let report = sweep_touring_budgeted(
-        g,
-        pattern,
-        Some(k),
-        budget.work_limit(),
-        &budget.stop_signal(),
-    );
-    finish_touring_report(g, pattern, Some(k), k, budget, report)
-}
-
-/// Budgeted [`check_r_tolerance`]: `r`-tolerance for a fixed `(s, t)` pair
-/// under a [`RunBudget`], degrading to [`is_r_tolerant_sampled`] (with a
-/// fixed seed, so degraded runs stay reproducible).
-pub fn is_r_tolerant_with_budget<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    s: Node,
-    t: Node,
-    r: usize,
-    budget: &RunBudget,
-) -> Result<Verdict, WorkerPanicked> {
-    let tolerance_fallback = |masks_examined: u64,
-                              weight_reached: usize,
-                              cause: StopCause|
-     -> Result<Verdict, WorkerPanicked> {
-        let mut sampled_trials = 0u64;
-        if cause != StopCause::Cancelled {
-            let sampling = SamplingBudget::new(
-                (2 * r.max(1)).min(g.edge_count()),
-                FALLBACK_SAMPLING_TRIALS / 8,
-            );
-            sampled_trials = sampling.draws() as u64;
-            let mut rng = StdRng::seed_from_u64(FALLBACK_SAMPLING_SEED);
-            let found =
-                guard_fallback(|| is_r_tolerant_sampled(g, pattern, s, t, r, sampling, &mut rng))?;
-            if let Err(ce) = found {
-                return Ok(Verdict::Refuted(ce));
-            }
-        }
-        Ok(Verdict::Indeterminate(Progress {
-            masks_examined,
-            weight_reached,
-            elapsed: budget.elapsed(),
-            stopped_by: cause,
-            sampled_trials,
-        }))
-    };
-    if g.edge_count() > EXHAUSTIVE_EDGE_LIMIT {
-        return tolerance_fallback(0, 0, StopCause::EdgeLimit);
-    }
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
-    let report = sweep_find_first_budgeted(
-        g,
-        None,
-        budget.work_limit(),
-        &budget.stop_signal(),
-        |engine: &mut SweepEngine<'_>| tolerance_violation(engine, compiled, pattern, s, t, r),
-    );
-    match report.end {
-        SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),
-        SweepEnd::Exhausted => Ok(Verdict::Proven),
-        SweepEnd::Panicked { position, message } => Err(WorkerPanicked {
-            position,
-            failures: failure_set_at(g, None, position),
-            message,
-        }),
-        SweepEnd::Stopped(cause) => {
-            tolerance_fallback(report.masks_examined, report.max_weight, cause)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,13 +637,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn unlimited<P: CompilePattern + ?Sized>(g: &Graph, p: &P, property: Property) -> Verdict {
+        check(g, p, property, &RunBudget::unlimited()).expect("no probe panics")
+    }
+
     #[test]
     fn rotor_with_shortcut_is_perfectly_resilient_on_a_cycle() {
         // On a ring, sweeping around (right-hand rule) is perfectly resilient.
         let g = generators::cycle(5);
         let p = RotorPattern::clockwise_with_shortcut(&g);
-        assert!(is_perfectly_resilient(&g, &p).is_ok());
-        assert!(is_perfectly_resilient_for_destination(&g, &p, Node(2)).is_ok());
+        assert!(unlimited(&g, &p, Property::PERFECT).is_proven());
+        let pinned = Property::Routing {
+            max_failures: None,
+            destination: Some(Node(2)),
+        };
+        assert!(unlimited(&g, &p, pinned).is_proven());
     }
 
     #[test]
@@ -986,14 +660,15 @@ mod tests {
         // on denser graphs; the checker must produce a concrete counterexample.
         let g = generators::complete(4);
         let p = ShortestPathPattern::new(&g);
-        match is_perfectly_resilient(&g, &p) {
-            Ok(()) => { /* if it happens to survive K4 that is fine too */ }
-            Err(ce) => {
+        match unlimited(&g, &p, Property::PERFECT) {
+            Verdict::Proven => { /* if it happens to survive K4 that is fine too */ }
+            Verdict::Refuted(ce) => {
                 // Replay the counterexample and confirm it really fails.
                 let r = route(&g, &ce.failures, &p, ce.source, ce.destination, 1000);
                 assert!(!r.outcome.is_delivered());
                 assert!(ce.failures.keeps_connected(&g, ce.source, ce.destination));
             }
+            v => panic!("an unlimited in-limit check decides: {v}"),
         }
     }
 
@@ -1019,15 +694,15 @@ mod tests {
             }
             None
         });
-        match (is_perfectly_resilient(&g, &p), reference) {
-            (Err(ce), Some((failures, s, t, outcome, path))) => {
+        match (unlimited(&g, &p, Property::PERFECT), reference) {
+            (Verdict::Refuted(ce), Some((failures, s, t, outcome, path))) => {
                 assert_eq!(ce.failures, failures);
                 assert_eq!(ce.source, s);
                 assert_eq!(ce.destination, t);
                 assert_eq!(ce.outcome, outcome);
                 assert_eq!(ce.path, path);
             }
-            (Ok(()), None) => {}
+            (Verdict::Proven, None) => {}
             (checker, reference) => panic!(
                 "checker and reference disagree: {checker:?} vs reference-found={}",
                 reference.is_some()
@@ -1040,7 +715,7 @@ mod tests {
         let g = generators::cycle(6);
         let p = ShortestPathPattern::new(&g);
         // With at most one failure on a ring, shortest path + sweep delivers.
-        assert!(is_r_resilient(&g, &p, 1).is_ok());
+        assert_eq!(check_bounded_r_resilience(&g, &p, 1), Ok(Ok(())));
     }
 
     #[test]
@@ -1049,7 +724,12 @@ mod tests {
         let p = ShortestPathPattern::new(&g);
         // 4-tolerance on K5: the only failure sets keeping s,t 4-connected
         // leave the graph (almost) intact, so the check passes.
-        assert!(is_r_tolerant(&g, &p, Node(0), Node(4), 4).is_ok());
+        let property = Property::Tolerance {
+            source: Node(0),
+            destination: Node(4),
+            r: 4,
+        };
+        assert!(unlimited(&g, &p, property).is_proven());
     }
 
     #[test]
@@ -1073,11 +753,12 @@ mod tests {
     fn touring_check_on_cycle_and_star() {
         let c = generators::cycle(5);
         let p = RotorPattern::clockwise(&c);
-        assert!(is_perfectly_resilient_touring(&c, &p).is_ok());
+        assert!(unlimited(&c, &p, Property::PERFECT_TOURING).is_proven());
         let s = generators::star(4);
         let p = RotorPattern::clockwise(&s);
-        assert!(is_perfectly_resilient_touring(&s, &p).is_ok());
-        assert!(is_k_resilient_touring(&s, &p, 2).is_ok());
+        assert!(unlimited(&s, &p, Property::PERFECT_TOURING).is_proven());
+        let two = Property::bounded_touring(2);
+        assert!(unlimited(&s, &p, two).is_proven());
     }
 
     #[test]
@@ -1086,7 +767,8 @@ mod tests {
         // In particular the ascending rotor must fail, with a counterexample.
         let g = generators::complete(4);
         let p = RotorPattern::clockwise(&g);
-        let err = is_perfectly_resilient_touring(&g, &p).unwrap_err();
+        let verdict = unlimited(&g, &p, Property::PERFECT_TOURING);
+        let err = verdict.counterexample().expect("K4 defeats the rotor");
         // Replay: the tour must indeed miss part of the component.
         let t = tour(&g, &err.failures, &p, err.source, 1000);
         assert!(!t.covered_component);
@@ -1097,7 +779,7 @@ mod tests {
         let g = generators::cycle(7);
         let p = RotorPattern::clockwise_with_shortcut(&g);
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(sampled_resilience_violation(&g, &p, 200, 3, &mut rng).is_none());
+        assert!(sampled_resilience_violation(&g, &p, 200, 3, None, &mut rng).is_none());
     }
 
     #[test]
@@ -1114,7 +796,7 @@ mod tests {
             }
         });
         let mut rng = StdRng::seed_from_u64(1);
-        let ce = sampled_resilience_violation(&g, &p, 500, 2, &mut rng)
+        let ce = sampled_resilience_violation(&g, &p, 500, 2, None, &mut rng)
             .expect("the dropping pattern must be caught");
         assert!(ce.failures.keeps_connected(&g, ce.source, ce.destination));
     }

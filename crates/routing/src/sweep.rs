@@ -1219,7 +1219,14 @@ where
     T: Send,
     F: Fn(&mut SweepEngine<'_>) -> Option<T> + Sync,
 {
-    sweep_find_first_limited(g, max_failures, None, check)
+    match sweep_find_first_budgeted(g, max_failures, None, &StopSignal::none(), check).end {
+        SweepEnd::Found(t) => Some(t),
+        SweepEnd::Exhausted => None,
+        SweepEnd::Stopped(cause) => unreachable!("unbudgeted sweep stopped: {cause}"),
+        SweepEnd::Panicked { position, message } => {
+            panic!("sweep worker panicked at enumeration position {position}: {message}")
+        }
+    }
 }
 
 /// How a budgeted sweep ended.
@@ -1271,46 +1278,21 @@ pub fn failure_set_at(g: &Graph, max_failures: Option<usize>, position: u64) -> 
     Some(FailureSet::from_mask(&g.edges(), masks.current()))
 }
 
-/// [`sweep_find_first`] with an optional budget on the number of enumerated
-/// masks: only the first `mask_budget` masks (in Gray enumeration order, so
-/// smallest failure sets first) are examined.  Used by the budgeted
-/// brute-force adversary.  A `check` panic is re-raised on the calling
-/// thread; deadline-aware callers want [`sweep_find_first_budgeted`].
-pub fn sweep_find_first_limited<T, F>(
-    g: &Graph,
-    max_failures: Option<usize>,
-    mask_budget: Option<u64>,
-    check: F,
-) -> Option<T>
-where
-    T: Send,
-    F: Fn(&mut SweepEngine<'_>) -> Option<T> + Sync,
-{
-    let report =
-        sweep_find_first_budgeted(g, max_failures, mask_budget, &StopSignal::none(), check);
-    match report.end {
-        SweepEnd::Found(t) => Some(t),
-        SweepEnd::Exhausted | SweepEnd::Stopped(_) => None,
-        SweepEnd::Panicked { position, message } => {
-            panic!("sweep worker panicked at enumeration position {position}: {message}")
-        }
-    }
-}
-
-/// The fully controlled sweep: [`sweep_find_first_limited`]'s enumeration
-/// plus cooperative stopping and panic isolation, reporting *how* the sweep
+/// The fully controlled sweep: [`sweep_find_first`]'s enumeration plus an
+/// optional budget on the number of enumerated masks (only the first
+/// `mask_budget` masks in Gray order, so smallest failure sets first),
+/// cooperative stopping and panic isolation, reporting *how* the sweep
 /// ended and how far it got instead of a bare `Option`.
 ///
 /// * `stop` is polled at the sharded search's poll cadence (about every
-///   [`POLL_WORK_PAIRS`] pairs of probe work, at least once per mask); an
+///   `POLL_WORK_PAIRS` pairs of probe work, at least once per mask); an
 ///   idle signal is checked once and adds nothing to the hot loop, so
-///   unbudgeted callers get byte-identical results to
-///   [`sweep_find_first_limited`].
+///   unbudgeted callers get byte-identical results to [`sweep_find_first`].
 /// * A `check` panic surfaces as [`SweepEnd::Panicked`] with the earliest
 ///   panicking position (deterministic merge, same rule as hits) while
 ///   sibling shards abort early.
-/// * `masks_examined` / `max_weight` feed the `Progress` reports of the
-///   `*_with_budget` checkers in [`crate::resilience`].
+/// * `masks_examined` / `max_weight` feed the `Progress` report of
+///   [`crate::resilience::check`].
 pub fn sweep_find_first_budgeted<T, F>(
     g: &Graph,
     max_failures: Option<usize>,
@@ -1707,13 +1689,14 @@ mod tests {
         use std::sync::Mutex;
         let g = generators::complete(5); // m = 10
         let seen = Mutex::new(Vec::new());
-        let none: Option<u64> = sweep_find_first_limited(&g, Some(2), None, |engine| {
-            seen.lock()
-                .unwrap()
-                .push(engine.current_mask().as_u64().unwrap());
-            None
-        });
-        assert_eq!(none, None);
+        let report: SweepReport<()> =
+            sweep_find_first_budgeted(&g, Some(2), None, &StopSignal::none(), |engine| {
+                seen.lock()
+                    .unwrap()
+                    .push(engine.current_mask().as_u64().unwrap());
+                None
+            });
+        assert_eq!(report.end, SweepEnd::Exhausted);
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         let mut expected: Vec<u64> = FailureMasks::with_max_failures(10, Some(2)).collect();
@@ -1725,13 +1708,15 @@ mod tests {
         );
         // A budget of b examines exactly the first b Gray-enumerated masks.
         let seen = Mutex::new(Vec::new());
-        let none: Option<u64> = sweep_find_first_limited(&g, Some(2), Some(7), |engine| {
-            seen.lock()
-                .unwrap()
-                .push(engine.current_mask().as_u64().unwrap());
-            None
-        });
-        assert_eq!(none, None);
+        let report: SweepReport<()> =
+            sweep_find_first_budgeted(&g, Some(2), Some(7), &StopSignal::none(), |engine| {
+                seen.lock()
+                    .unwrap()
+                    .push(engine.current_mask().as_u64().unwrap());
+                None
+            });
+        assert_eq!(report.end, SweepEnd::Stopped(StopCause::WorkBudget));
+        assert_eq!(report.masks_examined, 7);
         let mut seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 7);
         seen.sort_unstable();

@@ -14,13 +14,11 @@ use frr_routing::budget::{CancelToken, RunBudget, StopCause, Verdict};
 use frr_routing::hostile::{
     FailedLinkForwarder, NoCompile, NonNeighborForwarder, NondeterministicPattern, PanicPattern,
 };
-use frr_routing::pattern::RotorPattern;
+use frr_routing::model::RoutingModel;
+use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern};
 use frr_routing::resilience::{
-    check_bounded_r_resilience, check_bounded_r_resilience_with_budget, is_perfectly_resilient,
-    is_perfectly_resilient_touring_with_budget, is_perfectly_resilient_with_budget,
-    is_r_tolerant_with_budget,
+    check, check_bounded_r_resilience, check_bounded_r_resilience_with_budget, Property,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -30,9 +28,13 @@ use std::time::{Duration, Instant};
 #[test]
 fn failed_link_forwarder_is_refuted_not_proven() {
     let g = generators::cycle(6);
-    let verdict =
-        is_perfectly_resilient_with_budget(&g, &FailedLinkForwarder, &RunBudget::unlimited())
-            .expect("no panic involved");
+    let verdict = check(
+        &g,
+        &FailedLinkForwarder,
+        Property::PERFECT,
+        &RunBudget::unlimited(),
+    )
+    .expect("no panic involved");
     // The pattern misroutes into dead links the moment anything fails (and
     // bounces on its first neighbor even without them); the sweep must find
     // a failing scenario, not claim resilience.
@@ -43,9 +45,13 @@ fn failed_link_forwarder_is_refuted_not_proven() {
 #[test]
 fn non_neighbor_forwarder_is_refuted_not_proven() {
     let g = generators::cycle(6);
-    let verdict =
-        is_perfectly_resilient_with_budget(&g, &NonNeighborForwarder, &RunBudget::unlimited())
-            .expect("no panic involved");
+    let verdict = check(
+        &g,
+        &NonNeighborForwarder,
+        Property::PERFECT,
+        &RunBudget::unlimited(),
+    )
+    .expect("no panic involved");
     assert!(verdict.is_refuted(), "got {verdict:?}");
 }
 
@@ -57,8 +63,8 @@ fn nondeterministic_pattern_terminates_with_a_typed_verdict() {
     let g = generators::complete(4);
     let pattern = NondeterministicPattern::new();
     let started = Instant::now();
-    let verdict = is_perfectly_resilient_with_budget(&g, &pattern, &RunBudget::unlimited())
-        .expect("no panic involved");
+    let verdict =
+        check(&g, &pattern, Property::PERFECT, &RunBudget::unlimited()).expect("no panic involved");
     assert!(
         verdict.is_proven() || verdict.is_refuted(),
         "unlimited run must settle: {verdict:?}"
@@ -72,17 +78,19 @@ fn touring_checker_survives_hostile_patterns() {
     for (name, verdict) in [
         (
             "failed-link",
-            is_perfectly_resilient_touring_with_budget(
+            check(
                 &g,
                 &FailedLinkForwarder,
+                Property::PERFECT_TOURING,
                 &RunBudget::unlimited(),
             ),
         ),
         (
             "non-neighbor",
-            is_perfectly_resilient_touring_with_budget(
+            check(
                 &g,
                 &NonNeighborForwarder,
+                Property::PERFECT_TOURING,
                 &RunBudget::unlimited(),
             ),
         ),
@@ -102,8 +110,13 @@ fn touring_checker_survives_hostile_patterns() {
 #[test]
 fn panicking_pattern_yields_typed_worker_panicked_with_the_mask() {
     let g = generators::cycle(6);
-    let err = is_perfectly_resilient_with_budget(&g, &PanicPattern, &RunBudget::unlimited())
-        .expect_err("the pattern panics on any failure");
+    let err = check(
+        &g,
+        &PanicPattern,
+        Property::PERFECT,
+        &RunBudget::unlimited(),
+    )
+    .expect_err("the pattern panics on any failure");
     // The empty mask (position 0) routes fine; the panic fires on a later
     // mask, and the error names the offending failure set.
     assert!(err.position > 0, "empty-mask probe must pass: {err}");
@@ -120,25 +133,6 @@ fn panicking_pattern_yields_typed_worker_panicked_with_the_mask() {
 }
 
 #[test]
-fn legacy_api_still_panics_but_with_the_typed_message() {
-    let g = generators::cycle(6);
-    let panic = catch_unwind(AssertUnwindSafe(|| {
-        let _ = is_perfectly_resilient(&g, &PanicPattern);
-    }))
-    .expect_err("legacy API preserves the panicking contract");
-    let message = panic.downcast_ref::<String>().cloned().unwrap_or_else(|| {
-        panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .unwrap_or_default()
-    });
-    assert!(
-        message.contains("resilience sweep worker panicked at enumeration position"),
-        "got: {message}"
-    );
-}
-
-#[test]
 fn brute_force_adversary_reports_panics_as_typed_errors() {
     let g = generators::cycle(6);
     let adversary = BruteForceAdversary::default();
@@ -147,7 +141,7 @@ fn brute_force_adversary_reports_panics_as_typed_errors() {
         .expect_err("the pattern panics mid-search");
     assert!(err.failures.is_some());
     assert!(err.message.contains("hostile pattern panic"));
-    // The legacy entry point must still find counterexamples for honest
+    // The unbudgeted entry point must still find counterexamples for honest
     // hostile patterns (no panic, just misbehavior).
     assert!(adversary
         .find_counterexample(&g, &FailedLinkForwarder)
@@ -258,15 +252,13 @@ fn r_tolerance_with_budget_survives_a_panicking_pattern() {
     // probe actually routes (a cycle would fail the promise check first and
     // never wake the pattern).
     let g = generators::complete(5);
-    let err = is_r_tolerant_with_budget(
-        &g,
-        &PanicPattern,
-        Node(0),
-        Node(3),
-        1,
-        &RunBudget::unlimited(),
-    )
-    .expect_err("the pattern panics once a failure is incident to the route");
+    let property = Property::Tolerance {
+        source: Node(0),
+        destination: Node(3),
+        r: 1,
+    };
+    let err = check(&g, &PanicPattern, property, &RunBudget::unlimited())
+        .expect_err("the pattern panics once a failure is incident to the route");
     assert!(
         err.message.contains("hostile pattern panic"),
         "got: {}",
@@ -275,14 +267,14 @@ fn r_tolerance_with_budget_survives_a_panicking_pattern() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential pins: unlimited budgets are byte-identical to the legacy API.
+// Differential pins: the benchmark's two wrappers agree byte for byte.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn unlimited_budget_matches_legacy_results_at_multiple_thread_counts() {
     // Small graph (sequential sweep path) and a bounded sweep large enough
-    // to engage the parallel sharded path: the budgeted API with no limits
-    // must reproduce the legacy results byte for byte.
+    // to engage the parallel sharded path: the `Result`-shaped wrapper and
+    // the budgeted one under no limits must agree byte for byte.
     for (g, r) in [
         (generators::cycle(6), 2usize),
         (generators::cycle(40), 2),
@@ -319,15 +311,17 @@ fn unlimited_budget_matches_legacy_results_at_multiple_thread_counts() {
 #[test]
 fn compile_refusal_falls_back_to_the_interpreted_path_with_identical_results() {
     let g = generators::cycle(6);
-    let compiled_run = is_perfectly_resilient_with_budget(
+    let compiled_run = check(
         &g,
         &RotorPattern::clockwise(&g),
+        Property::PERFECT,
         &RunBudget::unlimited(),
     )
     .expect("benign pattern");
-    let interpreted_run = is_perfectly_resilient_with_budget(
+    let interpreted_run = check(
         &g,
         &NoCompile(RotorPattern::clockwise(&g)),
+        Property::PERFECT,
         &RunBudget::unlimited(),
     )
     .expect("benign pattern");
@@ -357,4 +351,37 @@ fn work_budget_clips_the_sweep_honestly() {
         Verdict::Refuted(_) => {}
         Verdict::Proven => panic!("5 masks cannot prove a ~450-mask sweep"),
     }
+}
+
+#[test]
+fn pinned_destination_stays_pinned_under_a_clipped_budget() {
+    // The pattern fails only for packets to v3.  A pinned check towards v0
+    // that the work budget clips must degrade to a sampler that also stays
+    // pinned: it comes back Indeterminate, never with a v3 counterexample.
+    let g = generators::cycle(30);
+    let rotor = RotorPattern::clockwise_with_shortcut(&g);
+    let pattern = FnPattern::new(RoutingModel::DestinationOnly, "drop-to-v3", |ctx| {
+        (ctx.destination != Node(3))
+            .then(|| rotor.next_hop(ctx))
+            .flatten()
+    });
+    let budget = RunBudget::unlimited().with_work_budget(5);
+    let pinned = Property::Routing {
+        max_failures: Some(2),
+        destination: Some(Node(0)),
+    };
+    match check(&g, &pattern, pinned, &budget).expect("no panic involved") {
+        Verdict::Indeterminate(p) => {
+            assert_eq!(p.stopped_by, StopCause::WorkBudget);
+            assert!(p.sampled_trials > 0, "the sampler must have run: {p:?}");
+        }
+        other => panic!("a pinned check must not leave its destination: {other:?}"),
+    }
+    // Unpinned, the same budget does find the failing destination.
+    let unpinned = Property::bounded(2);
+    let verdict = check(&g, &pattern, unpinned, &budget).expect("no panic involved");
+    assert_eq!(
+        verdict.counterexample().map(|ce| ce.destination),
+        Some(Node(3))
+    );
 }

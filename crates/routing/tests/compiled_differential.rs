@@ -11,12 +11,15 @@
 
 use frr_graph::{generators, Graph, Node};
 use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
+use frr_routing::budget::RunBudget;
 use frr_routing::compiled::{tabulate, CompilePattern, CompiledPattern, CompiledSim};
 use frr_routing::failure::{failure_set_from_mask, FailureSet, GrayMasks};
 use frr_routing::hostile::{FailedLinkForwarder, NoCompile, NonNeighborForwarder};
 use frr_routing::model::{LocalContext, RoutingModel};
 use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
-use frr_routing::resilience::{check_bounded_r_resilience, sampled_touring_violation};
+use frr_routing::resilience::{
+    check, check_bounded_r_resilience, sampled_touring_violation, Property,
+};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::{sweep_find_first, SweepEngine};
 use rand::rngs::StdRng;
@@ -202,38 +205,23 @@ fn compiled_pattern_next_hop_agrees_as_forwarding_pattern() {
 fn checkers_produce_identical_counterexamples_with_and_without_compilation() {
     // The checkers compile internally; a wrapper that refuses compilation
     // forces the interpreted path, and the results must be byte-identical.
-    struct NoCompile<P>(P);
-    impl<P: ForwardingPattern> ForwardingPattern for NoCompile<P> {
-        fn model(&self) -> RoutingModel {
-            self.0.model()
-        }
-        fn next_hop(&self, ctx: &frr_routing::model::LocalContext<'_>) -> Option<frr_graph::Node> {
-            self.0.next_hop(ctx)
-        }
-        fn name(&self) -> std::borrow::Cow<'static, str> {
-            self.0.name()
-        }
-    }
-    impl<P: ForwardingPattern> CompilePattern for NoCompile<P> {
-        fn compile(&self, _g: &Graph) -> Option<CompiledPattern> {
-            None
-        }
-    }
-
+    let unlimited = RunBudget::unlimited();
     for g in random_graphs(4242, 6) {
         let p = ShortestPathPattern::new(&g);
         let uncompiled = NoCompile(ShortestPathPattern::new(&g));
         assert_eq!(
-            frr_routing::resilience::is_perfectly_resilient(&g, &p),
-            frr_routing::resilience::is_perfectly_resilient(&g, &uncompiled),
+            check(&g, &p, Property::PERFECT, &unlimited),
+            check(&g, &uncompiled, Property::PERFECT, &unlimited),
             "graph {g:?}"
         );
         let rotor = RotorPattern::clockwise(&g);
         assert_eq!(
-            frr_routing::resilience::is_perfectly_resilient_touring(&g, &rotor),
-            frr_routing::resilience::is_perfectly_resilient_touring(
+            check(&g, &rotor, Property::PERFECT_TOURING, &unlimited),
+            check(
                 &g,
-                &NoCompile(RotorPattern::clockwise(&g))
+                &NoCompile(&rotor),
+                Property::PERFECT_TOURING,
+                &unlimited
             ),
             "graph {g:?}"
         );

@@ -5,8 +5,10 @@
 
 use frr_graph::connectivity::same_component;
 use frr_graph::{generators, Graph, Node};
+use frr_routing::budget::{RunBudget, Verdict};
 use frr_routing::failure::{failure_set_from_mask, FailureMasks, FailureSet};
 use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
+use frr_routing::resilience::{check, Property};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
 use rand::rngs::StdRng;
@@ -183,10 +185,10 @@ fn checkers_agree_with_historical_clone_based_sweep() {
             }
             None
         });
-        let checked = frr_routing::resilience::is_perfectly_resilient(&g, &p);
+        let checked = check(&g, &p, Property::PERFECT, &RunBudget::unlimited()).unwrap();
         match (checked, reference) {
-            (Ok(()), None) => {}
-            (Err(ce), Some((failures, s, t, outcome, path))) => {
+            (Verdict::Proven, None) => {}
+            (Verdict::Refuted(ce), Some((failures, s, t, outcome, path))) => {
                 assert_eq!(ce.failures, failures, "graph {g:?}");
                 assert_eq!((ce.source, ce.destination), (s, t));
                 assert_eq!(ce.outcome, outcome);

@@ -4,11 +4,11 @@
 //! reloads — including graphs beyond the historical 64-link wall.
 
 use frr_graph::{generators, Graph};
+use frr_routing::budget::{RunBudget, StopCause, Verdict};
 use frr_routing::failure::{FailureMasks, GrayFailureSets, GrayMasks};
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
 use frr_routing::resilience::{
-    check_bounded_r_resilience, check_bounded_touring_resilience, is_k_resilient_touring,
-    EdgeLimitExceeded, BOUNDED_EDGE_LIMIT,
+    check, check_bounded_r_resilience, EdgeLimitExceeded, Property, BOUNDED_EDGE_LIMIT,
 };
 use frr_routing::simulator::{state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
@@ -182,9 +182,13 @@ fn bounded_touring_sweep_beyond_64_links_matches_simulator_reference() {
             .find(|&start| !tour(&g, &failures, &p, start, max_hops).covered_component)
             .map(|start| (failures, start))
     });
-    match (is_k_resilient_touring(&g, &p, 1), reference) {
-        (Ok(()), None) => {}
-        (Err(ce), Some((failures, start))) => {
+    let one_failure = Property::bounded_touring(1);
+    match (
+        check(&g, &p, one_failure, &RunBudget::unlimited()).unwrap(),
+        reference,
+    ) {
+        (Verdict::Proven, None) => {}
+        (Verdict::Refuted(ce), Some((failures, start))) => {
             assert_eq!(ce.failures, failures);
             assert_eq!(ce.source, start);
         }
@@ -198,7 +202,8 @@ fn bounded_touring_sweep_beyond_64_links_matches_simulator_reference() {
 #[test]
 fn bounded_checkers_reject_oversized_graphs_gracefully() {
     // complete(17) has 136 links — past BOUNDED_EDGE_LIMIT.  The Result API
-    // reports the limit instead of panicking.
+    // reports the limit instead of panicking; `check` never sweeps it and
+    // names the limit as the stop cause.
     let g = generators::complete(17);
     assert!(g.edge_count() > BOUNDED_EDGE_LIMIT);
     let p = ShortestPathPattern::new(&g);
@@ -207,8 +212,12 @@ fn bounded_checkers_reject_oversized_graphs_gracefully() {
         limit: BOUNDED_EDGE_LIMIT,
     };
     assert_eq!(check_bounded_r_resilience(&g, &p, 1).unwrap_err(), expected);
+    assert!(expected.to_string().contains("136"));
     let rotor = RotorPattern::clockwise(&g);
-    let err = check_bounded_touring_resilience(&g, &rotor, 1).unwrap_err();
-    assert_eq!(err, expected);
-    assert!(err.to_string().contains("136"));
+    let one_failure = Property::bounded_touring(1);
+    match check(&g, &rotor, one_failure, &RunBudget::unlimited()).unwrap() {
+        Verdict::Indeterminate(p) => assert_eq!(p.stopped_by, StopCause::EdgeLimit),
+        Verdict::Refuted(_) => {}
+        Verdict::Proven => panic!("an oversize graph is never swept"),
+    }
 }

@@ -5,8 +5,9 @@
 //!
 //! The service ingests link up/down and topology-load events, keeps one
 //! compiled rule table per destination (the `frr_routing::compiled`
-//! representation), and answers `route(s, t, failed_set)` and
-//! `is_r_resilient(pattern, k)` queries from immutable epoch snapshots while
+//! representation), and answers `route(s, t, failed_set)` and `r`-bounded
+//! resilience queries (is the pattern resilient to every set of at most `r`
+//! failures?) from immutable epoch snapshots while
 //! the tables rebuild underneath.  *Staying alive under faults* is the
 //! headline property at every layer:
 //!

@@ -18,7 +18,7 @@
 //!
 //! `--count` is the number of churn events (the bin's natural instance
 //! count); `--deadline-secs` becomes the per-attempt rebuild deadline;
-//! `--work-budget` caps each `is_r_resilient` probe; `--threads` pins the
+//! `--work-budget` caps each resilience query; `--threads` pins the
 //! recompile pool.  `--metrics` wires the service to the process-wide
 //! telemetry registry: the replay prints a live metrics table every few
 //! batches, embeds the snapshot in the JSON artifact and renders the final

@@ -259,7 +259,7 @@ pub fn replay(catalog: &[Topology], cfg: &ReplayConfig) -> Result<ReplayOutcome,
 
 /// [`replay`] with a periodic metrics observer: when
 /// [`ReplayConfig::metrics`] is set, `observer(batches_done, &snapshot)` is
-/// called every [`OBSERVE_EVERY_BATCHES`] batches with a fresh registry
+/// called every `OBSERVE_EVERY_BATCHES` batches with a fresh registry
 /// snapshot (the CLI prints a live table off this).  The observer is never
 /// called on an unwired run, and observation cannot perturb the
 /// deterministic record — it only reads telemetry cells.

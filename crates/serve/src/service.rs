@@ -46,7 +46,7 @@ use frr_routing::compiled::{CompilePattern, CompiledPattern, CompiledSim, Fnv};
 use frr_routing::failure::FailureSet;
 use frr_routing::hostile::{NoCompile, NondeterministicPattern, PanicOnCompile};
 use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
-use frr_routing::resilience::check_bounded_r_resilience_with_budget;
+use frr_routing::resilience::{check, Property};
 use frr_routing::simulator::{route as interpreted_route, state_space_bound, Outcome};
 use frr_topologies::Topology;
 use std::collections::BTreeSet;
@@ -386,7 +386,7 @@ pub struct RouteAnswer {
     pub max_hops: usize,
 }
 
-/// An `is_r_resilient(pattern, k)` answer.
+/// The answer to an `r`-bounded resilience query.
 #[derive(Debug, Clone)]
 pub struct ResilienceAnswer {
     /// The snapshot epoch that answered.
@@ -503,15 +503,16 @@ impl Snapshot {
         })
     }
 
-    /// Answers `is_r_resilient(pattern, r)` for the snapshot's spec on its
-    /// current surviving graph, under `budget`.  Panics from hostile
-    /// compiles are contained and surfaced in the answer.
+    /// Checks `r`-bounded resilience ([`Property::bounded`]) of the
+    /// snapshot's spec on its current surviving graph, under `budget`.
+    /// Panics from hostile compiles are contained and surfaced in the
+    /// answer.
     pub fn resilience(&self, r: usize, budget: &RunBudget) -> ResilienceAnswer {
         let spec = self.spec;
         let survivor = &self.survivor;
         let verdict = catch_unwind(AssertUnwindSafe(|| {
             let pattern = spec.pattern(survivor);
-            check_bounded_r_resilience_with_budget(survivor, pattern.as_ref(), r, budget)
+            check(survivor, pattern.as_ref(), Property::bounded(r), budget)
         }));
         let verdict = match verdict {
             Ok(Ok(v)) => Ok(v),

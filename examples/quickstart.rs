@@ -30,9 +30,15 @@ fn main() {
 
     // The exhaustive checker proves it is not just these scenarios: every
     // failure set and every connected pair is delivered.
-    match frr_routing::resilience::is_perfectly_resilient(&network, &pattern) {
-        Ok(()) => println!("exhaustively verified: perfectly resilient on K5"),
-        Err(ce) => println!("unexpected counterexample: {ce}"),
+    match check(
+        &network,
+        &pattern,
+        Property::PERFECT,
+        &RunBudget::unlimited(),
+    ) {
+        Ok(Verdict::Proven) => println!("exhaustively verified: perfectly resilient on K5"),
+        Ok(verdict) => println!("unexpected verdict: {verdict}"),
+        Err(panicked) => println!("the pattern panicked: {panicked}"),
     }
 
     // Contrast: without source matching, K5 is impossible (Theorem 10 domain)

@@ -6,11 +6,13 @@
 use fastreroute::prelude::*;
 use frr_core::classify::ClassifyBudget;
 use frr_routing::metrics::evaluate_random_workload;
-use frr_routing::resilience::{
-    is_perfectly_resilient, is_perfectly_resilient_for_destination, is_perfectly_resilient_touring,
-};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// [`check`] under [`RunBudget::unlimited`].
+fn unlimited<P: CompilePattern + ?Sized>(g: &Graph, pattern: &P, property: Property) -> Verdict {
+    check(g, pattern, property, &RunBudget::unlimited()).expect("no probe panics")
+}
 
 #[test]
 fn classification_matches_executable_reality_on_small_named_graphs() {
@@ -19,15 +21,15 @@ fn classification_matches_executable_reality_on_small_named_graphs() {
     let k5 = generators::complete(5);
     let classes = classify(&k5);
     assert_eq!(classes.source_destination.label(), "Possible");
-    assert!(is_perfectly_resilient(&k5, &K5SourcePattern::new(&k5)).is_ok());
+    assert!(unlimited(&k5, &K5SourcePattern::new(&k5), Property::PERFECT).is_proven());
 
     assert_eq!(classes.destination_only.label(), "Impossible");
     let baseline = ShortestPathPattern::new(&k5);
-    assert!(is_perfectly_resilient(&k5, &baseline).is_err());
+    assert!(unlimited(&k5, &baseline, Property::PERFECT).is_refuted());
 
     let k33 = generators::complete_bipartite(3, 3);
     assert_eq!(classify(&k33).source_destination.label(), "Possible");
-    assert!(is_perfectly_resilient(&k33, &K33SourcePattern::new(&k33)).is_ok());
+    assert!(unlimited(&k33, &K33SourcePattern::new(&k33), Property::PERFECT).is_proven());
 }
 
 #[test]
@@ -41,7 +43,7 @@ fn outerplanar_topologies_get_working_touring_patterns() {
             .unwrap_or_else(|| panic!("{} classified tourable but no embedding", t.name));
         if t.graph.edge_count() <= 18 {
             assert!(
-                is_perfectly_resilient_touring(&t.graph, &pattern).is_ok(),
+                unlimited(&t.graph, &pattern, Property::PERFECT_TOURING).is_proven(),
                 "touring failed on {}",
                 t.name
             );
@@ -70,7 +72,15 @@ fn sometimes_classified_topologies_serve_their_supported_destinations() {
     );
     for t in supported {
         assert!(
-            is_perfectly_resilient_for_destination(&netrail.graph, &pattern, t).is_ok(),
+            unlimited(
+                &netrail.graph,
+                &pattern,
+                Property::Routing {
+                    max_failures: None,
+                    destination: Some(t)
+                }
+            )
+            .is_proven(),
             "supported destination {t} must be perfectly resilient"
         );
     }
@@ -147,17 +157,18 @@ fn zoo_classification_has_the_papers_qualitative_shape() {
 fn impossibility_and_possibility_frontier_is_one_link_apart_for_destination_routing() {
     // K5^-2 possible, K5^-1 impossible (Theorems 12 / 10) — executable proof.
     let k5m2 = generators::complete_minus(5, 2);
-    assert!(is_perfectly_resilient(&k5m2, &K5Minus2DestPattern::new(&k5m2)).is_ok());
+    assert!(unlimited(&k5m2, &K5Minus2DestPattern::new(&k5m2), Property::PERFECT).is_proven());
     let k5m1 = generators::complete_minus(5, 1);
     let victim = ShortestPathPattern::new(&k5m1);
-    assert!(is_perfectly_resilient(&k5m1, &victim).is_err());
+    assert!(unlimited(&k5m1, &victim, Property::PERFECT).is_refuted());
 
     // K3,3^-2 possible, K3,3^-1 impossible (Theorems 13 / 11).
     let k33m2 = generators::complete_bipartite_minus(3, 3, 2);
-    assert!(is_perfectly_resilient(&k33m2, &K33Minus2DestPattern::new(&k33m2)).is_ok());
+    let p = K33Minus2DestPattern::new(&k33m2);
+    assert!(unlimited(&k33m2, &p, Property::PERFECT).is_proven());
     let k33m1 = generators::complete_bipartite_minus(3, 3, 1);
     let victim = ShortestPathPattern::new(&k33m1);
-    assert!(is_perfectly_resilient(&k33m1, &victim).is_err());
+    assert!(unlimited(&k33m1, &victim, Property::PERFECT).is_refuted());
 }
 
 #[test]
