@@ -9,15 +9,15 @@
 //! randomized search — used to cross-check them and to probe patterns on
 //! arbitrary graphs.
 
-use crate::budget::{Progress, RunBudget, StopCause, StopSignal, Verdict, WorkerPanicked};
-use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
+use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
+use crate::compiled::{CompilePattern, CompiledSim, Forwarder};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
-use crate::resilience::{compile_guarded, replay_route};
+use crate::resilience::replay_route;
 use crate::simulator::{route, state_space_bound, Outcome};
 use crate::sweep::{
-    failure_set_at, sharded_first, sharded_first_controlled, sweep_find_first_budgeted, ShardEvent,
-    SweepEnd, SweepEngine,
+    failure_set_at, sharded_first_controlled, sweep_find_first_budgeted, ShardEvent, SweepEnd,
+    SweepEngine,
 };
 use frr_graph::{Edge, Graph, Node};
 use rand::rngs::StdRng;
@@ -57,9 +57,10 @@ impl fmt::Display for Counterexample {
 /// An adversary: a strategy for finding a [`Counterexample`] against a
 /// forwarding pattern on a given network.
 ///
-/// Adversaries take [`CompilePattern`] candidates: the searches compile the
-/// pattern once up front and probe scenarios on the dense tables, keeping the
-/// interpreted trait-object path only for patterns that refuse compilation.
+/// Adversaries take [`CompilePattern`] candidates: the searches forward
+/// through one [`Forwarder`], so they probe scenarios on the dense tables and
+/// keep the interpreted trait-object path only for patterns whose compile
+/// refuses or panics.
 pub trait Adversary {
     /// Searches for a failure scenario defeating `pattern` on `g`.
     fn find_counterexample<P: CompilePattern + ?Sized>(
@@ -107,24 +108,12 @@ impl Adversary for BruteForceAdversary {
         g: &Graph,
         pattern: &P,
     ) -> Option<Counterexample> {
-        let compiled = pattern.compile(g);
-        let compiled = compiled.as_ref();
-        let report = sweep_find_first_budgeted(
-            g,
-            self.max_failures,
-            Some(self.max_sets),
-            &StopSignal::none(),
-            |engine: &mut SweepEngine<'_>| {
-                let (s, t) = engine.first_undelivered(compiled, pattern, 0..g.node_count())?;
-                Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
-            },
-        );
-        match report.end {
-            SweepEnd::Found(ce) => Some(ce),
-            SweepEnd::Exhausted | SweepEnd::Stopped(_) => None,
-            SweepEnd::Panicked { position, message } => {
-                panic!("sweep worker panicked at enumeration position {position}: {message}")
-            }
+        match self.search_with_budget(g, pattern, &RunBudget::unlimited()) {
+            Ok(Verdict::Refuted(ce)) => Some(ce),
+            Ok(_) => None,
+            Err(WorkerPanicked {
+                position, message, ..
+            }) => panic!("sweep worker panicked at enumeration position {position}: {message}"),
         }
     }
 
@@ -152,8 +141,7 @@ impl BruteForceAdversary {
         pattern: &P,
         budget: &RunBudget,
     ) -> Result<Verdict, WorkerPanicked> {
-        let compiled = compile_guarded(g, pattern);
-        let compiled = compiled.as_ref();
+        let fwd = Forwarder::new(g, pattern);
         let mask_budget = self.max_sets.min(budget.work_limit().unwrap_or(u64::MAX));
         let report = sweep_find_first_budgeted(
             g,
@@ -161,7 +149,7 @@ impl BruteForceAdversary {
             Some(mask_budget),
             &budget.stop_signal(),
             |engine: &mut SweepEngine<'_>| {
-                let (s, t) = engine.first_undelivered(compiled, pattern, 0..g.node_count())?;
+                let (s, t) = engine.first_undelivered(&fwd, 0..g.node_count())?;
                 Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
             },
         );
@@ -247,33 +235,23 @@ impl RandomAdversary {
         (failures, s, t)
     }
 
-    /// Probes one trial's scenario ([`RandomAdversary::sample_scenario`]).
-    /// `sim` carries the worker's compiled-pattern scratch; scenarios are
-    /// simulated on the dense tables when the pattern compiled.
-    #[allow(clippy::too_many_arguments)]
+    /// Probes one trial's scenario ([`RandomAdversary::sample_scenario`])
+    /// through `fwd`, with the worker's scratch pool buffer and forwarding
+    /// scratch.
     fn probe_trial<P: ForwardingPattern + ?Sized>(
         &self,
         g: &Graph,
-        pattern: &P,
-        compiled: Option<&CompiledPattern>,
+        fwd: &Forwarder<'_, P>,
         nodes: &[Node],
         edges: &[Edge],
-        pool: &mut Vec<Edge>,
-        sim: &mut Option<CompiledSim>,
-        max_hops: usize,
+        (pool, scratch): &mut (Vec<Edge>, Option<CompiledSim>),
         trial: u64,
     ) -> Option<Counterexample> {
         let (failures, s, t) = self.sample_scenario(edges, nodes, pool, trial);
         if s == t || !failures.keeps_connected(g, s, t) {
             return None;
         }
-        let result = match (compiled, sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.route(cp, s, t, max_hops)
-            }
-            _ => route(g, &failures, pattern, s, t, max_hops),
-        };
+        let result = fwd.route(scratch, &failures, s, t);
         if result.outcome.is_delivered() {
             return None;
         }
@@ -293,33 +271,13 @@ impl Adversary for RandomAdversary {
         g: &Graph,
         pattern: &P,
     ) -> Option<Counterexample> {
-        let max_hops = state_space_bound(g);
-        let nodes: Vec<Node> = g.nodes().collect();
-        if nodes.len() < 2 {
-            return None;
+        match self.search_with_budget(g, pattern, &RunBudget::unlimited()) {
+            Ok(Verdict::Refuted(ce)) => Some(ce),
+            Ok(_) => None,
+            Err(WorkerPanicked {
+                position, message, ..
+            }) => panic!("sharded worker panicked at index {position}: {message}"),
         }
-        let edges = g.edges();
-        let compiled = pattern.compile(g);
-        let compiled = compiled.as_ref();
-        // Shard the trial range with the same deterministic smallest-index
-        // machinery the mask sweeps use; each worker's state is its scratch
-        // pool buffer plus its compiled-simulation scratch.
-        sharded_first(
-            self.trials as u64,
-            64,
-            64,
-            || {
-                (
-                    Vec::with_capacity(edges.len()),
-                    compiled.map(CompiledSim::new),
-                )
-            },
-            |(pool, sim), trial| {
-                self.probe_trial(
-                    g, pattern, compiled, &nodes, &edges, pool, sim, max_hops, trial,
-                )
-            },
-        )
     }
 
     fn name(&self) -> String {
@@ -346,7 +304,6 @@ impl RandomAdversary {
         pattern: &P,
         budget: &RunBudget,
     ) -> Result<Verdict, WorkerPanicked> {
-        let max_hops = state_space_bound(g);
         let nodes: Vec<Node> = g.nodes().collect();
         let trials = (self.trials as u64).min(budget.work_limit().unwrap_or(u64::MAX));
         let indeterminate = |probes: u64, cause: StopCause| {
@@ -362,25 +319,18 @@ impl RandomAdversary {
             return Ok(indeterminate(0, StopCause::WorkBudget));
         }
         let edges = g.edges();
-        let compiled = compile_guarded(g, pattern);
-        let compiled = compiled.as_ref();
+        let fwd = Forwarder::new(g, pattern);
         let stop = budget.stop_signal();
+        // Shard the trial range with the same deterministic smallest-index
+        // machinery the mask sweeps use; each worker's state is its scratch
+        // pool buffer plus its forwarding scratch.
         let outcome = sharded_first_controlled(
             trials,
             64,
             64,
             &stop,
-            || {
-                (
-                    Vec::with_capacity(edges.len()),
-                    compiled.map(CompiledSim::new),
-                )
-            },
-            |(pool, sim), trial| {
-                self.probe_trial(
-                    g, pattern, compiled, &nodes, &edges, pool, sim, max_hops, trial,
-                )
-            },
+            || (Vec::with_capacity(edges.len()), fwd.scratch()),
+            |worker, trial| self.probe_trial(g, &fwd, &nodes, &edges, worker, trial),
         );
         match outcome.event {
             Some((_, ShardEvent::Hit(ce))) => Ok(Verdict::Refuted(ce)),

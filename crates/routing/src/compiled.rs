@@ -35,21 +35,24 @@
 //! * [`CompiledSim`] — reusable scratch (failed-port masks, packed
 //!   visited-state bitset, path buffer) that routes and tours on compiled
 //!   tables with zero allocations in the steady state.
-//!
-//! The sweep engine ([`crate::sweep::SweepEngine`]) has twin entry points
-//! (`route_outcome_compiled`, `tour_covers_compiled`) that run these tables
-//! against its `u64` failure-mask overlays; the resilience checkers and
-//! generic adversaries compile their pattern up front and fall back to the
-//! trait-object interpreter only when compilation is refused (degree ≥ 64 or
-//! tabulation over budget).
+//! * [`Forwarder`] — the one place that chooses between these tables and the
+//!   trait-object interpreter.  It compiles once, under a panic guard, and
+//!   routes and tours on the tables when that succeeds.  A refused compile
+//!   (degree ≥ 64 or tabulation over budget) or a panicking one keeps the
+//!   interpreter, with identical outcomes.  The resilience checkers, the
+//!   samplers, the generic adversaries and the delivery statistics all
+//!   forward through it; on the sweep engine's overlays,
+//!   [`crate::sweep::SweepEngine::outcome`] and
+//!   [`crate::sweep::SweepEngine::covers`] make the same choice from it.
 
 use crate::failure::FailureSet;
 use crate::model::{LocalContext, RoutingModel};
 use crate::pattern::ForwardingPattern;
-use crate::simulator::{Outcome, RouteResult, TourResult};
+use crate::simulator::{route, state_space_bound, tour, Outcome, RouteResult, TourResult};
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 const WORD_BITS: usize = u64::BITS as usize;
@@ -1086,6 +1089,104 @@ impl CompiledSim {
             returned_to_start: returned_after_cover,
             visited,
             path,
+        }
+    }
+}
+
+/// A pattern on a graph, forwarding on its compiled tables when it has them
+/// and through the trait-object interpreter otherwise.
+///
+/// [`Forwarder::new`] compiles once and catches a panicking `compile`: a
+/// compile that panics is treated like one that refuses, so the pattern
+/// keeps the interpreter.  If the pattern also misbehaves at forwarding
+/// time, the caller's probe isolation reports that where it happens.  Both
+/// engines give the same outcomes, paths and hop counts, with the
+/// state-space hop bound [`state_space_bound`].
+pub struct Forwarder<'a, P: ?Sized> {
+    graph: &'a Graph,
+    pattern: &'a P,
+    tables: Option<CompiledPattern>,
+    max_hops: usize,
+}
+
+impl<'a, P: CompilePattern + ?Sized> Forwarder<'a, P> {
+    /// Compiles `pattern` for `g`, keeping the interpreter if compilation is
+    /// refused or panics.
+    pub fn new(g: &'a Graph, pattern: &'a P) -> Self {
+        let tables = catch_unwind(AssertUnwindSafe(|| pattern.compile(g)))
+            .ok()
+            .flatten();
+        Forwarder {
+            graph: g,
+            pattern,
+            tables,
+            max_hops: state_space_bound(g),
+        }
+    }
+}
+
+impl<P: ForwardingPattern + ?Sized> Forwarder<'_, P> {
+    /// The compiled tables, or `None` when the interpreter forwards.
+    pub fn tables(&self) -> Option<&CompiledPattern> {
+        self.tables.as_ref()
+    }
+
+    /// The source pattern.
+    pub fn pattern(&self) -> &P {
+        self.pattern
+    }
+
+    /// The hop bound every route and tour runs under.
+    pub(crate) fn max_hops(&self) -> usize {
+        self.max_hops
+    }
+
+    /// Fresh per-worker scratch for [`Forwarder::route`] and
+    /// [`Forwarder::tour`]: the compiled simulator's buffers, or `None` when
+    /// the interpreter forwards.
+    pub fn scratch(&self) -> Option<CompiledSim> {
+        self.tables.as_ref().map(CompiledSim::new)
+    }
+
+    /// Routes one packet from `source` to `destination` under `failures`,
+    /// exactly like [`crate::simulator::route`].
+    pub fn route(
+        &self,
+        scratch: &mut Option<CompiledSim>,
+        failures: &FailureSet,
+        source: Node,
+        destination: Node,
+    ) -> RouteResult {
+        match (&self.tables, scratch) {
+            (Some(cp), Some(sim)) => {
+                sim.load_failures(cp, failures);
+                sim.route(cp, source, destination, self.max_hops)
+            }
+            _ => route(
+                self.graph,
+                failures,
+                self.pattern,
+                source,
+                destination,
+                self.max_hops,
+            ),
+        }
+    }
+
+    /// Tours from `start` under `failures`, exactly like
+    /// [`crate::simulator::tour`].
+    pub fn tour(
+        &self,
+        scratch: &mut Option<CompiledSim>,
+        failures: &FailureSet,
+        start: Node,
+    ) -> TourResult {
+        match (&self.tables, scratch) {
+            (Some(cp), Some(sim)) => {
+                sim.load_failures(cp, failures);
+                sim.tour(cp, start, self.max_hops)
+            }
+            _ => tour(self.graph, failures, self.pattern, start, self.max_hops),
         }
     }
 }

@@ -10,11 +10,13 @@
 //! builders here are the fault injectors `crates/routing/tests/chaos.rs`
 //! (and any downstream robustness test) drives those promises with.
 //!
-//! Every hostile pattern implements [`CompilePattern`] with `compile` →
-//! `None`: the generic tabulator enumerates failure contexts during
-//! compilation, which would hit the injected faults at compile time instead
-//! of probe time.  Refusing keeps the fault on the code path under test —
-//! and doubles as coverage for the compile-refusal fallback itself.  Wrap a
+//! The forwarding-time hostile patterns implement [`CompilePattern`] with
+//! `compile` → `None`: the generic tabulator enumerates failure contexts
+//! during compilation, which would hit the injected faults at compile time
+//! instead of probe time.  Refusing keeps the fault on the code path under
+//! test — and doubles as coverage for the compile-refusal fallback itself.
+//! [`PanicOnCompile`] is the exception: its `compile` panics, which
+//! [`crate::compiled::Forwarder`] treats like a refusal.  Wrap a
 //! *well-behaved* pattern in [`NoCompile`] to test that fallback alone.
 
 use crate::compiled::{CompilePattern, CompiledPattern};

@@ -20,7 +20,8 @@
 //! * [`compiled`] — forwarding patterns compiled once per
 //!   `(graph, destination)` into dense CSR-indexed rule tables
 //!   ([`compiled::CompiledPattern`]), the branch-free representation the
-//!   sweep hot paths consume,
+//!   sweep hot paths consume, and [`compiled::Forwarder`], which forwards
+//!   on them or, when compilation is refused, through the interpreter,
 //! * [`sweep`] — the allocation-free failure-sweep engine: bitmask failure
 //!   overlays on a [`frr_graph::BitGraph`], reusable scratch, and
 //!   deterministic multi-threaded mask-range sharding,

@@ -5,9 +5,9 @@
 //! stretch relative to the shortest surviving path, and delivery ratios under
 //! random failure workloads.
 
-use crate::compiled::{CompilePattern, CompiledSim};
+use crate::compiled::{CompilePattern, Forwarder};
 use crate::failure::{random_failure_set, FailureSet};
-use crate::simulator::{route, state_space_bound, Outcome};
+use crate::simulator::Outcome;
 use frr_graph::connectivity::distance_filtered;
 use frr_graph::{Graph, Node};
 use rand::Rng;
@@ -87,9 +87,8 @@ pub fn evaluate_scenarios<P: CompilePattern + ?Sized>(
     pattern: &P,
     scenarios: &[(FailureSet, Node, Node)],
 ) -> DeliveryStats {
-    let max_hops = state_space_bound(g);
-    let compiled = pattern.compile(g);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let fwd = Forwarder::new(g, pattern);
+    let mut scratch = fwd.scratch();
     let mut stats = DeliveryStats::default();
     for (failures, s, t) in scenarios {
         if s == t {
@@ -99,13 +98,7 @@ pub fn evaluate_scenarios<P: CompilePattern + ?Sized>(
             Some(d) => d,
             None => continue,
         };
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, failures);
-                sim.route(cp, *s, *t, max_hops)
-            }
-            _ => route(g, failures, pattern, *s, *t, max_hops),
-        };
+        let result = fwd.route(&mut scratch, failures, *s, *t);
         stats.record(result.outcome, result.hops, optimal);
     }
     stats
@@ -121,14 +114,13 @@ pub fn evaluate_random_workload<P: CompilePattern + ?Sized, R: Rng>(
     failures_per_trial: usize,
     rng: &mut R,
 ) -> DeliveryStats {
-    let max_hops = state_space_bound(g);
     let nodes: Vec<Node> = g.nodes().collect();
     let mut stats = DeliveryStats::default();
     if nodes.len() < 2 {
         return stats;
     }
-    let compiled = pattern.compile(g);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let fwd = Forwarder::new(g, pattern);
+    let mut scratch = fwd.scratch();
     for _ in 0..trials {
         let failures = random_failure_set(g, failures_per_trial, rng);
         let s = nodes[rng.gen_range(0..nodes.len())];
@@ -140,13 +132,7 @@ pub fn evaluate_random_workload<P: CompilePattern + ?Sized, R: Rng>(
             Some(d) => d,
             None => continue,
         };
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.route(cp, s, t, max_hops)
-            }
-            _ => route(g, &failures, pattern, s, t, max_hops),
-        };
+        let result = fwd.route(&mut scratch, &failures, s, t);
         stats.record(result.outcome, result.hops, optimal);
     }
     stats

@@ -20,7 +20,7 @@
 
 use crate::adversary::Counterexample;
 use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
-use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
+use crate::compiled::{CompilePattern, Forwarder};
 use crate::failure::{random_failure_set, FailureSet};
 use crate::pattern::ForwardingPattern;
 use crate::simulator::{route, state_space_bound, tour, Outcome};
@@ -209,18 +209,14 @@ pub fn check<P: CompilePattern + ?Sized>(
         return stop_verdict(g, pattern, property, budget, 0, 0, StopCause::EdgeLimit);
     }
     // Compile once per sweep; the tables are shared by every worker thread.
-    // `None` (degree or tabulation budget exceeded, or a panicking compile)
-    // keeps the interpreted trait-object path — outcomes are identical
-    // either way.
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
+    let fwd = Forwarder::new(g, pattern);
     let max_failures = property.max_failures();
     let report = sweep_find_first_budgeted(
         g,
         max_failures,
         budget.work_limit(),
         &budget.stop_signal(),
-        |engine: &mut SweepEngine<'_>| probe(engine, compiled, pattern, property),
+        |engine: &mut SweepEngine<'_>| probe(engine, &fwd, property),
     );
     match report.end {
         SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),
@@ -281,49 +277,31 @@ pub fn check_bounded_r_resilience_with_budget<P: CompilePattern + ?Sized>(
     check(g, pattern, Property::bounded(r), budget)
 }
 
-/// Compiles `pattern`, treating a *panicking* `compile` the same as a
-/// refusing one: the caller keeps the interpreted trait-object path
-/// (outcomes are identical either way), and if the pattern also misbehaves
-/// at forwarding time the per-probe isolation reports it as a typed
-/// [`WorkerPanicked`] at the offending mask instead of a compile-time abort.
-pub(crate) fn compile_guarded<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-) -> Option<CompiledPattern> {
-    catch_unwind(AssertUnwindSafe(|| pattern.compile(g)))
-        .ok()
-        .flatten()
-}
-
 /// The probe of one failure mask: the counterexample to `property` under
 /// the engine's overlay, if any.
 fn probe<P: ForwardingPattern + ?Sized>(
     engine: &mut SweepEngine<'_>,
-    compiled: Option<&CompiledPattern>,
-    pattern: &P,
+    fwd: &Forwarder<'_, P>,
     property: Property,
 ) -> Option<Counterexample> {
     let g = engine.graph();
+    let pattern = fwd.pattern();
     match property {
         Property::Routing { destination, .. } => {
             let destinations = match destination {
                 Some(t) => t.index()..t.index() + 1,
                 None => 0..g.node_count(),
             };
-            let (s, t) = engine.first_undelivered(compiled, pattern, destinations)?;
+            let (s, t) = engine.first_undelivered(fwd, destinations)?;
             Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
         }
         Property::Tolerance {
             source,
             destination,
             r,
-        } => tolerance_violation(engine, compiled, pattern, source, destination, r),
+        } => tolerance_violation(engine, fwd, source, destination, r),
         Property::Touring { .. } => {
-            let max_hops = state_space_bound(g);
-            let start = g.nodes().find(|&start| match compiled {
-                Some(cp) => !engine.tour_covers_compiled(cp, start, max_hops),
-                None => !engine.tour_covers(pattern, start, max_hops),
-            })?;
+            let start = g.nodes().find(|&start| !engine.covers(fwd, start))?;
             Some(replay_tour(g, pattern, engine.current_failure_set(), start))
         }
     }
@@ -339,8 +317,7 @@ fn probe<P: ForwardingPattern + ?Sized>(
 /// undelivered packet: the violation set is still promise ∧ ¬delivered.
 fn tolerance_violation<P: ForwardingPattern + ?Sized>(
     engine: &mut SweepEngine<'_>,
-    compiled: Option<&CompiledPattern>,
-    pattern: &P,
+    fwd: &Forwarder<'_, P>,
     s: Node,
     t: Node,
     r: usize,
@@ -349,15 +326,11 @@ fn tolerance_violation<P: ForwardingPattern + ?Sized>(
         return None;
     }
     let g = engine.graph();
-    let max_hops = state_space_bound(g);
-    let outcome = match compiled {
-        Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-        None => engine.route_outcome(pattern, s, t, max_hops),
-    };
+    let outcome = engine.outcome(fwd, s, t);
     let promise =
         || r == 0 || st_edge_connectivity_filtered(g, s, t, |u, v| !engine.link_failed(u, v)) >= r;
     (!outcome.is_delivered() && promise())
-        .then(|| replay_route(g, pattern, engine.current_failure_set(), s, t))
+        .then(|| replay_route(g, fwd.pattern(), engine.current_failure_set(), s, t))
 }
 
 /// Replays a failing routing scenario through the plain simulator to attach
@@ -513,22 +486,15 @@ pub fn is_r_tolerant_sampled<P: CompilePattern + ?Sized, R: Rng>(
     budget: SamplingBudget,
     rng: &mut R,
 ) -> Result<(), Counterexample> {
-    let max_hops = state_space_bound(g);
-    let compiled = compile_guarded(g, pattern);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let fwd = Forwarder::new(g, pattern);
+    let mut scratch = fwd.scratch();
     for k in 0..=budget.max_failures {
         for _ in 0..budget.trials {
             let failures = random_failure_set(g, k, rng);
             if !failures.keeps_r_connected(g, s, t, r) {
                 continue;
             }
-            let result = match (&compiled, &mut sim) {
-                (Some(cp), Some(sim)) => {
-                    sim.load_failures(cp, &failures);
-                    sim.route(cp, s, t, max_hops)
-                }
-                _ => route(g, &failures, pattern, s, t, max_hops),
-            };
+            let result = fwd.route(&mut scratch, &failures, s, t);
             if !result.outcome.is_delivered() {
                 return Err(Counterexample {
                     failures,
@@ -554,13 +520,12 @@ fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
     destination: Option<Node>,
     rng: &mut R,
 ) -> Option<Counterexample> {
-    let max_hops = state_space_bound(g);
     let nodes: Vec<Node> = g.nodes().collect();
     if nodes.len() < 2 {
         return None;
     }
-    let compiled = compile_guarded(g, pattern);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let fwd = Forwarder::new(g, pattern);
+    let mut scratch = fwd.scratch();
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
         let failures = random_failure_set(g, k, rng);
@@ -569,13 +534,7 @@ fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
         if s == t || !failures.keeps_connected(g, s, t) {
             continue;
         }
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.route(cp, s, t, max_hops)
-            }
-            _ => route(g, &failures, pattern, s, t, max_hops),
-        };
+        let result = fwd.route(&mut scratch, &failures, s, t);
         if !result.outcome.is_delivered() {
             return Some(Counterexample {
                 failures,
@@ -598,24 +557,17 @@ pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
     max_failures: usize,
     rng: &mut R,
 ) -> Option<Counterexample> {
-    let max_hops = state_space_bound(g);
     let nodes: Vec<Node> = g.nodes().collect();
     if nodes.is_empty() {
         return None;
     }
-    let compiled = compile_guarded(g, pattern);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let fwd = Forwarder::new(g, pattern);
+    let mut scratch = fwd.scratch();
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
         let failures = random_failure_set(g, k, rng);
         let start = nodes[rng.gen_range(0..nodes.len())];
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.tour(cp, start, max_hops)
-            }
-            _ => tour(g, &failures, pattern, start, max_hops),
-        };
+        let result = fwd.tour(&mut scratch, &failures, start);
         if !result.covered_component {
             return Some(Counterexample {
                 failures,

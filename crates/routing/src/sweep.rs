@@ -56,12 +56,12 @@
 //! the `W = 1` path stays as tight as the historical single-`u64` code.
 
 use crate::budget::StopCause;
-use crate::compiled::{CompiledPattern, RuleTable};
+use crate::compiled::{CompiledPattern, Forwarder, RuleTable};
 use crate::failure::{capped_mask_count, FailureSet, GrayMasks};
 use crate::mask::{mask_words, IntoMaskRef, MaskBuf, MaskRef};
 use crate::model::LocalContext;
 use crate::pattern::ForwardingPattern;
-use crate::simulator::{state_space_bound, Outcome};
+use crate::simulator::Outcome;
 use frr_graph::bitgraph::{BitGraph, BitIter};
 use frr_graph::budget::StopSignal;
 use frr_graph::{Edge, Graph, Node};
@@ -826,12 +826,43 @@ impl<'g> SweepEngine<'g> {
         self.labelled_walk(cp, table, source.index(), destination.index(), max_hops)
     }
 
+    /// The outcome of one packet from `source` to `destination` under the
+    /// loaded overlay: on `fwd`'s compiled tables when it has some
+    /// ([`SweepEngine::route_outcome_compiled`]), interpreted otherwise
+    /// ([`SweepEngine::route_outcome`]), with `fwd`'s hop bound.
+    pub fn outcome<P: ForwardingPattern + ?Sized>(
+        &mut self,
+        fwd: &Forwarder<'_, P>,
+        source: Node,
+        destination: Node,
+    ) -> Outcome {
+        match fwd.tables() {
+            Some(cp) => self.route_outcome_compiled(cp, source, destination, fwd.max_hops()),
+            None => self.route_outcome(fwd.pattern(), source, destination, fwd.max_hops()),
+        }
+    }
+
+    /// Whether the tour from `start` covers its component under the loaded
+    /// overlay: on `fwd`'s compiled tables when it has some
+    /// ([`SweepEngine::tour_covers_compiled`]), interpreted otherwise
+    /// ([`SweepEngine::tour_covers`]), with `fwd`'s hop bound.
+    pub fn covers<P: ForwardingPattern + ?Sized>(
+        &mut self,
+        fwd: &Forwarder<'_, P>,
+        start: Node,
+    ) -> bool {
+        match fwd.tables() {
+            Some(cp) => self.tour_covers_compiled(cp, start, fwd.max_hops()),
+            None => self.tour_covers(fwd.pattern(), start, fwd.max_hops()),
+        }
+    }
+
     /// The earliest pair `(s, t)`, in source-major, destination-minor order
     /// with `t` drawn from `destinations`, that is connected in `G \ F` but
     /// whose packet is not delivered under the loaded overlay — `None` if
     /// every connected pair delivers.  This is the all-pairs check of the
     /// routing sweeps; the outcome of a pair is exactly that of
-    /// [`SweepEngine::route_outcome`] with the state-space hop bound.
+    /// [`SweepEngine::outcome`].
     ///
     /// On compiled tables each destination gets one labelling epoch: the
     /// sources walk in ascending order and each stops at the first state an
@@ -840,22 +871,20 @@ impl<'g> SweepEngine<'g> {
     /// source.  Source–destination tables differ per source, so there every
     /// pair gets its own epoch — plain loop detection on the same walk.
     /// Once a failing pair `(s*, t*)` is known, later destinations only
-    /// check sources below `s*`.  Without tables (`compiled` is `None`)
-    /// each pair runs the interpreted [`SweepEngine::route_outcome`].
+    /// check sources below `s*`.  Without tables each pair runs the
+    /// interpreted [`SweepEngine::route_outcome`].
     pub fn first_undelivered<P: ForwardingPattern + ?Sized>(
         &mut self,
-        compiled: Option<&CompiledPattern>,
-        pattern: &P,
+        fwd: &Forwarder<'_, P>,
         destinations: Range<usize>,
     ) -> Option<(Node, Node)> {
         let n = self.n;
-        let max_hops = state_space_bound(self.graph);
-        let Some(cp) = compiled else {
+        let Some(cp) = fwd.tables() else {
             for s in (0..n).map(Node) {
                 for t in destinations.clone().map(Node) {
                     if s != t
                         && self.same_component(s, t)
-                        && !self.route_outcome(pattern, s, t, max_hops).is_delivered()
+                        && !self.outcome(fwd, s, t).is_delivered()
                     {
                         return Some((s, t));
                     }
@@ -863,6 +892,7 @@ impl<'g> SweepEngine<'g> {
             }
             return None;
         };
+        let max_hops = fwd.max_hops();
         debug_assert!(cp.matches_shape(n, self.edges.len()));
         // A walk revisits a state before it can exceed the hop bound, so no
         // labelled walk ends in `HopLimit`.
@@ -1133,40 +1163,6 @@ where
         event: events.into_iter().flatten().min_by_key(|&(i, _)| i),
         probes: total_probes.load(Ordering::Relaxed),
         stopped: any_stopped.load(Ordering::Relaxed),
-    }
-}
-
-/// [`sharded_first_controlled`] without stopping or panic recovery: the
-/// historical interface.  A probe panic is re-raised on the calling thread
-/// (after sibling shards have wound down cleanly) so unbudgeted callers keep
-/// their fail-fast semantics.
-pub(crate) fn sharded_first<S, T, I, F>(
-    total: u64,
-    min_chunk: u64,
-    poll_interval: u64,
-    init: I,
-    probe: F,
-) -> Option<T>
-where
-    S: Send,
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> Option<T> + Sync,
-{
-    let outcome = sharded_first_controlled(
-        total,
-        min_chunk,
-        poll_interval,
-        &StopSignal::none(),
-        init,
-        probe,
-    );
-    match outcome.event {
-        Some((_, ShardEvent::Hit(t))) => Some(t),
-        Some((i, ShardEvent::Panic(msg))) => {
-            panic!("sharded worker panicked at index {i}: {msg}")
-        }
-        None => None,
     }
 }
 

@@ -11,14 +11,20 @@
 use frr_graph::{generators, Node};
 use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
 use frr_routing::budget::{CancelToken, RunBudget, StopCause, Verdict};
+use frr_routing::compiled::CompilePattern;
+use frr_routing::failure::FailureSet;
 use frr_routing::hostile::{
-    FailedLinkForwarder, NoCompile, NonNeighborForwarder, NondeterministicPattern, PanicPattern,
+    FailedLinkForwarder, NoCompile, NonNeighborForwarder, NondeterministicPattern, PanicOnCompile,
+    PanicPattern,
 };
+use frr_routing::metrics::{evaluate_random_workload, evaluate_scenarios};
 use frr_routing::model::RoutingModel;
 use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern};
 use frr_routing::resilience::{
     check, check_bounded_r_resilience, check_bounded_r_resilience_with_budget, Property,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -160,6 +166,20 @@ fn random_adversary_reports_panics_with_the_reconstructed_trial() {
 }
 
 #[test]
+#[should_panic(expected = "sweep worker panicked at enumeration position")]
+fn brute_force_adversary_unbudgeted_search_reraises_a_probe_panic() {
+    let g = generators::cycle(6);
+    BruteForceAdversary::default().find_counterexample(&g, &PanicPattern);
+}
+
+#[test]
+#[should_panic(expected = "sharded worker panicked at index")]
+fn random_adversary_unbudgeted_search_reraises_a_probe_panic() {
+    let g = generators::cycle(8);
+    RandomAdversary::new(4096, 3, 0xC0FFEE).find_counterexample(&g, &PanicPattern);
+}
+
+#[test]
 fn random_adversary_never_claims_proven() {
     let g = generators::cycle(5);
     // RotorPattern is perfectly resilient on a cycle, so no trial hits — a
@@ -264,6 +284,37 @@ fn r_tolerance_with_budget_survives_a_panicking_pattern() {
         "got: {}",
         err.message
     );
+}
+
+#[test]
+fn panicking_compile_keeps_the_interpreter_in_every_entry_point() {
+    // `PanicOnCompile` panics in `compile` and forwards to its first alive
+    // neighbor when interpreted.  Every entry point must answer exactly as
+    // for the same pattern with compilation refused.
+    let g = generators::cycle(6);
+    let refused = NoCompile(PanicOnCompile);
+    let brute = BruteForceAdversary::with_max_failures(2);
+    let found = brute.find_counterexample(&g, &PanicOnCompile);
+    assert!(found.is_some(), "first-alive forwarding loops on a ring");
+    assert_eq!(found, brute.find_counterexample(&g, &refused));
+    let random = RandomAdversary::new(256, 2, 5);
+    assert_eq!(
+        random.find_counterexample(&g, &PanicOnCompile),
+        random.find_counterexample(&g, &refused)
+    );
+    let scenarios = [
+        (FailureSet::new(), Node(0), Node(3)),
+        (FailureSet::from_pairs(&[(0, 1)]), Node(0), Node(2)),
+        (FailureSet::from_pairs(&[(2, 3)]), Node(4), Node(1)),
+    ];
+    assert_eq!(
+        evaluate_scenarios(&g, &PanicOnCompile, &scenarios),
+        evaluate_scenarios(&g, &refused, &scenarios)
+    );
+    let workload = |pattern: &dyn CompilePattern| {
+        evaluate_random_workload(&g, pattern, 200, 2, &mut StdRng::seed_from_u64(9))
+    };
+    assert_eq!(workload(&PanicOnCompile), workload(&refused));
 }
 
 // ---------------------------------------------------------------------------

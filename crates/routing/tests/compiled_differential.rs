@@ -11,8 +11,8 @@
 
 use frr_graph::{generators, Graph, Node};
 use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
-use frr_routing::budget::RunBudget;
-use frr_routing::compiled::{tabulate, CompilePattern, CompiledPattern, CompiledSim};
+use frr_routing::budget::{RunBudget, Verdict, WorkerPanicked};
+use frr_routing::compiled::{tabulate, CompilePattern, CompiledPattern, CompiledSim, Forwarder};
 use frr_routing::failure::{failure_set_from_mask, FailureSet, GrayMasks};
 use frr_routing::hostile::{FailedLinkForwarder, NoCompile, NonNeighborForwarder};
 use frr_routing::model::{LocalContext, RoutingModel};
@@ -24,6 +24,7 @@ use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::{sweep_find_first, SweepEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 /// Seeded random connected graphs spanning sparse trees-plus-chords to dense
 /// little meshes.
@@ -201,30 +202,59 @@ fn compiled_pattern_next_hop_agrees_as_forwarding_pattern() {
     }
 }
 
+/// `verdict` with its wall-clock reading zeroed, so two runs compare equal.
+fn timeless(mut verdict: Result<Verdict, WorkerPanicked>) -> Result<Verdict, WorkerPanicked> {
+    if let Ok(Verdict::Indeterminate(progress)) = &mut verdict {
+        progress.elapsed = Duration::ZERO;
+    }
+    verdict
+}
+
 #[test]
 fn checkers_produce_identical_counterexamples_with_and_without_compilation() {
     // The checkers compile internally; a wrapper that refuses compilation
     // forces the interpreted path, and the results must be byte-identical.
+    // A one-mask work budget stops every sweep after the empty mask, so the
+    // clipped checks run each property's sampler on both paths.
     let unlimited = RunBudget::unlimited();
+    let clipped = RunBudget::unlimited().with_work_budget(1);
     for g in random_graphs(4242, 6) {
+        let n = g.node_count();
         let p = ShortestPathPattern::new(&g);
         let uncompiled = NoCompile(ShortestPathPattern::new(&g));
-        assert_eq!(
-            check(&g, &p, Property::PERFECT, &unlimited),
-            check(&g, &uncompiled, Property::PERFECT, &unlimited),
-            "graph {g:?}"
+        let mut routing = vec![Property::PERFECT];
+        routing.extend(
+            [(0, n - 1, 0), (0, n - 1, 1), (1, n / 2, 2)].map(|(s, t, r)| Property::Tolerance {
+                source: Node(s),
+                destination: Node(t),
+                r,
+            }),
         );
+        for property in routing {
+            assert_eq!(
+                check(&g, &p, property, &unlimited),
+                check(&g, &uncompiled, property, &unlimited),
+                "graph {g:?}, {property:?}"
+            );
+            assert_eq!(
+                timeless(check(&g, &p, property, &clipped)),
+                timeless(check(&g, &uncompiled, property, &clipped)),
+                "graph {g:?}, {property:?} clipped"
+            );
+        }
         let rotor = RotorPattern::clockwise(&g);
-        assert_eq!(
-            check(&g, &rotor, Property::PERFECT_TOURING, &unlimited),
-            check(
-                &g,
-                &NoCompile(&rotor),
-                Property::PERFECT_TOURING,
-                &unlimited
-            ),
-            "graph {g:?}"
-        );
+        for budget in [&unlimited, &clipped] {
+            assert_eq!(
+                timeless(check(&g, &rotor, Property::PERFECT_TOURING, budget)),
+                timeless(check(
+                    &g,
+                    &NoCompile(&rotor),
+                    Property::PERFECT_TOURING,
+                    budget
+                )),
+                "graph {g:?}"
+            );
+        }
         let brute = BruteForceAdversary::with_max_failures(3);
         assert_eq!(
             brute.find_counterexample(&g, &p),
@@ -277,22 +307,15 @@ fn metrics_identical_with_and_without_compilation() {
 /// tables when there are some.
 fn first_undelivered_per_pair<P: ForwardingPattern + ?Sized>(
     engine: &mut SweepEngine<'_>,
-    compiled: Option<&CompiledPattern>,
-    pattern: &P,
+    fwd: &Forwarder<'_, P>,
     destinations: std::ops::Range<usize>,
 ) -> Option<(Node, Node)> {
-    let g = engine.graph();
-    let max_hops = state_space_bound(g);
-    for s in g.nodes() {
+    for s in engine.graph().nodes() {
         for t in destinations.clone().map(Node) {
             if s == t || !engine.same_component(s, t) {
                 continue;
             }
-            let outcome = match compiled {
-                Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                None => engine.route_outcome(pattern, s, t, max_hops),
-            };
-            if !outcome.is_delivered() {
+            if !engine.outcome(fwd, s, t).is_delivered() {
                 return Some((s, t));
             }
         }
@@ -305,8 +328,7 @@ fn first_undelivered_per_pair<P: ForwardingPattern + ?Sized>(
 /// Returns how many masks had an undelivered pair.
 fn assert_first_undelivered_matches<P: ForwardingPattern + ?Sized>(
     g: &Graph,
-    compiled: Option<&CompiledPattern>,
-    pattern: &P,
+    fwd: &Forwarder<'_, P>,
     max_failures: usize,
 ) -> usize {
     let n = g.node_count();
@@ -316,14 +338,13 @@ fn assert_first_undelivered_matches<P: ForwardingPattern + ?Sized>(
     while gray.advance() {
         engine.load_mask(gray.current());
         for destinations in [0..n, n / 2..n, 1..2] {
-            let labelled = engine.first_undelivered(compiled, pattern, destinations.clone());
-            let reference =
-                first_undelivered_per_pair(&mut engine, compiled, pattern, destinations.clone());
+            let labelled = engine.first_undelivered(fwd, destinations.clone());
+            let reference = first_undelivered_per_pair(&mut engine, fwd, destinations.clone());
             assert_eq!(
                 labelled,
                 reference,
                 "{}, destinations {destinations:?}, F = {}, graph {g:?}",
-                pattern.name(),
+                fwd.pattern().name(),
                 engine.current_failure_set()
             );
             failing += usize::from(destinations.start == 0 && labelled.is_some());
@@ -360,8 +381,9 @@ fn first_undelivered_matches_per_pair_walks_on_random_graphs() {
         let pair = source_destination_pattern();
         let patterns: [&dyn CompilePattern; 3] = [&sp, &rotor, &pair];
         for pattern in patterns {
-            let cp = pattern.compile(g).expect("small graphs compile");
-            failing += assert_first_undelivered_matches(g, Some(&cp), pattern, 2);
+            let fwd = Forwarder::new(g, pattern);
+            assert!(fwd.tables().is_some(), "small graphs compile");
+            failing += assert_first_undelivered_matches(g, &fwd, 2);
         }
     }
     // Past the single-word mask wall.  Per-pair tables of a graph this
@@ -372,10 +394,12 @@ fn first_undelivered_matches_per_pair_walks_on_random_graphs() {
     let sp = ShortestPathPattern::new(&wide);
     let rotor = RotorPattern::clockwise(&wide);
     for pattern in [&sp as &dyn CompilePattern, &rotor] {
-        let cp = pattern
-            .compile(&wide)
-            .expect("direct compilers take any degree below 64");
-        failing += assert_first_undelivered_matches(&wide, Some(&cp), pattern, 2);
+        let fwd = Forwarder::new(&wide, pattern);
+        assert!(
+            fwd.tables().is_some(),
+            "direct compilers take any degree below 64"
+        );
+        failing += assert_first_undelivered_matches(&wide, &fwd, 2);
     }
     assert!(failing > 0, "the portfolio must exercise undelivered pairs");
 }
@@ -384,7 +408,7 @@ fn first_undelivered_matches_per_pair_walks_on_random_graphs() {
 fn first_undelivered_matches_per_pair_walks_on_hostile_patterns() {
     // The hostile patterns refuse `compile`; tabulating them directly gives
     // tables that drop (forwarding faults) or loop, and refusing keeps the
-    // interpreted path.
+    // interpreted path (`NoCompile` forces it for the rotor).
     let mut failing = 0;
     for g in random_graphs(0xBAD, 5) {
         let patterns: [&dyn CompilePattern; 3] = [
@@ -394,8 +418,11 @@ fn first_undelivered_matches_per_pair_walks_on_hostile_patterns() {
         ];
         for pattern in patterns {
             let cp = tabulate(&g, pattern).expect("small graphs tabulate");
-            failing += assert_first_undelivered_matches(&g, Some(&cp), pattern, 2);
-            failing += assert_first_undelivered_matches(&g, None, pattern, 2);
+            failing += assert_first_undelivered_matches(&g, &Forwarder::new(&g, &cp), 2);
+            let interpreted = NoCompile(pattern);
+            let fwd = Forwarder::new(&g, &interpreted);
+            assert!(fwd.tables().is_none());
+            failing += assert_first_undelivered_matches(&g, &fwd, 2);
         }
     }
     assert!(failing > 0);
@@ -407,7 +434,8 @@ fn first_undelivered_keeps_the_interpreter_when_compile_is_refused() {
     // must answer exactly like the interpreted per-pair walks.
     let g = generators::wheel(64);
     let sp = ShortestPathPattern::new(&g);
-    assert!(sp.compile(&g).is_none(), "degree 64 refuses compilation");
+    let sp = Forwarder::new(&g, &sp);
+    assert!(sp.tables().is_none(), "degree 64 refuses compilation");
     let smallest_alive = FnPattern::new(
         RoutingModel::DestinationOnly,
         "smallest-alive",
@@ -418,8 +446,10 @@ fn first_undelivered_keeps_the_interpreter_when_compile_is_refused() {
             ctx.alive_neighbors().first().copied()
         },
     );
-    assert_first_undelivered_matches(&g, None, &sp, 1);
-    let failing = assert_first_undelivered_matches(&g, None, &smallest_alive, 1);
+    let smallest_alive = Forwarder::new(&g, &smallest_alive);
+    assert!(smallest_alive.tables().is_none());
+    assert_first_undelivered_matches(&g, &sp, 1);
+    let failing = assert_first_undelivered_matches(&g, &smallest_alive, 1);
     assert!(failing > 0);
 }
 
@@ -449,7 +479,8 @@ fn sharded_r1_sweep_finds_a_late_counterexample_like_a_sequential_scan() {
             rotor.next_hop(ctx)
         },
     );
-    let cp = pattern.compile(&g).expect("a ring tabulates");
+    let fwd = Forwarder::new(&g, &pattern);
+    assert!(fwd.tables().is_some(), "a ring tabulates");
 
     // The sequential reference: per-pair walks, mask by mask in Gray order.
     let mut engine = SweepEngine::new(&g);
@@ -458,7 +489,7 @@ fn sharded_r1_sweep_finds_a_late_counterexample_like_a_sequential_scan() {
     let mut position = 0u64;
     while gray.advance() {
         engine.load_mask(gray.current());
-        if let Some((s, t)) = first_undelivered_per_pair(&mut engine, Some(&cp), &pattern, 0..n) {
+        if let Some((s, t)) = first_undelivered_per_pair(&mut engine, &fwd, 0..n) {
             reference = Some((engine.current_failure_set(), s, t));
             break;
         }
