@@ -404,6 +404,7 @@ fn flush_memo_stats(stats: frr_graph::minors::MemoStats, registry: &frr_obs::Reg
         ("minors.memo_inserts", stats.inserts),
         ("minors.contractions", stats.contractions),
         ("minors.subiso_checks", stats.subiso_checks),
+        ("minors.pruned", stats.pruned),
     ]);
 }
 

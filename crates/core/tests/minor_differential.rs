@@ -1,17 +1,19 @@
 //! Differential suite pinning the packed minor engine against the old
 //! clone-based search (`frr_graph::minors::reference`): on every graph pool
 //! the paper's classification touches — the Fig. 9 landscape, the bundled
-//! real topologies, the synthetic zoo and seeded random graphs — a definite
-//! answer from the old engine must be reproduced exactly, and `Unknown` is
-//! only allowed to *shrink* (the packed engine may decide cases the old
-//! engine could not afford, never the other way around).
+//! real topologies, the synthetic zoo, seeded random graphs, hub-and-spoke
+//! hosts and edge-subdivided random graphs (the shapes the cycle-rank and
+//! degree-dominance bounds cut) — a definite answer from the old engine must
+//! be reproduced exactly, and `Unknown` is only allowed to *shrink* (the
+//! packed engine may decide cases the old engine could not afford, never the
+//! other way around).
 
 use frr_core::landscape::figure9_entries;
 use frr_graph::minors::{forbidden, has_minor_with_budget, reference, MinorAnswer};
-use frr_graph::{generators, Graph};
+use frr_graph::{generators, Graph, Node};
 use frr_topologies::{builtin_topologies, synthetic_zoo, ZooConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The six forbidden minors of the paper.
 fn paper_patterns() -> Vec<(&'static str, Graph)> {
@@ -91,6 +93,82 @@ fn seeded_random_graphs_agree() {
             _ => generators::random_connected(n, i % 4, &mut rng),
         };
         let name = format!("random-{i}");
+        for (pname, pattern) in &patterns {
+            check(&g, &name, pattern, pname, 100_000);
+        }
+    }
+}
+
+/// `hubs` pairwise-adjacent core hubs, every access node homed to two of
+/// them, plus `lateral` random access–access links: the zoo's dual-homed
+/// metro shape, where few nodes have degree ≥ 3.
+fn hub_and_spoke(hubs: usize, access: usize, lateral: usize, rng: &mut StdRng) -> Graph {
+    let mut g = generators::complete(hubs);
+    for _ in 0..access {
+        let a = g.add_node();
+        let h1 = rng.gen_range(0..hubs);
+        let h2 = (h1 + rng.gen_range(1..hubs)) % hubs;
+        g.add_edge(a, Node(h1));
+        g.add_edge(a, Node(h2));
+    }
+    for _ in 0..lateral {
+        let u = rng.gen_range(hubs..hubs + access);
+        let v = rng.gen_range(hubs..hubs + access);
+        if u != v {
+            g.add_edge(Node(u), Node(v));
+        }
+    }
+    g
+}
+
+/// `g` with `k` randomly chosen edges each replaced by a two-edge path.
+fn subdivide_edges(g: &Graph, k: usize, rng: &mut StdRng) -> Graph {
+    let edges = g.edges();
+    let mut split = vec![false; edges.len()];
+    for _ in 0..k.min(edges.len()) {
+        split[rng.gen_range(0..edges.len())] = true;
+    }
+    let mut out = Graph::new(g.node_count());
+    for (e, split) in edges.iter().zip(split) {
+        let (u, v) = e.endpoints();
+        if split {
+            let x = out.add_node();
+            out.add_edge(u, x);
+            out.add_edge(x, v);
+        } else {
+            out.add_edge(u, v);
+        }
+    }
+    out
+}
+
+#[test]
+fn hub_and_spoke_hosts_agree() {
+    let mut rng = StdRng::seed_from_u64(0x4B_5350_4B45);
+    let patterns = paper_patterns();
+    for i in 0..60 {
+        let hubs = 2 + i % 3;
+        let access = 3 + i % 6;
+        let g = hub_and_spoke(hubs, access, i % 3, &mut rng);
+        let name = format!("hub-and-spoke-{i}");
+        for (pname, pattern) in &patterns {
+            check(&g, &name, pattern, pname, 100_000);
+        }
+    }
+}
+
+#[test]
+fn subdivided_random_graphs_agree() {
+    let mut rng = StdRng::seed_from_u64(0x5_0B01_71DE);
+    let patterns = paper_patterns();
+    for i in 0..60 {
+        let n = 6 + i % 5;
+        let g = match i % 2 {
+            0 => generators::gnp(n, 0.5, &mut rng),
+            _ => generators::random_connected(n, 2 + i % 4, &mut rng),
+        };
+        let g = subdivide_edges(&g, 1 + i % 3, &mut rng);
+        let name = format!("subdivided-{i}");
         for (pname, pattern) in &patterns {
             check(&g, &name, pattern, pname, 100_000);
         }

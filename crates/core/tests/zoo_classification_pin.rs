@@ -3,7 +3,8 @@
 //! packed minor engine, the planarity/outerplanarity stack or the budget
 //! semantics that flips a single cell fails loudly here.  The same run also
 //! asserts the `classify::batch` acceptance contract: its output must be
-//! identical to the sequential path.
+//! identical to the sequential path.  A second pin runs the default budget,
+//! the one `fig7_zoo` and the benchmark use, against the benchmark's digest.
 
 use frr_core::classify::{self, classify_with_budget, Classification, ClassifyBudget};
 use frr_topologies::{full_zoo, ZooConfig};
@@ -28,15 +29,15 @@ fn render(name: &str, c: &Classification) -> String {
     )
 }
 
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// FNV-1a over the lines, each terminated by `\n`.
 fn fnv(lines: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for byte in line.bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-        hash = (hash ^ u64::from(b'\n')).wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    fnv1a(lines.iter().flat_map(|l| l.bytes().chain([b'\n'])))
 }
 
 #[test]
@@ -87,5 +88,22 @@ fn zoo_classification_is_pinned_and_batch_matches_sequential() {
         0x0531251E3C8DA4A03,
         "zoo classification digest changed; first lines:\n{}",
         lines[..8].join("\n")
+    );
+}
+
+/// The default budget, as `fig7_zoo` and the benchmark run it.  The digest
+/// is the benchmark's: FNV-1a over the sorted `{c:?}` lines, so it does not
+/// depend on the zoo's order.
+#[test]
+fn default_budget_zoo_classification_is_pinned() {
+    let zoo = full_zoo(&ZooConfig::default());
+    let graphs: Vec<&frr_graph::Graph> = zoo.iter().map(|t| &t.graph).collect();
+    let batched = classify::batch(&graphs, ClassifyBudget::default());
+    let mut lines: Vec<String> = batched.iter().map(|c| format!("{c:?}\n")).collect();
+    lines.sort();
+    assert_eq!(
+        fnv1a(lines.concat().into_bytes()),
+        0xa93e_a461_7e9c_b595,
+        "default-budget zoo classification digest changed"
     );
 }

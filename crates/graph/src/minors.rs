@@ -12,15 +12,30 @@
 //! The search uses the complete recursion
 //! `H ≼ G  ⇔  H ⊆_sub G  ∨  ∃ e ∈ E(G): H ≼ G/e`
 //! (a minor model either has all-singleton branch sets — then it is a
-//! subgraph — or some branch set contains an edge, which can be contracted),
-//! together with standard reductions (deleting degree-≤1 nodes, suppressing
-//! degree-2 nodes) that are safe for every pattern graph used in the paper.
+//! subgraph — or some branch set contains an edge, which can be contracted).
+//! Two reductions shrink every state: deleting degree-≤1 nodes when the
+//! pattern has minimum degree ≥ 2, and suppressing degree-2 nodes when it has
+//! minimum degree ≥ 3.  Two exact bounds then cut whole subtrees:
+//!
+//! - **Cycle rank.** `β = m − n + c` never grows under taking minors, so a
+//!   state with `m' − n' + c_root < β(H)` has no `H` minor, nor does anything
+//!   below it.  `c_root` is the host's component count at the root; later
+//!   states never have more, because contracting, deleting a degree-≤1 node
+//!   and suppressing a degree-2 node never add a component.  Holds for every
+//!   pattern.
+//! - **Degree dominance.** When the pattern's maximum degree is ≤ 3 (`K4`,
+//!   `K2,3`, `K3,3^{-1}`), `H` is a minor iff the host contains a subdivision
+//!   of `H` (Diestel, *Graph Theory*, Prop. 1.7.3), which needs a distinct
+//!   host node of degree ≥ `deg_H(v)` for every pattern node `v`.  A state
+//!   whose top-`|H|` degrees fail to dominate the pattern's is therefore "No"
+//!   with its whole subtree.  For denser patterns the same test only skips
+//!   that state's subgraph check.
 //!
 //! # The packed engine
 //!
 //! [`MinorEngine`] runs the search on packed `u64` adjacency rows (the
 //! [`BitGraph`] layout): every branch-and-bound state is a bitset quotient —
-//! one row per original node id, an active-representative bitmask, and a
+//! one row per node id, an active-representative bitmask, and a
 //! small per-representative weight array.  Contraction keeps the smaller
 //! identifier as representative (so identical quotients reached via different
 //! contraction orders coincide), and reduces to a handful of word OR/ANDNOT
@@ -32,12 +47,20 @@
 //! `u64`-tuple key each *newly seen* state contributes to the memo table —
 //! the packed replacement for the old `BTreeMap`-quotient clone per state.
 //!
+//! When the pattern has no isolated nodes, the root is reduced once and its
+//! surviving nodes are relabelled `0..n'` in ascending original-id order
+//! before the search starts.  The relabel preserves id order, so the
+//! representative choice, the branch order, `reduce`'s picks and every
+//! ascending scan are unchanged: the search tree and the contraction count
+//! are identical, only the rows, state copies and memo keys get shorter.
+//!
 //! The work budget counts **contractions actually performed** (one per
 //! explored non-root state), so a given budget bounds the real branching work
 //! and [`MinorAnswer::Unknown`] marks a meaningful search frontier.
 
 use crate::bitgraph::{BitGraph, BitIter};
 use crate::budget::StopSignal;
+use crate::connectivity::connected_components;
 use crate::graph::{Graph, Node};
 use std::collections::HashSet;
 
@@ -98,10 +121,11 @@ const WORD_BITS: usize = u64::BITS as usize;
 
 /// One branch-and-bound state: a quotient of the host graph in packed form.
 ///
-/// Rows are indexed by *original node id*; a node that was merged away or
-/// deleted has a zeroed row and a cleared bit in `active`.  Because the
-/// representative of a contraction is always the smaller id, the packed rows
-/// plus the active mask are a canonical labelling of the quotient.
+/// Rows are indexed by node id (the host's, or the compacted root's); a node
+/// that was merged away or deleted has a zeroed row and a cleared bit in
+/// `active`.  Because the representative of a contraction is always the
+/// smaller id, the packed rows plus the active mask are a canonical labelling
+/// of the quotient.
 #[derive(Default)]
 struct StateBuf {
     /// `n_slots * words` adjacency words.
@@ -170,6 +194,69 @@ impl StateBuf {
         self.m_edges = other.m_edges;
         self.row_tmp.clear();
         self.row_tmp.resize(other.words, 0);
+    }
+
+    /// Copies `src` with its active nodes relabelled `0..n'` in ascending
+    /// id order (rows shrink to `⌈n'/64⌉` words).  Deleted and merged-away
+    /// nodes drop out; `free` and the weights carry over.
+    fn compact_from(&mut self, src: &StateBuf) {
+        let n = src.active_count();
+        let w = n.div_ceil(WORD_BITS);
+        // `map[old] = new`, reusing the destination's node scratch.
+        let mut map = std::mem::take(&mut self.node_tmp);
+        map.clear();
+        map.resize(src.weight.len(), u32::MAX);
+        for (new, old) in src.active_nodes().enumerate() {
+            map[old] = new as u32;
+        }
+        // The search tree stays identical only if the relabel keeps id order.
+        debug_assert!(src
+            .active_nodes()
+            .zip(src.active_nodes().skip(1))
+            .all(|(a, b)| map[a] < map[b]));
+        self.words = w;
+        self.rows.clear();
+        self.rows.resize(n * w, 0);
+        self.active.clear();
+        self.active.resize(w, 0);
+        self.weight.clear();
+        self.deg.clear();
+        for (new, old) in src.active_nodes().enumerate() {
+            self.active[new / WORD_BITS] |= 1u64 << (new % WORD_BITS);
+            for u in src.row_nodes(old) {
+                let u = map[u] as usize;
+                self.rows[new * w + u / WORD_BITS] |= 1u64 << (u % WORD_BITS);
+            }
+            self.weight.push(src.weight[old]);
+            self.deg.push(src.deg[old]);
+        }
+        self.free = src.free;
+        self.n_active = src.n_active;
+        self.m_edges = src.m_edges;
+        self.row_tmp.clear();
+        self.row_tmp.resize(w, 0);
+        self.node_tmp = map;
+    }
+
+    /// Number of connected components among the active nodes.
+    fn component_count(&self) -> usize {
+        let mut unseen = self.active.clone();
+        let mut stack = Vec::new();
+        let mut count = 0;
+        while let Some(wi) = unseen.iter().position(|&word| word != 0) {
+            let start = wi * WORD_BITS + unseen[wi].trailing_zeros() as usize;
+            unseen[wi] &= !(1u64 << (start % WORD_BITS));
+            stack.push(start);
+            count += 1;
+            while let Some(v) = stack.pop() {
+                for (wi, &word) in self.row(v).iter().enumerate() {
+                    let fresh = word & unseen[wi];
+                    unseen[wi] &= !fresh;
+                    stack.extend(BitIter::new(fresh).map(|b| wi * WORD_BITS + b));
+                }
+            }
+        }
+        count
     }
 
     #[inline]
@@ -346,6 +433,9 @@ struct PatternData {
     n: usize,
     m: usize,
     min_degree: usize,
+    max_degree: usize,
+    /// Cycle rank `m − n + c` over the pattern's real components.
+    cycle_rank: usize,
     /// Per-pattern-node degree.
     deg: Vec<u32>,
     /// Per-pattern-node adjacency bitmask over pattern indices.
@@ -401,10 +491,16 @@ impl PatternData {
         let mut deg_sorted = deg.clone();
         deg_sorted.sort_unstable_by(|a, b| b.cmp(a));
         let min_degree = deg.iter().copied().min().unwrap_or(0) as usize;
+        let max_degree = deg.iter().copied().max().unwrap_or(0) as usize;
+        // Each isolated node of `h` adds one node and one component, so this
+        // is the core's cycle rank.
+        let cycle_rank = h.edge_count() + connected_components(h).len() - h.node_count();
         PatternData {
             n,
             m,
             min_degree,
+            max_degree,
+            cycle_rank,
             deg,
             adj,
             order,
@@ -413,22 +509,6 @@ impl PatternData {
     }
 }
 
-/// A reusable packed minor-search engine.
-///
-/// All scratch (per-depth state buffers, the memo table, subgraph-check
-/// arrays) is owned by the engine and reused across calls, so a worker that
-/// classifies many graphs performs no per-search setup allocations beyond
-/// the first call at each size.
-///
-/// ```
-/// use frr_graph::minors::MinorEngine;
-/// use frr_graph::{generators, BitGraph};
-///
-/// let mut engine = MinorEngine::new();
-/// let host = BitGraph::from_graph(&generators::petersen());
-/// assert!(engine.solve_bit(&host, &generators::complete(5), 100_000).is_yes());
-/// assert!(engine.solve_bit(&host, &generators::complete(6), 100_000).is_no());
-/// ```
 /// What a [`MinorEngine`] did: memo-table traffic and search work.
 ///
 /// Plain `u64` fields incremented inline on the search hot path (an atomic
@@ -449,6 +529,9 @@ pub struct MemoStats {
     /// Subgraph-isomorphism checks that ran their backtracking search
     /// (states surviving the degree-sequence filter).
     pub subiso_checks: u64,
+    /// States cut with their whole subtree by the cycle-rank or the
+    /// degree-dominance bound.
+    pub pruned: u64,
 }
 
 impl MemoStats {
@@ -459,9 +542,26 @@ impl MemoStats {
         self.inserts += other.inserts;
         self.contractions += other.contractions;
         self.subiso_checks += other.subiso_checks;
+        self.pruned += other.pruned;
     }
 }
 
+/// A reusable packed minor-search engine.
+///
+/// All scratch (per-depth state buffers, the memo table, subgraph-check
+/// arrays) is owned by the engine and reused across calls, so a worker that
+/// classifies many graphs performs no per-search setup allocations beyond
+/// the first call at each size.
+///
+/// ```
+/// use frr_graph::minors::MinorEngine;
+/// use frr_graph::{generators, BitGraph};
+///
+/// let mut engine = MinorEngine::new();
+/// let host = BitGraph::from_graph(&generators::petersen());
+/// assert!(engine.solve_bit(&host, &generators::complete(5), 100_000).is_yes());
+/// assert!(engine.solve_bit(&host, &generators::complete(6), 100_000).is_no());
+/// ```
 pub struct MinorEngine {
     states: Vec<StateBuf>,
     /// Per-depth branch edge lists, packed `degsum << 32 | a << 16 | b` with
@@ -619,15 +719,24 @@ impl MinorEngine {
         self.budget = budget;
         self.exhausted = false;
         self.seen.clear();
-        if self.states.is_empty() {
-            self.states.push(StateBuf::default());
-        }
+        self.ensure_depth(1);
         self.states[0].reset(g);
-
+        let del_low = pattern.min_degree >= 2 && spare_needed == 0;
+        let suppress = pattern.min_degree >= 3 && spare_needed == 0;
+        if spare_needed == 0 {
+            // Reduce once and search from the compacted survivors: an
+            // order-preserving relabel, so the search tree is unchanged.
+            self.states[0].reduce(del_low, suppress);
+            let (root, compact) = self.states.split_at_mut(1);
+            compact[0].compact_from(&root[0]);
+            self.states.swap(0, 1);
+        }
         let search = SearchCtx {
+            host_components: self.states[0].component_count(),
             pattern,
             spare_needed,
-            original_nodes: g.node_count(),
+            del_low,
+            suppress,
         };
         let found = self.search(&search, 0);
         if found {
@@ -651,25 +760,24 @@ impl MinorEngine {
     fn search(&mut self, ctx: &SearchCtx, depth: usize) -> bool {
         self.ensure_depth(depth);
         let hn = ctx.pattern.n;
-        let hm = ctx.pattern.m;
         {
             let st = &mut self.states[depth];
-            st.reduce(
-                ctx.pattern.min_degree >= 2 && ctx.spare_needed == 0,
-                ctx.pattern.min_degree >= 3 && ctx.spare_needed == 0,
-            );
-        }
-
-        {
-            let st = &self.states[depth];
-            if st.active_count() < hn || st.edge_count() < hm {
+            st.reduce(ctx.del_low, ctx.suppress);
+            if st.active_count() < hn || st.edge_count() < ctx.pattern.m {
+                return false;
+            }
+            // Cycle-rank bound: no state below can regain the missing rank.
+            if st.edge_count() + ctx.host_components < st.active_count() + ctx.pattern.cycle_rank {
+                self.memo_stats.pruned += 1;
                 return false;
             }
         }
-        // Spare original nodes (merged away or deleted) can serve as isolated
-        // pattern nodes; the quotient must still be able to host the core plus
-        // the spares.
-        if ctx.original_nodes < hn + ctx.spare_needed {
+        // Degree filter.  For a pattern of maximum degree ≤ 3 a failed filter
+        // rules out a subdivision, hence a minor, in every state below as
+        // well; otherwise it only skips this state's subgraph check.
+        let dominated = self.degrees_dominate(&ctx.pattern, depth);
+        if !dominated && ctx.pattern.max_degree <= 3 {
+            self.memo_stats.pruned += 1;
             return false;
         }
 
@@ -703,7 +811,12 @@ impl MinorEngine {
         }
 
         // Direct subgraph check on the packed quotient.
-        match self.packed_subiso(ctx, depth) {
+        let subiso = if dominated {
+            self.packed_subiso(ctx, depth)
+        } else {
+            Some(false)
+        };
+        match subiso {
             Some(true) => {
                 if ctx.spare_needed == 0 {
                     return true;
@@ -784,39 +897,38 @@ impl MinorEngine {
         found
     }
 
+    /// Degree-sequence filter: whether the top `pat.n` degrees of the
+    /// quotient at `depth` dominate the pattern's descending degrees.  If not,
+    /// no subgraph embedding (and no subdivision) of the pattern exists.
+    fn degrees_dominate(&mut self, pat: &PatternData, depth: usize) -> bool {
+        let MinorEngine {
+            states,
+            host_deg_sorted,
+            ..
+        } = self;
+        let st = &states[depth];
+        host_deg_sorted.clear();
+        host_deg_sorted.extend(st.active_nodes().map(|v| st.deg[v]));
+        if host_deg_sorted.len() < pat.n {
+            return false;
+        }
+        // Only the top `pat.n` host degrees matter for dominance: an O(n)
+        // selection beats a full sort in the per-state hot path.
+        if host_deg_sorted.len() > pat.n {
+            host_deg_sorted.select_nth_unstable_by(pat.n - 1, |a, b| b.cmp(a));
+        }
+        host_deg_sorted[..pat.n].sort_unstable_by(|a, b| b.cmp(a));
+        host_deg_sorted[..pat.n]
+            .iter()
+            .zip(pat.deg_sorted.iter())
+            .all(|(hd, pd)| hd >= pd)
+    }
+
     /// Budgeted subgraph-isomorphism check of the pattern against the packed
-    /// quotient at `depth`, fronted by a degree-sequence filter: the host's
-    /// descending degree sequence must dominate the pattern's, otherwise no
-    /// embedding exists and the backtracking is skipped entirely.
+    /// quotient at `depth`; callers run `degrees_dominate` first.
     fn packed_subiso(&mut self, ctx: &SearchCtx, depth: usize) -> Option<bool> {
         let pat = &ctx.pattern;
-        let words = {
-            let MinorEngine {
-                states,
-                host_deg_sorted,
-                ..
-            } = self;
-            let st = &states[depth];
-            host_deg_sorted.clear();
-            host_deg_sorted.extend(st.active_nodes().map(|v| st.deg[v]));
-            if host_deg_sorted.len() < pat.n {
-                return Some(false);
-            }
-            // Only the top `pat.n` host degrees matter for dominance: an O(n)
-            // selection beats a full sort in the per-state hot path.
-            if host_deg_sorted.len() > pat.n {
-                host_deg_sorted.select_nth_unstable_by(pat.n - 1, |a, b| b.cmp(a));
-            }
-            host_deg_sorted[..pat.n].sort_unstable_by(|a, b| b.cmp(a));
-            if host_deg_sorted[..pat.n]
-                .iter()
-                .zip(pat.deg_sorted.iter())
-                .any(|(hd, pd)| hd < pd)
-            {
-                return Some(false);
-            }
-            st.words
-        };
+        let words = self.states[depth].words;
         self.memo_stats.subiso_checks += 1;
 
         self.sub_assign.clear();
@@ -909,7 +1021,12 @@ impl MinorEngine {
 struct SearchCtx {
     pattern: PatternData,
     spare_needed: usize,
-    original_nodes: usize,
+    /// Delete degree-≤1 nodes in every state (pattern minimum degree ≥ 2).
+    del_low: bool,
+    /// Suppress degree-2 nodes in every state (pattern minimum degree ≥ 3).
+    suppress: bool,
+    /// Component count of the root state: an upper bound for every state.
+    host_components: usize,
 }
 
 /// The forbidden minors featured in the paper, as ready-made graphs.
@@ -1415,6 +1532,94 @@ mod tests {
         folded.accumulate(&stats);
         folded.accumulate(&stats);
         assert_eq!(folded.contractions, twice.contractions);
+    }
+
+    /// `hubs` pairwise-adjacent hubs; access node `i` is homed to hubs
+    /// `i % hubs` and `(i + 1) % hubs`.
+    fn hub_and_spoke(hubs: usize, access: usize) -> Graph {
+        let mut g = generators::complete(hubs);
+        for i in 0..access {
+            let a = g.add_node();
+            g.add_edge(a, Node(i % hubs));
+            g.add_edge(a, Node((i + 1) % hubs));
+        }
+        g
+    }
+
+    #[test]
+    fn exact_bounds_settle_searches_without_contracting() {
+        // Hub-and-spoke hosts have at most 3 nodes of degree ≥ 3, fewer than
+        // the 4 that a K3,3^{-1} subdivision needs; the other hosts have cycle
+        // rank below the pattern's (grid 12, wheel 13 < 14 = β(K7^{-1});
+        // Petersen 6 < 8 = β(K4,4^{-1})).
+        let cases = [
+            (
+                "hub-and-spoke(3, 30)",
+                hub_and_spoke(3, 30),
+                forbidden::k33_minus1(),
+            ),
+            (
+                "hub-and-spoke(2, 30)",
+                hub_and_spoke(2, 30),
+                forbidden::k33_minus1(),
+            ),
+            ("grid(4, 5)", generators::grid(4, 5), forbidden::k7_minus1()),
+            ("wheel(13)", generators::wheel(13), forbidden::k7_minus1()),
+            ("petersen", generators::petersen(), forbidden::k44_minus1()),
+        ];
+        for (name, g, h) in &cases {
+            let mut engine = MinorEngine::new();
+            assert_eq!(engine.solve(g, h, 50_000), MinorAnswer::No, "{name}");
+            let stats = engine.take_memo_stats();
+            assert_eq!(stats.contractions, 0, "{name}");
+            assert_eq!(stats.pruned, 1, "{name}");
+            assert_eq!(stats.probes, stats.hits + stats.inserts, "{name}");
+        }
+    }
+
+    /// `g` with every edge replaced by a path through `k` new nodes.
+    fn subdivided(g: &Graph, k: usize) -> Graph {
+        let mut out = Graph::new(g.node_count());
+        for e in g.edges() {
+            let (u, v) = e.endpoints();
+            let mut prev = u;
+            for _ in 0..k {
+                let x = out.add_node();
+                out.add_edge(prev, x);
+                prev = x;
+            }
+            out.add_edge(prev, v);
+        }
+        out
+    }
+
+    #[test]
+    fn compacted_root_matches_reference_on_multi_word_hosts() {
+        // Every host has more than 64 nodes (two words per row) and reduces
+        // to a one-word root for patterns of minimum degree ≥ 3.
+        let hosts = [
+            ("hub-and-spoke(4, 96)", hub_and_spoke(4, 96)),
+            ("subdivided K5", subdivided(&generators::complete(5), 6)),
+            (
+                "subdivided K3,3",
+                subdivided(&generators::complete_bipartite(3, 3), 7),
+            ),
+        ];
+        let patterns = [
+            forbidden::k4(),
+            forbidden::k5_minus1(),
+            forbidden::k33_minus1(),
+            generators::complete(5),
+        ];
+        for (name, g) in &hosts {
+            assert!(g.node_count() > 64, "{name}");
+            for h in &patterns {
+                let new = has_minor_with_budget(g, h, 50_000);
+                let old = reference::has_minor_with_budget(g, h, 50_000);
+                assert!(!new.is_unknown(), "{name}");
+                assert_eq!(new, old, "{name}");
+            }
+        }
     }
 
     #[test]
