@@ -19,21 +19,21 @@
 //! and outerplanarity take the bitset entry points, destination probes are
 //! vertex-deletion overlays (no `g.clone()` per probe), and the forbidden
 //! minor searches run on the reusable packed [`MinorEngine`].  [`batch`]
-//! classifies a whole topology list across `std::thread::scope` workers with
-//! a deterministic index-keyed merge and a run-wide minor-verdict cache.
+//! classifies a whole topology list on the workspace's sharded runner
+//! ([`frr_routing::budget::sharded_first_controlled`]) with a deterministic
+//! index-keyed merge and a run-wide minor-verdict cache.
 
-use crate::panic_message;
 use frr_graph::budget::StopSignal;
 use frr_graph::minors::{forbidden, MinorAnswer, MinorEngine};
 use frr_graph::outerplanar::{is_outerplanar_without, OuterplanarScratch};
 use frr_graph::planarity::is_planar_bit;
 use frr_graph::{BitGraph, Graph, Node};
-use frr_routing::budget::RunBudget;
+use frr_routing::budget::{sharded_first_controlled, RunBudget, ShardEvent};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Feasibility of perfect resilience in one routing model.
@@ -131,15 +131,14 @@ pub fn classify_with_budget(g: &Graph, budget: ClassifyBudget) -> Classification
     )
 }
 
-/// Classifies every graph in `graphs`, sharding the list across
-/// `std::thread::scope` workers.
+/// Classifies every graph in `graphs`, sharding the list across the
+/// workers of [`frr_routing::budget::sharded_first_controlled`].
 ///
 /// Each worker owns its packed scratch (minor engine, outerplanarity
-/// overlay buffers) and pulls the next unclassified index from a shared
-/// atomic counter; results are merged by index, so the output is
-/// **byte-identical to the sequential path at any thread count** — the same
-/// deterministic smallest-index contract as `frr_routing::sweep`'s sharded
-/// search.  Forbidden-minor verdicts are cached across the whole run, keyed
+/// overlay buffers) and claims the next unclassified index from the
+/// runner's shared counter; results land in per-index slots, so the output
+/// is **byte-identical to the sequential path at any thread count**.
+/// Forbidden-minor verdicts are cached across the whole run, keyed
 /// by the canonical packed encoding of the graph and the pattern, so
 /// repeated (sub)topologies pay for each search once.
 pub fn batch(graphs: &[&Graph], budget: ClassifyBudget) -> Vec<Classification> {
@@ -188,8 +187,9 @@ impl std::error::Error for ClassifyPanicked {}
 /// * A work budget of `w` classifies at most the first `w` graphs (one work
 ///   unit per graph), deterministically.
 /// * A panic inside one graph's classification halts the batch: siblings
-///   finish their current graph and stop, and the earliest-index panic
-///   observed is returned as a typed [`ClassifyPanicked`].
+///   finish their current graph and stop, and the earliest-index panic is
+///   returned as a typed [`ClassifyPanicked`] — the runner's merge makes it
+///   the same panic at any worker count.
 ///
 /// Under [`RunBudget::unlimited`] the output is byte-identical to [`batch`]
 /// at any thread count.
@@ -216,16 +216,10 @@ pub fn batch_with_budget_and_workers(
 ) -> Result<Vec<Option<Classification>>, ClassifyPanicked> {
     let cache = MinorCache::default();
     let stop = run.stop_signal();
-    let stop_active = !stop.is_idle();
-    let n = graphs.len();
-    let quota = run.work_limit().map_or(n, |w| w.min(n as u64) as usize);
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |c| c.get())
-    } else {
-        workers
-    }
-    .min(quota);
-    let mut slots: Vec<Option<Classification>> = vec![None; n];
+    let quota = run
+        .work_limit()
+        .map_or(graphs.len(), |w| w.min(graphs.len() as u64) as usize);
+    let slots: Vec<OnceLock<Classification>> = graphs.iter().map(|_| OnceLock::new()).collect();
     // Telemetry handles are created once per batch (cold); the per-graph
     // cost is one histogram record and one counter increment.  Wall-clock
     // readings stay inside the registry — classifications are pure functions
@@ -234,117 +228,69 @@ pub fn batch_with_budget_and_workers(
     let graphs_done = registry.counter("classify.graphs");
     let graph_ns = registry.histogram("classify.graph_ns");
     let shard_ns = registry.histogram("classify.shard_ns");
-    let flush_cache_stats = |cache: &MinorCache| {
-        registry.add_counts([
-            ("classify.cache_hits", cache.hits.load(Ordering::Relaxed)),
-            (
-                "classify.cache_misses",
-                cache.misses.load(Ordering::Relaxed),
-            ),
-        ]);
-    };
-    if workers <= 1 {
-        let shard_started = Instant::now();
-        let mut scratch = Scratch::new();
-        let mut result = Ok(());
-        for (i, g) in graphs.iter().take(quota).enumerate() {
-            if stop_active && stop.should_stop() {
-                break;
-            }
+    struct Worker<'a> {
+        scratch: Scratch,
+        started: Instant,
+        shard_ns: &'a frr_obs::Histogram,
+    }
+    impl Drop for Worker<'_> {
+        // Flush on drop so every exit — range exhausted, stop signal, probe
+        // panic — still accounts the worker's minor-search work and shard
+        // time, once per worker: the cold half of the "plain counters on the
+        // hot path" contract (`frr-graph` itself takes no telemetry
+        // dependency).
+        fn drop(&mut self) {
+            let stats = self.scratch.engine.take_memo_stats();
+            frr_obs::global().add_counts([
+                ("minors.memo_probes", stats.probes),
+                ("minors.memo_hits", stats.hits),
+                ("minors.memo_inserts", stats.inserts),
+                ("minors.contractions", stats.contractions),
+                ("minors.subiso_checks", stats.subiso_checks),
+                ("minors.pruned", stats.pruned),
+            ]);
+            self.shard_ns.record_duration(self.started.elapsed());
+        }
+    }
+    // One graph per claim and per stop poll: a classification is long
+    // enough that finer-grained sharing never shows.
+    let outcome = sharded_first_controlled(
+        quota as u64,
+        1,
+        1,
+        workers,
+        &stop,
+        || Worker {
+            scratch: Scratch::new(),
+            started: Instant::now(),
+            shard_ns: &shard_ns,
+        },
+        |worker, i| {
+            let g = graphs[i as usize];
             let b = BitGraph::from_graph(g);
             let started = Instant::now();
-            let scratch = &mut scratch;
-            match catch_unwind(AssertUnwindSafe(|| {
-                classify_impl(g, &b, budget, scratch, Some(&cache), &stop)
-            })) {
-                Ok(c) => {
-                    graph_ns.record_duration(started.elapsed());
-                    graphs_done.inc();
-                    slots[i] = Some(c);
-                }
-                Err(payload) => {
-                    result = Err(ClassifyPanicked {
-                        index: i,
-                        message: panic_message(payload),
-                    });
-                    break;
-                }
-            }
-        }
-        flush_memo_stats(scratch.engine.take_memo_stats(), registry);
-        shard_ns.record_duration(shard_started.elapsed());
-        flush_cache_stats(&cache);
-        return result.map(|()| slots);
-    }
-    let next = AtomicUsize::new(0);
-    let halt = AtomicBool::new(false);
-    let panicked: Mutex<Option<ClassifyPanicked>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, cache, halt, panicked, stop) = (&next, &cache, &halt, &panicked, &stop);
-                let (graphs_done, graph_ns, shard_ns) =
-                    (graphs_done.clone(), graph_ns.clone(), shard_ns.clone());
-                scope.spawn(move || {
-                    let shard_started = Instant::now();
-                    let mut scratch = Scratch::new();
-                    let mut out = Vec::new();
-                    loop {
-                        if halt.load(Ordering::Relaxed) || (stop_active && stop.should_stop()) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= quota {
-                            break;
-                        }
-                        let g = graphs[i];
-                        let b = BitGraph::from_graph(g);
-                        let started = Instant::now();
-                        let scratch = &mut scratch;
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            classify_impl(g, &b, budget, scratch, Some(cache), stop)
-                        })) {
-                            Ok(c) => {
-                                graph_ns.record_duration(started.elapsed());
-                                graphs_done.inc();
-                                out.push((i, c));
-                            }
-                            Err(payload) => {
-                                halt.store(true, Ordering::Relaxed);
-                                let mut first = panicked.lock().unwrap_or_else(|e| e.into_inner());
-                                match first.as_ref() {
-                                    Some(p) if p.index <= i => {}
-                                    _ => {
-                                        *first = Some(ClassifyPanicked {
-                                            index: i,
-                                            message: panic_message(payload),
-                                        })
-                                    }
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    flush_memo_stats(scratch.engine.take_memo_stats(), frr_obs::global());
-                    shard_ns.record_duration(shard_started.elapsed());
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Worker bodies catch their probes' panics; join still can't be
-            // allowed to abort the batch if something slips through.
-            if let Ok(out) = handle.join() {
-                for (i, c) in out {
-                    slots[i] = Some(c);
-                }
-            }
-        }
-    });
-    flush_cache_stats(&cache);
-    match panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        Some(p) => Err(p),
-        None => Ok(slots),
+            let c = classify_impl(g, &b, budget, &mut worker.scratch, Some(&cache), &stop);
+            graph_ns.record_duration(started.elapsed());
+            graphs_done.inc();
+            // Each index is claimed exactly once, so the slot is empty.
+            let _ = slots[i as usize].set(c);
+            None::<Infallible>
+        },
+    );
+    registry.add_counts([
+        ("classify.cache_hits", cache.hits.load(Ordering::Relaxed)),
+        (
+            "classify.cache_misses",
+            cache.misses.load(Ordering::Relaxed),
+        ),
+    ]);
+    match outcome.event {
+        Some((index, ShardEvent::Panic(message))) => Err(ClassifyPanicked {
+            index: index as usize,
+            message,
+        }),
+        Some((_, ShardEvent::Hit(never))) => match never {},
+        None => Ok(slots.into_iter().map(OnceLock::into_inner).collect()),
     }
 }
 
@@ -392,20 +338,6 @@ struct MinorCache {
     /// next to the minor search it accounts for.
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// Flushes one engine's [`MemoStats`] tallies into `registry` under the
-/// `minors.*` counter names — the cold half of the "plain counters on the
-/// hot path" contract (`frr-graph` itself takes no telemetry dependency).
-fn flush_memo_stats(stats: frr_graph::minors::MemoStats, registry: &frr_obs::Registry) {
-    registry.add_counts([
-        ("minors.memo_probes", stats.probes),
-        ("minors.memo_hits", stats.hits),
-        ("minors.memo_inserts", stats.inserts),
-        ("minors.contractions", stats.contractions),
-        ("minors.subiso_checks", stats.subiso_checks),
-        ("minors.pruned", stats.pruned),
-    ]);
 }
 
 /// Canonical labelled encoding of a graph: node count followed by the packed

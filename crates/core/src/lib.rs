@@ -65,19 +65,6 @@ use frr_routing::budget::{RunBudget, Verdict};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::resilience::{check, Property};
 
-/// Renders a `std::panic::catch_unwind` payload for typed worker-panic
-/// errors (duplicated from `frr_routing::sweep`, which keeps its helper
-/// crate-private).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<&'static str>() {
-        Ok(s) => (*s).to_string(),
-        Err(payload) => match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
-}
-
 /// The counterexample an unlimited [`check`] finds for `property`, if any.
 /// A panicking probe is re-raised: the pattern itself is broken.
 pub(crate) fn refute<P: CompilePattern + ?Sized>(

@@ -2,11 +2,13 @@
 //! `Classification` is folded into a stable digest, so any change to the
 //! packed minor engine, the planarity/outerplanarity stack or the budget
 //! semantics that flips a single cell fails loudly here.  The same run also
-//! asserts the `classify::batch` acceptance contract: its output must be
-//! identical to the sequential path.  A second pin runs the default budget,
-//! the one `fig7_zoo` and the benchmark use, against the benchmark's digest.
+//! asserts the `classify::batch` acceptance contract: its output, and that
+//! of the batch at 1, 2 and 8 pinned workers, must be identical to the
+//! sequential path.  A second pin runs the default budget, the one
+//! `fig7_zoo` and the benchmark use, against the benchmark's digest.
 
 use frr_core::classify::{self, classify_with_budget, Classification, ClassifyBudget};
+use frr_routing::budget::RunBudget;
 use frr_topologies::{full_zoo, ZooConfig};
 
 /// A reduced, pinned budget keeps the sweep fast in debug test runs; the
@@ -54,6 +56,22 @@ fn zoo_classification_is_pinned_and_batch_matches_sequential() {
         batched, sequential,
         "classify::batch must be identical to the sequential path"
     );
+    // Pinned worker counts, the one-worker run on the calling thread
+    // included, must match too.
+    for workers in [1, 2, 8] {
+        let slots = classify::batch_with_budget_and_workers(
+            &graphs,
+            PIN_BUDGET,
+            &RunBudget::unlimited(),
+            workers,
+        )
+        .expect("no classification panics");
+        let pinned: Vec<Classification> = slots
+            .into_iter()
+            .map(|c| c.expect("an unlimited batch classifies every graph"))
+            .collect();
+        assert_eq!(pinned, sequential, "workers = {workers}");
+    }
 
     let lines: Vec<String> = zoo
         .iter()

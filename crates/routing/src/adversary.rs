@@ -9,16 +9,15 @@
 //! randomized search — used to cross-check them and to probe patterns on
 //! arbitrary graphs.
 
-use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
+use crate::budget::{
+    sharded_first_controlled, Progress, RunBudget, ShardEvent, StopCause, Verdict, WorkerPanicked,
+};
 use crate::compiled::{CompilePattern, CompiledSim, Forwarder};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
 use crate::resilience::replay_route;
 use crate::simulator::{route, state_space_bound, Outcome};
-use crate::sweep::{
-    failure_set_at, sharded_first_controlled, sweep_find_first_budgeted, ShardEvent, SweepEnd,
-    SweepEngine,
-};
+use crate::sweep::{failure_set_at, sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use frr_graph::{Edge, Graph, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -328,6 +327,7 @@ impl RandomAdversary {
             trials,
             64,
             64,
+            0,
             &stop,
             || (Vec::with_capacity(edges.len()), fwd.scratch()),
             |worker, trial| self.probe_trial(g, &fwd, &nodes, &edges, worker, trial),

@@ -16,7 +16,11 @@
 //!   weight reached, elapsed time) and why it stopped;
 //! * a worker thread that panics mid-sweep surfaces as a typed
 //!   [`WorkerPanicked`] error carrying the offending failure mask — sibling
-//!   shards wind down cleanly instead of taking the process with them.
+//!   shards wind down cleanly instead of taking the process with them;
+//! * [`sharded_first_controlled`] is the one worker pool behind all of it —
+//!   the mask sweeps, the randomized adversary, the classification batch and
+//!   the supervised table rebuilds — with a deterministic earliest-index
+//!   merge, stop polling and per-probe panic capture.
 //!
 //! A [`RunBudget::unlimited`] run is the plain exhaustive answer: it sweeps
 //! the whole space and returns `Proven` or `Refuted`, with the same
@@ -26,6 +30,9 @@ use crate::adversary::Counterexample;
 use crate::failure::FailureSet;
 pub use frr_graph::budget::{CancelToken, StopSignal};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Deadline, work-unit budget and cancellation for one verification run.
@@ -274,6 +281,168 @@ impl fmt::Display for WorkerPanicked {
 
 impl std::error::Error for WorkerPanicked {}
 
+/// The terminal event of one sharded search: the earliest probe that hit
+/// (`Hit`) or panicked (`Panic`).  Panics participate in the same
+/// earliest-position merge as hits — a sequential scan would have reached
+/// the earlier event first, whichever kind it is.
+#[derive(Debug)]
+pub enum ShardEvent<T> {
+    /// The probe returned `Some`.
+    Hit(T),
+    /// The probe panicked; the payload message is preserved.
+    Panic(String),
+}
+
+/// What a controlled sharded search observed.
+#[derive(Debug)]
+pub struct ShardOutcome<T> {
+    /// The earliest-position event, if any probe hit or panicked.
+    pub event: Option<(u64, ShardEvent<T>)>,
+    /// Total probe invocations across all workers.
+    pub probes: u64,
+    /// Whether any worker wound down because the stop signal fired.
+    pub stopped: bool,
+}
+
+/// Extracts a printable message from a `catch_unwind` panic payload.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The machine's core count, read once: `available_parallelism` reads the
+/// cgroup quota files on every call, and a sweep of a small graph is short
+/// enough for that I/O to show.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Deterministic sharded first-hit search over the index range `0..total`,
+/// with cooperative stopping and panic isolation — the workspace's one
+/// worker pool.
+///
+/// The workers — the calling thread plus `std::thread::scope` threads, each
+/// with its own worker-local state from `init` (a sweep engine, a scratch
+/// buffer, …) — claim blocks of `poll_interval` consecutive indices from a
+/// shared counter until the range runs out, so a worker on a busier core
+/// simply claims fewer blocks.  A worker's indices therefore ascend, with
+/// gaps where others worked.  Each worker reports its first `Some` as
+/// `(index, value)`; the merge keeps the smallest index, so the result is
+/// byte-identical to a sequential ascending scan at any thread count —
+/// **provided `probe` is a pure function of `(state-as-initialized,
+/// index)`** up to observable results, i.e. any state the probe result
+/// depends on is a deterministic function of the index (the sweep states
+/// advance monotonically through enumeration positions and reload after a
+/// gap, which satisfies this).  A shared atomic of the best index lets
+/// workers skip blocks past it (checked at every claim); that is an
+/// optimization, never a correctness input.  Callers that want every index
+/// processed (the classification batch, the supervised rebuilds) write
+/// per-index results from the probe and return `None`.
+///
+/// The pool runs `workers` workers (`0` = [`cores`]), but never more than
+/// one per `min_chunk` indices and never fewer than one.  With one worker
+/// the claim loop runs on the calling thread alone: it polls at the same
+/// indices, counts the same probes and reports the same events.
+///
+/// Robustness properties layered on top of the deterministic merge:
+///
+/// * **Cooperative stopping** — `stop` is polled at every claim, i.e.
+///   every `poll_interval` indices (same cadence as the best-index check).
+///   When it fires, every worker winds down at its next claim and the
+///   outcome records `stopped`; an idle signal is checked once up front and
+///   costs the hot loop nothing, keeping unbudgeted runs byte- and
+///   cycle-identical.
+/// * **Panic isolation** — every probe runs under `catch_unwind`.  A
+///   panicking probe becomes a [`ShardEvent::Panic`] at its index,
+///   participates in the earliest-position merge exactly like a hit (so the
+///   reported panic is the one a sequential scan would have tripped first),
+///   and makes sibling workers stop early through the shared best index.
+///   The worker's state is dropped without reuse after a panic — a
+///   half-updated engine overlay is never probed again.  State dropped at
+///   any exit is the place to flush per-worker telemetry.
+pub fn sharded_first_controlled<S, T, I, F>(
+    total: u64,
+    min_chunk: u64,
+    poll_interval: u64,
+    workers: usize,
+    stop: &StopSignal,
+    init: I,
+    probe: F,
+) -> ShardOutcome<T>
+where
+    S: Send,
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, u64) -> Option<T> + Sync,
+{
+    let stop_active = !stop.is_idle();
+    let requested = if workers == 0 { cores() } else { workers };
+    let workers = (requested as u64).min(total / min_chunk.max(1)).max(1);
+    let best = AtomicU64::new(u64::MAX);
+    let total_probes = AtomicU64::new(0);
+    let any_stopped = AtomicBool::new(false);
+    let next = AtomicU64::new(0);
+    let run = || {
+        let mut state = init();
+        let mut probes = 0u64;
+        let mut event = None;
+        'claims: loop {
+            let lo = next.fetch_add(poll_interval, Ordering::Relaxed);
+            // Past the range, or a strictly smaller index already has an
+            // event: no index of this block can win the merge.
+            if lo >= total || best.load(Ordering::Relaxed) < lo {
+                break;
+            }
+            if stop_active && (any_stopped.load(Ordering::Relaxed) || stop.should_stop()) {
+                any_stopped.store(true, Ordering::Relaxed);
+                break;
+            }
+            for i in lo..lo.saturating_add(poll_interval).min(total) {
+                probes += 1;
+                match catch_unwind(AssertUnwindSafe(|| probe(&mut state, i))) {
+                    Ok(None) => {}
+                    Ok(Some(t)) => {
+                        best.fetch_min(i, Ordering::Relaxed);
+                        event = Some((i, ShardEvent::Hit(t)));
+                        break 'claims;
+                    }
+                    Err(payload) => {
+                        best.fetch_min(i, Ordering::Relaxed);
+                        event = Some((i, ShardEvent::Panic(panic_message(payload))));
+                        break 'claims;
+                    }
+                }
+            }
+        }
+        total_probes.fetch_add(probes, Ordering::Relaxed);
+        event
+    };
+    // The calling thread is one of the workers: one thread fewer to start
+    // and wake per search, and none at all for a one-worker run.
+    let events: Vec<Option<(u64, ShardEvent<T>)>> = std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+        let first = run();
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            }))
+            .collect()
+    });
+    ShardOutcome {
+        event: events.into_iter().flatten().min_by_key(|&(i, _)| i),
+        probes: total_probes.load(Ordering::Relaxed),
+        stopped: any_stopped.load(Ordering::Relaxed),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +495,91 @@ mod tests {
         assert!(text.contains("deadline"));
         assert!(text.contains("10 masks"));
         assert!(text.contains("fallback samples"));
+    }
+
+    /// Runs a never-hitting probe over `0..total` and returns how often
+    /// each index was probed, plus the outcome and the workers started.
+    fn visit_counts(total: u64, workers: usize) -> (Vec<u32>, ShardOutcome<()>, usize) {
+        use std::sync::atomic::{AtomicU32, AtomicUsize};
+        let counts: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
+        let started = AtomicUsize::new(0);
+        let outcome = sharded_first_controlled(
+            total,
+            1,
+            3,
+            workers,
+            &StopSignal::none(),
+            || started.fetch_add(1, Ordering::Relaxed),
+            |_, i| {
+                counts[i as usize].fetch_add(1, Ordering::Relaxed);
+                None::<()>
+            },
+        );
+        let counts = counts.into_iter().map(AtomicU32::into_inner).collect();
+        (counts, outcome, started.into_inner())
+    }
+
+    #[test]
+    fn runner_reports_the_earliest_panic_at_any_worker_count() {
+        let panicking = [37u64, 80, 81, 150];
+        let run = |workers| {
+            let outcome = sharded_first_controlled(
+                200,
+                1,
+                4,
+                workers,
+                &StopSignal::none(),
+                || (),
+                |_, i| {
+                    if panicking.contains(&i) {
+                        panic!("probe {i} failed");
+                    }
+                    None::<()>
+                },
+            );
+            match outcome.event {
+                Some((i, ShardEvent::Panic(message))) => (i, message),
+                other => panic!("expected a panic event, got {other:?}"),
+            }
+        };
+        let reference = run(1);
+        assert_eq!(reference, (37, "probe 37 failed".to_string()));
+        for workers in [2, 8] {
+            assert_eq!(run(workers), reference, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn runner_visits_every_index_once_and_honours_the_worker_count() {
+        for workers in [1, 2, 8] {
+            let (counts, outcome, started) = visit_counts(500, workers);
+            assert!(counts.iter().all(|&c| c == 1), "workers = {workers}");
+            assert_eq!(outcome.probes, 500);
+            assert!(outcome.event.is_none() && !outcome.stopped);
+            // An explicit count is honoured even above the core count.
+            assert_eq!(started, workers);
+        }
+        let (_, _, started) = visit_counts(500, 0);
+        assert_eq!(started, cores().min(500));
+        // Never more workers than `min_chunk`-sized pieces of the range.
+        let (counts, _, started) = visit_counts(2, 8);
+        assert_eq!((counts, started), (vec![1, 1], 2));
+    }
+
+    #[test]
+    fn runner_under_a_cancelled_token_probes_nothing() {
+        let token = CancelToken::new();
+        token.cancel();
+        let stop = RunBudget::unlimited()
+            .with_cancel_token(token)
+            .stop_signal();
+        for workers in [1, 2, 8] {
+            let outcome =
+                sharded_first_controlled(100, 1, 1, workers, &stop, || (), |_, _| Some(()));
+            assert!(outcome.stopped, "workers = {workers}");
+            assert_eq!(outcome.probes, 0);
+            assert!(outcome.event.is_none());
+        }
     }
 
     #[test]

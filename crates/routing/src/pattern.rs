@@ -20,8 +20,9 @@ use std::borrow::Cow;
 /// loop detection.
 ///
 /// Patterns must be [`Sync`]: the exhaustive resilience checkers and
-/// adversaries shard their failure-set ranges across `std::thread::scope`
-/// workers that share the pattern by reference.  Patterns are immutable rule
+/// adversaries shard their failure-set ranges across the workers of
+/// [`crate::budget::sharded_first_controlled`], which share the pattern by
+/// reference.  Patterns are immutable rule
 /// tables, so this costs nothing beyond using `Mutex` instead of `RefCell`
 /// for any internal memoization.
 pub trait ForwardingPattern: Sync {

@@ -13,9 +13,9 @@
 //! [`frr_graph::BitGraph`], connectivity is one component decomposition per
 //! failure set (instead of one BFS per source/destination pair on a cloned
 //! surviving graph) maintained *incrementally* along the Gray-code mask
-//! enumeration, and the enumeration positions are sharded across
-//! `std::thread::scope` workers with a deterministic earliest-position merge
-//! — the counterexample returned is byte-identical to a sequential scan of
+//! enumeration, and the enumeration positions are sharded across the
+//! workers of [`crate::budget::sharded_first_controlled`] with a
+//! deterministic earliest-position merge — the counterexample returned is byte-identical to a sequential scan of
 //! the canonical Gray order, at any thread count.
 
 use crate::adversary::Counterexample;
@@ -432,7 +432,7 @@ fn stop_verdict<P: CompilePattern + ?Sized>(
         .map_err(|payload| WorkerPanicked {
             position: 0,
             failures: None,
-            message: crate::sweep::panic_message(payload),
+            message: crate::budget::panic_message(payload),
         })?;
         if let Some(ce) = found {
             return Ok(Verdict::Refuted(ce));

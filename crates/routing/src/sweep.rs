@@ -55,7 +55,7 @@
 //! chunked loop body never runs and only the scalar remainder executes, so
 //! the `W = 1` path stays as tight as the historical single-`u64` code.
 
-use crate::budget::StopCause;
+use crate::budget::{sharded_first_controlled, ShardEvent, StopCause};
 use crate::compiled::{CompiledPattern, Forwarder, RuleTable};
 use crate::failure::{capped_mask_count, FailureSet, GrayMasks};
 use crate::mask::{mask_words, IntoMaskRef, MaskBuf, MaskRef};
@@ -66,9 +66,7 @@ use frr_graph::bitgraph::{BitGraph, BitIter};
 use frr_graph::budget::StopSignal;
 use frr_graph::{Edge, Graph, Node};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const WORD_BITS: usize = u64::BITS as usize;
 
@@ -974,198 +972,6 @@ impl<'g> SweepEngine<'g> {
     }
 }
 
-/// The terminal event of one sharded search: the earliest probe that hit
-/// (`Hit`) or panicked (`Panic`).  Panics participate in the same
-/// earliest-position merge as hits — a sequential scan would have reached
-/// the earlier event first, whichever kind it is.
-#[derive(Debug)]
-pub(crate) enum ShardEvent<T> {
-    /// The probe returned `Some`.
-    Hit(T),
-    /// The probe panicked; the payload message is preserved.
-    Panic(String),
-}
-
-/// What a controlled sharded search observed.
-#[derive(Debug)]
-pub(crate) struct ShardOutcome<T> {
-    /// The earliest-position event, if any probe hit or panicked.
-    pub event: Option<(u64, ShardEvent<T>)>,
-    /// Total probe invocations across all workers (masks/trials examined).
-    pub probes: u64,
-    /// Whether any worker wound down because the stop signal fired.
-    pub stopped: bool,
-}
-
-/// Extracts a printable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The machine's core count, read once: `available_parallelism` reads the
-/// cgroup quota files on every call, and a sweep of a small graph is short
-/// enough for that I/O to show.
-fn cores() -> u64 {
-    static CORES: OnceLock<u64> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64))
-}
-
-/// Deterministic sharded first-hit search over the index range `0..total`,
-/// with cooperative stopping and panic isolation.
-///
-/// The workers — the calling thread plus `std::thread::scope` threads, each
-/// with its own worker-local state from `init` (a sweep engine, a scratch
-/// buffer, …) — claim blocks of `poll_interval` consecutive indices from a
-/// shared counter until the range runs out, so a worker on a busier core
-/// simply claims fewer blocks.  A worker's indices therefore ascend, with
-/// gaps where others worked.  Each worker reports its first `Some` as
-/// `(index, value)`; the merge keeps the smallest index, so the result is
-/// byte-identical to a sequential ascending scan at any thread count —
-/// **provided `probe` is a pure function of `(state-as-initialized,
-/// index)`** up to observable results, i.e. any state the probe result
-/// depends on is a deterministic function of the index (the sweep states
-/// below advance monotonically through enumeration positions and reload
-/// after a gap, which satisfies this).  A shared atomic of the best index
-/// lets workers skip blocks past it (checked at every claim); that is an
-/// optimization, never a correctness input.
-///
-/// Robustness properties layered on top of the deterministic merge:
-///
-/// * **Cooperative stopping** — `stop` is polled at every claim, i.e.
-///   every `poll_interval` indices (same cadence as the best-index check).
-///   When it fires, every worker winds down at its next claim and the
-///   outcome records
-///   `stopped`; an idle signal is checked once up front and costs the hot
-///   loop nothing, keeping unbudgeted runs byte- and cycle-identical.
-/// * **Panic isolation** — every probe runs under `catch_unwind`.  A
-///   panicking probe becomes a [`ShardEvent::Panic`] at its index,
-///   participates in the earliest-position merge exactly like a hit (so the
-///   reported panic is the one a sequential scan would have tripped first),
-///   and makes sibling workers stop early through the shared best index.
-///   The worker's state is dropped without reuse after a panic — a
-///   half-updated engine overlay is never probed again.
-///
-/// Runs sequentially when the machine has one core or the range is smaller
-/// than `min_chunk` per worker; the sequential path performs the identical
-/// stop checks and panic capture.
-pub(crate) fn sharded_first_controlled<S, T, I, F>(
-    total: u64,
-    min_chunk: u64,
-    poll_interval: u64,
-    stop: &StopSignal,
-    init: I,
-    probe: F,
-) -> ShardOutcome<T>
-where
-    S: Send,
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> Option<T> + Sync,
-{
-    let stop_active = !stop.is_idle();
-    let workers = cores().min(total / min_chunk.max(1)).max(1);
-    if workers <= 1 {
-        let mut state = init();
-        let mut probes = 0u64;
-        for i in 0..total {
-            if stop_active && i % poll_interval == 0 && stop.should_stop() {
-                return ShardOutcome {
-                    event: None,
-                    probes,
-                    stopped: true,
-                };
-            }
-            probes += 1;
-            match catch_unwind(AssertUnwindSafe(|| probe(&mut state, i))) {
-                Ok(None) => {}
-                Ok(Some(t)) => {
-                    return ShardOutcome {
-                        event: Some((i, ShardEvent::Hit(t))),
-                        probes,
-                        stopped: false,
-                    }
-                }
-                Err(payload) => {
-                    return ShardOutcome {
-                        event: Some((i, ShardEvent::Panic(panic_message(payload)))),
-                        probes,
-                        stopped: false,
-                    }
-                }
-            }
-        }
-        return ShardOutcome {
-            event: None,
-            probes,
-            stopped: false,
-        };
-    }
-
-    let best = AtomicU64::new(u64::MAX);
-    let total_probes = AtomicU64::new(0);
-    let any_stopped = AtomicBool::new(false);
-    let next = AtomicU64::new(0);
-    let run = || {
-        let mut state = init();
-        let mut probes = 0u64;
-        let mut event = None;
-        'claims: loop {
-            let lo = next.fetch_add(poll_interval, Ordering::Relaxed);
-            // Past the range, or a strictly smaller index already has an
-            // event: no index of this block can win the merge.
-            if lo >= total || best.load(Ordering::Relaxed) < lo {
-                break;
-            }
-            if stop_active && (any_stopped.load(Ordering::Relaxed) || stop.should_stop()) {
-                any_stopped.store(true, Ordering::Relaxed);
-                break;
-            }
-            for i in lo..lo.saturating_add(poll_interval).min(total) {
-                probes += 1;
-                match catch_unwind(AssertUnwindSafe(|| probe(&mut state, i))) {
-                    Ok(None) => {}
-                    Ok(Some(t)) => {
-                        best.fetch_min(i, Ordering::Relaxed);
-                        event = Some((i, ShardEvent::Hit(t)));
-                        break 'claims;
-                    }
-                    Err(payload) => {
-                        best.fetch_min(i, Ordering::Relaxed);
-                        event = Some((i, ShardEvent::Panic(panic_message(payload))));
-                        break 'claims;
-                    }
-                }
-            }
-        }
-        total_probes.fetch_add(probes, Ordering::Relaxed);
-        event
-    };
-    // The calling thread is one of the workers: one thread fewer to start
-    // and wake per search.
-    let events: Vec<Option<(u64, ShardEvent<T>)>> = std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
-        let first = run();
-        std::iter::once(first)
-            .chain(handles.into_iter().map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            }))
-            .collect()
-    });
-    ShardOutcome {
-        event: events.into_iter().flatten().min_by_key(|&(i, _)| i),
-        probes: total_probes.load(Ordering::Relaxed),
-        stopped: any_stopped.load(Ordering::Relaxed),
-    }
-}
-
 /// Probe work, in `(source, destination)` pairs, that one sweep worker must
 /// carry before a second worker pays for its start-up.  On 2 cores the zoo's
 /// r = 1 audit ran fastest at `2^14` of `2^12`, `2^14` and `2^16`; `2^12`
@@ -1205,11 +1011,11 @@ fn shard_sizes(n: usize) -> (u64, u64) {
 /// reads the overlay (via `current_mask` / `current_failure_set` and the
 /// routing queries) and must not reload it.
 ///
-/// Sharding across `std::thread::scope` workers (each with its own
-/// [`SweepEngine`] and enumerator) splits the enumeration *positions*
-/// contiguously; each worker advances its enumerator lazily to its range.
-/// Small ranges and single-core machines degrade to a plain sequential
-/// scan.
+/// Sharding across [`sharded_first_controlled`] workers (each with its own
+/// [`SweepEngine`] and enumerator) has workers claim blocks of enumeration
+/// *positions* from a shared counter; each worker advances its enumerator
+/// lazily to the block it claimed.  Small ranges and single-core machines
+/// run one worker, on the calling thread.
 pub fn sweep_find_first<T, F>(g: &Graph, max_failures: Option<usize>, check: F) -> Option<T>
 where
     T: Send,
@@ -1335,6 +1141,7 @@ where
         total,
         min_chunk,
         poll,
+        0,
         stop,
         || SweepState {
             engine: SweepEngine::new(g),

@@ -6,20 +6,21 @@
 //! that the destination is reported failed and the service degrades it
 //! (keeps serving its last good table) instead of crashing or blocking.
 //!
-//! Workers follow the same deterministic sharding discipline as
-//! `frr_core::classify::batch`: a shared atomic work index hands out
-//! destinations, each outcome is recorded at its input position, and the
-//! merged result is therefore byte-identical at any worker-thread count —
-//! the property the replay determinism suite pins.
+//! The pool is the workspace's one sharded runner,
+//! [`frr_routing::budget::sharded_first_controlled`], which also drives the
+//! failure sweeps and `frr_core::classify::batch`: workers claim one
+//! destination at a time from a shared counter, each outcome is recorded at
+//! its input position, and the merged result is therefore byte-identical at
+//! any worker-thread count — the property the replay determinism suite pins.
 
 use crate::service::PatternSpec;
 use frr_graph::budget::StopSignal;
 use frr_graph::{Graph, Node};
-use frr_routing::budget::RunBudget;
+use frr_routing::budget::{panic_message, sharded_first_controlled, RunBudget};
 use frr_routing::compiled::{CompilePattern, CompiledPattern};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Rebuild-pool tuning.
@@ -51,16 +52,6 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// The resolved worker count for `jobs` rebuild jobs.
-    pub fn workers_for(&self, jobs: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |c| c.get())
-        } else {
-            self.threads
-        };
-        configured.min(jobs).max(1)
-    }
-
     /// The backoff before retry number `attempt` (1-based attempt that just
     /// failed): `base << (attempt - 1)`, clamped to the cap.
     pub fn backoff_after(&self, attempt: u32) -> Duration {
@@ -117,7 +108,8 @@ pub fn silence_supervised_panics() {
 }
 
 /// Plain per-worker tallies for the supervised pool, flushed to the global
-/// registry once per worker — individual attempts never touch an atomic.
+/// registry when the worker retires — individual attempts never touch an
+/// atomic.
 #[derive(Default)]
 struct RebuildTally {
     attempts: u64,
@@ -126,25 +118,14 @@ struct RebuildTally {
     expiries: u64,
 }
 
-impl RebuildTally {
-    fn flush(&mut self) {
-        let t = std::mem::take(self);
+impl Drop for RebuildTally {
+    fn drop(&mut self) {
         frr_obs::global().add_counts([
-            ("serve.rebuild.attempts", t.attempts),
-            ("serve.rebuild.attempt_panics", t.panics),
-            ("serve.rebuild.backoffs", t.backoffs),
-            ("serve.rebuild.attempt_expiries", t.expiries),
+            ("serve.rebuild.attempts", self.attempts),
+            ("serve.rebuild.attempt_panics", self.panics),
+            ("serve.rebuild.backoffs", self.backoffs),
+            ("serve.rebuild.attempt_expiries", self.expiries),
         ]);
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -226,75 +207,40 @@ pub fn rebuild_tables(
     cfg: &SupervisorConfig,
     stop: &StopSignal,
 ) -> Vec<RebuildOutcome> {
-    let stop_active = !stop.is_idle();
-    let cancelled = |destination: usize| RebuildOutcome {
-        destination,
-        table: None,
-        attempts: 0,
-        failure: Some(RebuildFailure::Cancelled),
-    };
-    let workers = cfg.workers_for(destinations.len());
+    let slots: Vec<OnceLock<RebuildOutcome>> =
+        destinations.iter().map(|_| OnceLock::new()).collect();
     let duration_ns = frr_obs::global().histogram("serve.rebuild.duration_ns");
-    if workers <= 1 {
-        let mut tally = RebuildTally::default();
-        let out = destinations
-            .iter()
-            .map(|&t| {
-                if stop_active && stop.should_stop() {
-                    cancelled(t)
-                } else {
-                    let _span = frr_obs::Span::start(&duration_ns);
-                    rebuild_one(survivor, spec, t, cfg, &mut tally)
-                }
-            })
-            .collect();
-        tally.flush();
-        return out;
-    }
-    let mut slots: Vec<Option<RebuildOutcome>> = (0..destinations.len()).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let duration_ns = duration_ns.clone();
-                scope.spawn(move || {
-                    let mut tally = RebuildTally::default();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= destinations.len() {
-                            break;
-                        }
-                        let t = destinations[i];
-                        let outcome = if stop_active && stop.should_stop() {
-                            cancelled(t)
-                        } else {
-                            let _span = frr_obs::Span::start(&duration_ns);
-                            rebuild_one(survivor, spec, t, cfg, &mut tally)
-                        };
-                        out.push((i, outcome));
-                    }
-                    tally.flush();
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            // rebuild_one catches its probes' panics; a join error would mean
-            // the worker harness itself unwound, which must not take out the
-            // sibling shards or the service.
-            if let Ok(out) = handle.join() {
-                for (i, outcome) in out {
-                    slots[i] = Some(outcome);
-                }
-            }
-        }
-    });
+    // One destination per claim and per stop poll.  `rebuild_one` catches
+    // every compile panic, so the runner only sees one if the harness itself
+    // unwinds; that destination then stays `Cancelled` rather than taking
+    // out the sibling workers or the service.
+    sharded_first_controlled(
+        destinations.len() as u64,
+        1,
+        1,
+        cfg.threads,
+        stop,
+        RebuildTally::default,
+        |tally, i| {
+            let i = i as usize;
+            let _span = frr_obs::Span::start(&duration_ns);
+            let outcome = rebuild_one(survivor, spec, destinations[i], cfg, tally);
+            // Each index is claimed exactly once, so the slot is empty.
+            let _ = slots[i].set(outcome);
+            None::<Infallible>
+        },
+    );
     slots
         .into_iter()
         .zip(destinations)
-        .map(|(slot, &t)| slot.unwrap_or_else(|| cancelled(t)))
+        .map(|(slot, &destination)| {
+            slot.into_inner().unwrap_or(RebuildOutcome {
+                destination,
+                table: None,
+                attempts: 0,
+                failure: Some(RebuildFailure::Cancelled),
+            })
+        })
         .collect()
 }
 
@@ -366,35 +312,30 @@ mod tests {
     fn outcome_order_is_identical_at_any_worker_count() {
         let g = generators::petersen();
         let dests: Vec<usize> = (0..10).collect();
-        let reference: Vec<_> = rebuild_tables(
-            &g,
-            &PatternSpec::ShortestPath,
-            &dests,
-            &SupervisorConfig {
-                threads: 1,
-                ..SupervisorConfig::default()
-            },
-            &StopSignal::none(),
-        )
-        .iter()
-        .map(|o| (o.destination, o.table.as_ref().map(|t| t.digest())))
-        .collect();
-        for threads in [2, 8] {
-            let cfg = SupervisorConfig {
-                threads,
-                ..SupervisorConfig::default()
+        for spec in [
+            PatternSpec::ShortestPath,
+            PatternSpec::Hostile(HostileKind::PanicOnCompile),
+            PatternSpec::Hostile(HostileKind::RefuseCompile),
+        ] {
+            let run = |threads| {
+                let cfg = SupervisorConfig {
+                    threads,
+                    backoff_base: Duration::ZERO,
+                    ..SupervisorConfig::default()
+                };
+                rebuild_tables(&g, &spec, &dests, &cfg, &StopSignal::none())
+                    .into_iter()
+                    .map(|o| {
+                        let digest = o.table.as_ref().map(|t| t.digest());
+                        (o.destination, digest, o.attempts, o.failure)
+                    })
+                    .collect::<Vec<_>>()
             };
-            let got: Vec<_> = rebuild_tables(
-                &g,
-                &PatternSpec::ShortestPath,
-                &dests,
-                &cfg,
-                &StopSignal::none(),
-            )
-            .iter()
-            .map(|o| (o.destination, o.table.as_ref().map(|t| t.digest())))
-            .collect();
-            assert_eq!(got, reference, "threads = {threads}");
+            let reference = run(1);
+            assert_eq!(reference.len(), dests.len());
+            for threads in [2, 8] {
+                assert_eq!(run(threads), reference, "{spec:?}, threads = {threads}");
+            }
         }
     }
 
