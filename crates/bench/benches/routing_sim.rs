@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use frr_core::algorithms::{ArborescenceFailoverPattern, HamiltonianTouringPattern};
 use frr_graph::{generators, Graph, Node};
 use frr_routing::compiled::CompilePattern;
-use frr_routing::failure::{FailureMasks, FailureSet};
+use frr_routing::failure::{FailureSet, GrayMasks};
 use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
@@ -56,9 +56,11 @@ fn sweep_routing<P: ForwardingPattern + ?Sized>(
 ) -> u64 {
     let max_hops = state_space_bound(g);
     let mut delivered = 0u64;
-    for mask in FailureMasks::with_max_failures(g.edge_count(), Some(max_failures)) {
-        engine.load_mask(&mask);
-        let failures = (flavor == Flavor::TraitObject).then(|| engine.failure_set(&mask));
+    let mut gray = GrayMasks::with_max_failures(g.edge_count(), Some(max_failures));
+    while gray.advance() {
+        let mask = gray.current();
+        engine.load_mask(mask);
+        let failures = (flavor == Flavor::TraitObject).then(|| engine.current_failure_set());
         for s in g.nodes() {
             for t in g.nodes() {
                 if s == t || !engine.same_component(s, t) {
@@ -89,9 +91,11 @@ fn sweep_touring<P: ForwardingPattern + ?Sized>(
 ) -> u64 {
     let max_hops = state_space_bound(g);
     let mut covered = 0u64;
-    for mask in FailureMasks::with_max_failures(g.edge_count(), Some(max_failures)) {
-        engine.load_mask(&mask);
-        let failures = (flavor == Flavor::TraitObject).then(|| engine.failure_set(&mask));
+    let mut gray = GrayMasks::with_max_failures(g.edge_count(), Some(max_failures));
+    while gray.advance() {
+        let mask = gray.current();
+        engine.load_mask(mask);
+        let failures = (flavor == Flavor::TraitObject).then(|| engine.current_failure_set());
         for start in g.nodes() {
             let ok = match flavor {
                 Flavor::Compiled => engine.tour_covers_compiled(compiled, start, max_hops),

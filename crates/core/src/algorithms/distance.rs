@@ -186,7 +186,7 @@ mod tests {
     use frr_graph::connectivity::same_component;
     use frr_graph::traversal::distance;
     use frr_graph::{generators, Node};
-    use frr_routing::failure::AllFailureSets;
+    use frr_routing::failure::GrayFailureSets;
     use frr_routing::resilience::{is_r_tolerant_sampled, Property, SamplingBudget};
     use frr_routing::simulator::{route, state_space_bound};
     use rand::rngs::StdRng;
@@ -196,7 +196,7 @@ mod tests {
     /// distance ≤ `promise` in `G \ F`.
     fn check_distance_promise<P: ForwardingPattern>(g: &Graph, pattern: &P, promise: usize) {
         let max_hops = state_space_bound(g);
-        for failures in AllFailureSets::new(g) {
+        for failures in GrayFailureSets::new(g) {
             let surviving = failures.surviving_graph(g);
             for s in g.nodes() {
                 for t in g.nodes() {

@@ -175,7 +175,7 @@ impl CompilePattern for OuterplanarDestinationPattern {
 mod tests {
     use super::*;
     use frr_graph::generators;
-    use frr_routing::failure::AllFailureSets;
+    use frr_routing::failure::GrayFailureSets;
     use frr_routing::resilience::Property;
     use frr_routing::simulator::{route, state_space_bound};
 
@@ -270,7 +270,7 @@ mod tests {
         let g = generators::complete(5);
         let p = OuterplanarDestinationPattern::new(&g);
         assert!(p.supported_destinations().is_empty());
-        let f = AllFailureSets::new(&g).next().unwrap();
+        let f = GrayFailureSets::new(&g).next().unwrap();
         let r = route(&g, &f, &p, Node(0), Node(4), state_space_bound(&g));
         // Either delivered directly (adjacent) or dropped; with no failures the
         // direct link exists, so it is delivered — fail one link to see a drop.

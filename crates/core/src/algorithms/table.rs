@@ -287,7 +287,7 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let mut sim = CompiledSim::new(&cp);
         for mask in 0..(1u64 << g.edge_count()) {
-            let failures = frr_routing::failure::failure_set_from_mask(&g.edges(), &mask);
+            let failures = frr_routing::failure::FailureSet::from_mask(&g.edges(), &[mask]);
             sim.load_failures(&cp, &failures);
             for start in g.nodes() {
                 assert_eq!(
@@ -307,7 +307,7 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let mut sim = CompiledSim::new(&cp);
         for mask in 0..(1u64 << g.edge_count()) {
-            let failures = frr_routing::failure::failure_set_from_mask(&g.edges(), &mask);
+            let failures = frr_routing::failure::FailureSet::from_mask(&g.edges(), &[mask]);
             sim.load_failures(&cp, &failures);
             for s in g.nodes() {
                 for t in g.nodes() {

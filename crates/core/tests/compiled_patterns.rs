@@ -14,7 +14,7 @@ use frr_core::landscape::figure9_entries;
 use frr_graph::outerplanar::is_outerplanar;
 use frr_graph::{generators, Graph};
 use frr_routing::compiled::{CompilePattern, CompiledSim};
-use frr_routing::failure::failure_set_from_mask;
+use frr_routing::failure::FailureSet;
 use frr_routing::model::RoutingModel;
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_topologies::builtin_topologies;
@@ -49,7 +49,7 @@ fn assert_compiled_matches<P: CompilePattern>(g: &Graph, pattern: &P, seed: u64)
     let mut sim = CompiledSim::new(&cp);
     let edges = g.edges();
     for mask in sample_masks(g, seed) {
-        let failures = failure_set_from_mask(&edges, &mask);
+        let failures = FailureSet::from_mask(&edges, &[mask]);
         sim.load_failures(&cp, &failures);
         if pattern.model() == RoutingModel::Touring {
             for start in g.nodes() {

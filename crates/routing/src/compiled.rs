@@ -1255,7 +1255,7 @@ mod tests {
                     let mut masks = vec![0u64];
                     masks.extend((0..g.edge_count()).map(|i| 1u64 << i));
                     for mask in masks {
-                        let failures = crate::failure::failure_set_from_mask(&g.edges(), &mask);
+                        let failures = crate::failure::FailureSet::from_mask(&g.edges(), &[mask]);
                         sim_full.load_failures(&full, &failures);
                         sim_single.load_failures(&single, &failures);
                         for s in g.nodes() {
@@ -1320,7 +1320,7 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let mut sim = CompiledSim::new(&cp);
         for mask in 0..(1u64 << g.edge_count()) {
-            let failures = crate::failure::failure_set_from_mask(&g.edges(), &mask);
+            let failures = crate::failure::FailureSet::from_mask(&g.edges(), &[mask]);
             sim.load_failures(&cp, &failures);
             for s in g.nodes() {
                 for t in g.nodes() {
@@ -1352,7 +1352,7 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let mut sim = CompiledSim::new(&cp);
         for mask in 0..(1u64 << g.edge_count()) {
-            let failures = crate::failure::failure_set_from_mask(&g.edges(), &mask);
+            let failures = crate::failure::FailureSet::from_mask(&g.edges(), &[mask]);
             sim.load_failures(&cp, &failures);
             for s in g.nodes() {
                 assert_eq!(
@@ -1371,7 +1371,7 @@ mod tests {
         let cp = tabulate(&g, &p).expect("within budget");
         let max_hops = state_space_bound(&g);
         for mask in 0..(1u64 << g.edge_count()) {
-            let failures = crate::failure::failure_set_from_mask(&g.edges(), &mask);
+            let failures = crate::failure::FailureSet::from_mask(&g.edges(), &[mask]);
             for s in g.nodes() {
                 for t in g.nodes() {
                     assert_eq!(

@@ -6,12 +6,9 @@
 //!
 //! * [`model`] — the three routing models of the paper (source–destination,
 //!   destination-only, touring) and the local information a node may use,
-//! * [`mask`] — width-generic failure masks: the [`mask::MaskRef`] /
-//!   [`mask::MaskBuf`] borrowed-view/owned-buffer pair every mask-passing
-//!   API is expressed in (one `u64` word per 64 links, single-word fast
-//!   path preserved bit for bit),
-//! * [`failure`] — failure sets `F ⊆ E`, their enumeration (ascending and
-//!   Gray-code order) and sampling,
+//! * [`failure`] — failure sets `F ⊆ E`, their bitmasks (plain `&[u64]`
+//!   word slices, one word per 64 links), their enumeration in Gray-code
+//!   order and sampling,
 //! * [`pattern`] — the [`pattern::ForwardingPattern`] trait (a static,
 //!   pre-configured, purely local forwarding function per node) plus generic
 //!   table/rotor/shortest-path baselines,
@@ -66,7 +63,6 @@ pub mod budget;
 pub mod compiled;
 pub mod failure;
 pub mod hostile;
-pub mod mask;
 pub mod metrics;
 pub mod model;
 pub mod pattern;
@@ -82,7 +78,6 @@ pub mod prelude {
     };
     pub use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
     pub use crate::failure::{FailureSet, GrayMasks};
-    pub use crate::mask::{IntoMaskRef, MaskBuf, MaskCount, MaskRef};
     pub use crate::metrics::DeliveryStats;
     pub use crate::model::{LocalContext, RoutingModel};
     pub use crate::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};

@@ -183,10 +183,9 @@ impl Property {
 /// * A probe panic (a misbehaving pattern, a tripped debug assertion)
 ///   surfaces as `Err(WorkerPanicked)` with the offending failure set.
 ///
-/// Failure sets flow through the sweep as width-generic masks
-/// ([`crate::mask::MaskRef`] views over one `u64` word per 64 links); a
-/// counterexample materializes the violating set as a [`FailureSet`] and
-/// carries the replayed walk.
+/// Failure sets flow through the sweep as bitmasks (`&[u64]`, one word per
+/// 64 links; see [`crate::failure`]); a counterexample materializes the
+/// violating set as a [`FailureSet`] and carries the replayed walk.
 ///
 /// ```
 /// use frr_graph::generators;

@@ -5,16 +5,13 @@
 //! per failure set and a fresh `BTreeSet` of failed neighbors per hop; this
 //! module replaces both with a [`SweepEngine`] that holds a [`BitGraph`] of
 //! the network plus reusable scratch buffers, and interprets each failure set
-//! as a width-generic bitmask overlay (bit `i` ⇒ edge `i` of the ascending
-//! [`Graph::edges`] order failed, in the [`crate::mask`] word layout — one
-//! `u64` word per 64 links, so ≤ 64-link graphs keep the historical
-//! single-word fast path bit for bit):
+//! as a bitmask overlay (a `&[u64]` word slice, bit `i` ⇒ edge `i` of the
+//! ascending [`Graph::edges`] order failed; see [`crate::failure`]):
 //!
 //! * [`SweepEngine::load_mask`] installs an overlay in `O(|F| + n·w)` word
 //!   operations (`w` = words per adjacency row): per-node failed-neighbor
 //!   bits/lists and a connected-component decomposition of `G \ F`, all into
-//!   scratch reused across masks — no allocation in steady state.  It accepts
-//!   any mask shape via [`IntoMaskRef`] (`&u64`, `&[u64]`, [`MaskBuf`]).
+//!   scratch reused across masks — no allocation in steady state.
 //! * [`SweepEngine::toggle_edge`] is the **incremental** path: it patches the
 //!   failed-adjacency rows, failed-port words and failed lists of the two
 //!   endpoints in `O(w)` and re-derives the component decomposition only as
@@ -34,7 +31,7 @@
 //!   stops at the first state an earlier source already labelled, and all
 //!   states it walked take its outcome.  One labelling pass per destination
 //!   replaces `n − 1` independent walks.
-//! * [`sweep_find_first`] drives a whole sweep over the canonical
+//! * [`sweep_find_first_budgeted`] drives a whole sweep over the
 //!   **Gray-code enumeration order** of [`GrayMasks`] (weight-ordered:
 //!   smaller failure sets first), sharding the enumeration positions across
 //!   `std::thread::scope` workers that claim blocks of positions from a
@@ -52,13 +49,11 @@
 //!
 //! The per-overlay word loops (`alive`-row accumulation, frontier masking)
 //! are manually 4-wide unrolled over the word chunks; on one-word graphs the
-//! chunked loop body never runs and only the scalar remainder executes, so
-//! the `W = 1` path stays as tight as the historical single-`u64` code.
+//! chunked loop body never runs and only the scalar remainder executes.
 
 use crate::budget::{sharded_first_controlled, ShardEvent, StopCause};
 use crate::compiled::{CompiledPattern, Forwarder, RuleTable};
-use crate::failure::{capped_mask_count, FailureSet, GrayMasks};
-use crate::mask::{mask_words, IntoMaskRef, MaskBuf, MaskRef};
+use crate::failure::{capped_mask_count, mask_ones, mask_words, FailureSet, GrayMasks};
 use crate::model::LocalContext;
 use crate::pattern::ForwardingPattern;
 use crate::simulator::Outcome;
@@ -136,15 +131,13 @@ pub struct SweepEngine<'g> {
     words: usize,
     /// Words per failed-port row (`⌈max-degree / 64⌉`).
     port_words: usize,
-    /// Words per failure mask (`⌈m / 64⌉`).
-    mask_words: usize,
     /// Per edge `i` of the canonical order: the **local port indices** of the
     /// far endpoint at each end (`v`'s rank among `u`'s ascending neighbors
     /// and vice versa) — the bit positions the compiled tables test.
     edge_local: Vec<(u32, u32)>,
     // ---- per-mask scratch (maintained by `load_mask` / `toggle_edge`) ----
-    /// The currently installed failure mask.
-    cur_mask: MaskBuf,
+    /// The currently installed failure mask (`⌈m / 64⌉` words).
+    cur_mask: Vec<u64>,
     /// `n * words` words; bit `u` of node `v`'s row set iff `{u, v}` failed.
     failed_adj: Vec<u64>,
     /// Per-node failed-**port** rows, `port_words` words each (bit `p` ⇒ the
@@ -281,9 +274,8 @@ impl<'g> SweepEngine<'g> {
             n,
             words,
             port_words,
-            mask_words: mask_words(edges.len()),
             edge_local,
-            cur_mask: MaskBuf::for_edges(edges.len()),
+            cur_mask: vec![0; mask_words(edges.len())],
             failed_adj: vec![0; n * words],
             failed_ports: vec![0; n * port_words],
             failed_list: vec![Vec::new(); n],
@@ -331,36 +323,23 @@ impl<'g> SweepEngine<'g> {
         self.edges.len()
     }
 
-    /// Mask width in words (`⌈m / 64⌉`, at least 1).
-    pub fn mask_width_words(&self) -> usize {
-        self.mask_words
-    }
-
-    /// The currently installed failure mask.
-    pub fn current_mask(&self) -> MaskRef<'_> {
-        self.cur_mask.as_mask()
+    /// The currently installed failure mask, `⌈m / 64⌉` words (at least 1).
+    pub fn current_mask(&self) -> &[u64] {
+        &self.cur_mask
     }
 
     /// Materializes the [`FailureSet`] of the currently installed overlay.
     pub fn current_failure_set(&self) -> FailureSet {
-        FailureSet::from_mask(&self.edges, self.cur_mask.as_mask())
-    }
-
-    /// Materializes the [`FailureSet`] a mask denotes.
-    ///
-    /// Thin wrapper kept for the historical call sites; prefer the canonical
-    /// [`FailureSet::from_mask`].
-    pub fn failure_set<'m>(&self, mask: impl IntoMaskRef<'m>) -> FailureSet {
-        FailureSet::from_mask(&self.edges, mask)
+        FailureSet::from_mask(&self.edges, &self.cur_mask)
     }
 
     /// Installs the failure overlay `mask` from scratch and recomputes the
     /// component decomposition of `G \ F`.  Reuses all scratch;
-    /// allocation-free in steady state.  Accepts any mask shape via
-    /// [`IntoMaskRef`] — pass `&mask` for a historical `u64` mask.
-    pub fn load_mask<'m>(&mut self, mask: impl IntoMaskRef<'m>) {
+    /// allocation-free in steady state.  `mask` may be narrower or wider
+    /// than [`SweepEngine::current_mask`]; missing words read as zero, and
+    /// every set bit must name an edge.
+    pub fn load_mask(&mut self, mask: &[u64]) {
         self.stats.masks_loaded += 1;
-        let mask = mask.into_mask_ref();
         // Reset the scratch of the previous mask.
         for &v in &self.touched {
             self.failed_adj[v * self.words..(v + 1) * self.words].fill(0);
@@ -368,12 +347,12 @@ impl<'g> SweepEngine<'g> {
             self.failed_list[v].clear();
         }
         self.touched.clear();
-        self.cur_mask.clear_all();
+        self.cur_mask.fill(0);
         // Install the new overlay; mask bits ascend, so each node's failed
         // list comes out sorted (normalized edges ascend lexicographically).
-        for i in mask.iter_ones() {
+        for i in mask_ones(mask) {
             debug_assert!(i < self.edges.len(), "mask bit beyond edge count");
-            self.cur_mask.set(i);
+            self.cur_mask[i / WORD_BITS] |= 1 << (i % WORD_BITS);
             let e = self.edges[i];
             let (u, v) = (e.u().index(), e.v().index());
             let (pu, pv) = self.edge_local[i];
@@ -406,8 +385,10 @@ impl<'g> SweepEngine<'g> {
         let e = self.edges[edge_index];
         let (u, v) = (e.u().index(), e.v().index());
         let (pu, pv) = self.edge_local[edge_index];
-        let now_failed = !self.cur_mask.bit(edge_index);
-        self.cur_mask.toggle(edge_index);
+        let bit = 1 << (edge_index % WORD_BITS);
+        let word = &mut self.cur_mask[edge_index / WORD_BITS];
+        let now_failed = *word & bit == 0;
+        *word ^= bit;
         for (a, b, p) in [(u, v, pu as usize), (v, u, pv as usize)] {
             self.failed_adj[a * self.words + b / WORD_BITS] ^= 1u64 << (b % WORD_BITS);
             self.failed_ports[a * self.port_words + p / WORD_BITS] ^= 1u64 << (p % WORD_BITS);
@@ -998,39 +979,6 @@ fn shard_sizes(n: usize) -> (u64, u64) {
     )
 }
 
-/// Runs `check` over every failure mask of `g` (optionally popcount-capped)
-/// in the canonical **Gray-code enumeration order** of [`GrayMasks`]
-/// (weight-ordered: smaller failure sets first) and returns the result for
-/// the **earliest** position for which it returns `Some` — byte-identical
-/// to a sequential scan of that order at any thread count.
-///
-/// The driver owns the engine's overlay: before each `check` call the
-/// engine holds the position's mask, installed either by a one-time
-/// [`SweepEngine::load_mask`] at the worker's range start or by
-/// [`SweepEngine::toggle_edge`] patches along the Gray sequence.  `check`
-/// reads the overlay (via `current_mask` / `current_failure_set` and the
-/// routing queries) and must not reload it.
-///
-/// Sharding across [`sharded_first_controlled`] workers (each with its own
-/// [`SweepEngine`] and enumerator) has workers claim blocks of enumeration
-/// *positions* from a shared counter; each worker advances its enumerator
-/// lazily to the block it claimed.  Small ranges and single-core machines
-/// run one worker, on the calling thread.
-pub fn sweep_find_first<T, F>(g: &Graph, max_failures: Option<usize>, check: F) -> Option<T>
-where
-    T: Send,
-    F: Fn(&mut SweepEngine<'_>) -> Option<T> + Sync,
-{
-    match sweep_find_first_budgeted(g, max_failures, None, &StopSignal::none(), check).end {
-        SweepEnd::Found(t) => Some(t),
-        SweepEnd::Exhausted => None,
-        SweepEnd::Stopped(cause) => unreachable!("unbudgeted sweep stopped: {cause}"),
-        SweepEnd::Panicked { position, message } => {
-            panic!("sweep worker panicked at enumeration position {position}: {message}")
-        }
-    }
-}
-
 /// How a budgeted sweep ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepEnd<T> {
@@ -1080,16 +1028,30 @@ pub fn failure_set_at(g: &Graph, max_failures: Option<usize>, position: u64) -> 
     Some(FailureSet::from_mask(&g.edges(), masks.current()))
 }
 
-/// The fully controlled sweep: [`sweep_find_first`]'s enumeration plus an
-/// optional budget on the number of enumerated masks (only the first
-/// `mask_budget` masks in Gray order, so smallest failure sets first),
-/// cooperative stopping and panic isolation, reporting *how* the sweep
-/// ended and how far it got instead of a bare `Option`.
+/// Runs `check` over every failure mask of `g` (optionally popcount-capped)
+/// in the **Gray-code enumeration order** of [`GrayMasks`] (weight-ordered:
+/// smaller failure sets first) and reports the result for the **earliest**
+/// position for which it returns `Some` — byte-identical to a sequential
+/// scan of that order at any thread count — plus how the sweep ended and
+/// how far it got.  `mask_budget` limits the sweep to the first
+/// `mask_budget` masks in that order (so smallest failure sets first).
+///
+/// The driver owns the engine's overlay: before each `check` call the
+/// engine holds the position's mask, installed either by a one-time
+/// [`SweepEngine::load_mask`] at the worker's range start or by
+/// [`SweepEngine::toggle_edge`] patches along the Gray sequence.  `check`
+/// reads the overlay (via `current_mask` / `current_failure_set` and the
+/// routing queries) and must not reload it.
+///
+/// Sharding across [`sharded_first_controlled`] workers (each with its own
+/// [`SweepEngine`] and enumerator) has workers claim blocks of enumeration
+/// *positions* from a shared counter; each worker advances its enumerator
+/// lazily to the block it claimed.  Small ranges and single-core machines
+/// run one worker, on the calling thread.
 ///
 /// * `stop` is polled at the sharded search's poll cadence (about every
 ///   `POLL_WORK_PAIRS` pairs of probe work, at least once per mask); an
-///   idle signal is checked once and adds nothing to the hot loop, so
-///   unbudgeted callers get byte-identical results to [`sweep_find_first`].
+///   idle signal is checked once and adds nothing to the hot loop.
 /// * A `check` panic surfaces as [`SweepEnd::Panicked`] with the earliest
 ///   panicking position (deterministic merge, same rule as hits) while
 ///   sibling shards abort early.
@@ -1108,7 +1070,7 @@ where
 {
     let m = g.edge_count();
     let cap = max_failures.map(|k| k.min(m));
-    let full = capped_mask_count(m, cap.unwrap_or(m)).clamp_u64();
+    let full = capped_mask_count(m, cap.unwrap_or(m));
     let total = full.min(mask_budget.unwrap_or(u64::MAX));
     let clipped = total < full;
     let (min_chunk, poll) = shard_sizes(g.node_count());
@@ -1179,7 +1141,7 @@ where
                     } else {
                         state.engine.load_mask(state.masks.current());
                         state.synced = true;
-                        state.weight = state.masks.current().count_ones() as usize;
+                        state.weight = mask_ones(state.masks.current()).count();
                         max_weight.fetch_max(state.weight as u64, Ordering::Relaxed);
                     }
                 }
@@ -1209,7 +1171,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::FailureMasks;
     use crate::pattern::{RotorPattern, ShortestPathPattern};
     use crate::simulator::{route, state_space_bound, tour};
     use frr_graph::generators;
@@ -1221,7 +1182,10 @@ mod tests {
         let mut gray = GrayMasks::with_max_failures(m, k);
         let mut out = Vec::new();
         while gray.advance() {
-            out.push(gray.current().as_u64().expect("test widths fit u64"));
+            let [mask] = *gray.current() else {
+                panic!("test widths fit one word")
+            };
+            out.push(mask);
         }
         out
     }
@@ -1233,10 +1197,10 @@ mod tests {
         let edges = engine.edges().to_vec();
         assert_eq!(edges, g.edges());
         for mask in [0u64, 0b1, 0b1010, 0b1111111111] {
-            engine.load_mask(&mask);
-            assert_eq!(engine.current_mask().as_u64(), Some(mask));
+            engine.load_mask(&[mask]);
+            assert_eq!(engine.current_mask(), [mask]);
             let failures = engine.current_failure_set();
-            assert_eq!(failures, engine.failure_set(&mask));
+            assert_eq!(failures, FailureSet::from_mask(&edges, &[mask]));
             for e in &edges {
                 assert_eq!(engine.link_failed(e.u(), e.v()), failures.contains_edge(*e));
                 assert_eq!(engine.link_failed(e.v(), e.u()), failures.contains_edge(*e));
@@ -1269,7 +1233,7 @@ mod tests {
                     .any(|&(a, b)| **e == Edge::new(Node(a), Node(b)))
             })
             .fold(0u64, |m, (i, _)| m | 1 << i);
-        engine.load_mask(&mask);
+        engine.load_mask(&[mask]);
         assert!(engine.same_component(Node(1), Node(3)));
         assert!(!engine.same_component(Node(1), Node(4)));
         assert_eq!(engine.component_size(Node(1)), 3);
@@ -1282,7 +1246,7 @@ mod tests {
         let g = generators::cycle(5);
         let mut engine = SweepEngine::new(&g);
         assert_eq!(engine.stats(), SweepStats::default());
-        engine.load_mask(&0u64);
+        engine.load_mask(&[0]);
         // Failing {0,1} leaves the cycle connected: a bridge test, no split.
         engine.toggle_edge(0);
         // Failing {0,4} too isolates node 0: this one splits.
@@ -1347,14 +1311,14 @@ mod tests {
             let m = g.edge_count();
             let mut inc = SweepEngine::new(g);
             let mut reference = SweepEngine::new(g);
-            inc.load_mask(&0u64);
+            inc.load_mask(&[0]);
             let mut mask = 0u64;
             for step in 0..200 {
                 let bit = rng.gen_range(0..m);
                 mask ^= 1u64 << bit;
                 inc.toggle_edge(bit);
-                reference.load_mask(&mask);
-                assert_eq!(inc.current_mask().as_u64(), Some(mask));
+                reference.load_mask(&[mask]);
+                assert_eq!(inc.current_mask(), [mask]);
                 for e in inc.edges().to_vec() {
                     assert_eq!(
                         inc.link_failed(e.u(), e.v()),
@@ -1425,8 +1389,8 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in 0..(1u64 << g.edge_count()) {
-            engine.load_mask(&mask);
-            let failures = engine.failure_set(&mask);
+            engine.load_mask(&[mask]);
+            let failures = engine.current_failure_set();
             for s in g.nodes() {
                 for t in g.nodes() {
                     let expected = route(&g, &failures, &p, s, t, max_hops).outcome;
@@ -1447,8 +1411,8 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in 0..(1u64 << g.edge_count()) {
-            engine.load_mask(&mask);
-            let failures = engine.failure_set(&mask);
+            engine.load_mask(&[mask]);
+            let failures = engine.current_failure_set();
             for start in g.nodes() {
                 let expected = tour(&g, &failures, &p, start, max_hops).covered_component;
                 assert_eq!(
@@ -1465,26 +1429,29 @@ mod tests {
         let g = generators::cycle(5);
         // Flag masks by value; the first qualifying mask in the canonical
         // Gray order must win regardless of sharding.
-        let expected = gray_order(5, None).into_iter().find(|&mask| mask >= 7);
-        let hit = sweep_find_first(&g, None, |engine| {
-            let mask = engine.current_mask().as_u64().unwrap();
+        let expected = gray_order(5, None)
+            .into_iter()
+            .find(|&mask| mask >= 7)
+            .expect("some mask qualifies");
+        let hit = sweep_find_first_budgeted(&g, None, None, &StopSignal::none(), |engine| {
+            let mask = engine.current_mask()[0];
             (mask >= 7).then_some(mask)
         });
-        assert_eq!(hit, expected);
-        assert!(hit.is_some());
-        let none: Option<u64> = sweep_find_first(&g, None, |_| None);
-        assert_eq!(none, None);
+        assert_eq!(hit.end, SweepEnd::Found(expected));
+        let none =
+            sweep_find_first_budgeted(&g, None, None, &StopSignal::none(), |_| Option::<u64>::None);
+        assert_eq!(none.end, SweepEnd::Exhausted);
         // Bounded path: weight-ordered enumeration reaches the single-failure
         // masks right after the empty mask.
         let expected = gray_order(5, Some(1))
             .into_iter()
-            .find(|&mask| mask.count_ones() == 1);
-        let hit = sweep_find_first(&g, Some(1), |engine| {
-            let mask = engine.current_mask().as_u64().unwrap();
+            .find(|&mask| mask.count_ones() == 1)
+            .expect("some mask qualifies");
+        let hit = sweep_find_first_budgeted(&g, Some(1), None, &StopSignal::none(), |engine| {
+            let mask = engine.current_mask()[0];
             (mask.count_ones() == 1).then_some(mask)
         });
-        assert_eq!(hit, expected);
-        assert!(hit.is_some());
+        assert_eq!(hit.end, SweepEnd::Found(expected));
     }
 
     #[test]
@@ -1494,28 +1461,20 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         let report: SweepReport<()> =
             sweep_find_first_budgeted(&g, Some(2), None, &StopSignal::none(), |engine| {
-                seen.lock()
-                    .unwrap()
-                    .push(engine.current_mask().as_u64().unwrap());
+                seen.lock().unwrap().push(engine.current_mask()[0]);
                 None
             });
         assert_eq!(report.end, SweepEnd::Exhausted);
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
-        let mut expected: Vec<u64> = FailureMasks::with_max_failures(10, Some(2)).collect();
-        expected.sort_unstable();
-        assert_eq!(seen, expected, "Gray sweep visits the same mask sets");
-        assert_eq!(
-            seen.len() as u128,
-            capped_mask_count(10, 2).exact().unwrap()
-        );
+        let expected: Vec<u64> = (0..1u64 << 10).filter(|m| m.count_ones() <= 2).collect();
+        assert_eq!(seen, expected, "Gray sweep visits every ≤ 2-failure mask");
+        assert_eq!(seen.len() as u64, capped_mask_count(10, 2));
         // A budget of b examines exactly the first b Gray-enumerated masks.
         let seen = Mutex::new(Vec::new());
         let report: SweepReport<()> =
             sweep_find_first_budgeted(&g, Some(2), Some(7), &StopSignal::none(), |engine| {
-                seen.lock()
-                    .unwrap()
-                    .push(engine.current_mask().as_u64().unwrap());
+                seen.lock().unwrap().push(engine.current_mask()[0]);
                 None
             });
         assert_eq!(report.end, SweepEnd::Stopped(StopCause::WorkBudget));
@@ -1537,19 +1496,24 @@ mod tests {
         assert!(g.edge_count() > 64);
         let p = RotorPattern::clockwise(&g);
         let max_hops = state_space_bound(&g);
-        let miss: Option<()> = sweep_find_first(&g, Some(1), |engine| {
+        let miss = sweep_find_first_budgeted(&g, Some(1), None, &StopSignal::none(), |engine| {
             let start = Node(0);
             (!engine.tour_covers(&p, start, max_hops) && engine.component_size(start) > 1)
                 .then_some(())
         });
-        assert_eq!(miss, None, "one ring failure never strands the tour");
+        assert_eq!(
+            miss.end,
+            SweepEnd::Exhausted,
+            "one ring failure never strands the tour"
+        );
         // Flag the mask failing edges 3 and 70 (different words).
-        let hit = sweep_find_first(&g, Some(2), |engine| {
-            let mask = engine.current_mask();
-            (mask.bit(3) && mask.bit(70) && mask.count_ones() == 2)
-                .then(|| engine.current_failure_set())
+        let flagged = [1 << 3, 1 << (70 - 64)];
+        let hit = sweep_find_first_budgeted(&g, Some(2), None, &StopSignal::none(), |engine| {
+            (engine.current_mask() == flagged).then(|| engine.current_failure_set())
         });
-        let hit = hit.expect("the flagged mask is enumerated");
+        let SweepEnd::Found(hit) = hit.end else {
+            panic!("the flagged mask is enumerated")
+        };
         assert_eq!(hit.len(), 2);
         assert!(hit.contains_edge(g.edges()[3]));
         assert!(hit.contains_edge(g.edges()[70]));
@@ -1559,7 +1523,7 @@ mod tests {
     fn empty_and_trivial_graphs() {
         let g = frr_graph::Graph::new(1);
         let mut engine = SweepEngine::new(&g);
-        engine.load_mask(&0u64);
+        engine.load_mask(&[0]);
         assert_eq!(engine.component_size(Node(0)), 1);
         let p = RotorPattern::clockwise(&g);
         assert!(engine.tour_covers(&p, Node(0), 10));
@@ -1571,7 +1535,7 @@ mod tests {
         let g2 = frr_graph::Graph::new(2);
         let p2 = RotorPattern::clockwise(&g2);
         let mut engine2 = SweepEngine::new(&g2);
-        engine2.load_mask(&0u64);
+        engine2.load_mask(&[0]);
         assert_eq!(
             engine2.route_outcome(&p2, Node(0), Node(1), 10),
             route(&g2, &FailureSet::new(), &p2, Node(0), Node(1), 10).outcome

@@ -11,9 +11,9 @@
 
 use frr_graph::{generators, Graph, Node};
 use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
-use frr_routing::budget::{RunBudget, Verdict, WorkerPanicked};
+use frr_routing::budget::{RunBudget, StopSignal, Verdict, WorkerPanicked};
 use frr_routing::compiled::{tabulate, CompilePattern, CompiledPattern, CompiledSim, Forwarder};
-use frr_routing::failure::{failure_set_from_mask, FailureSet, GrayMasks};
+use frr_routing::failure::{FailureSet, GrayMasks};
 use frr_routing::hostile::{FailedLinkForwarder, NoCompile, NonNeighborForwarder};
 use frr_routing::model::{LocalContext, RoutingModel};
 use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
@@ -21,7 +21,7 @@ use frr_routing::resilience::{
     check, check_bounded_r_resilience, sampled_touring_violation, Property,
 };
 use frr_routing::simulator::{route, state_space_bound, tour};
-use frr_routing::sweep::{sweep_find_first, SweepEngine};
+use frr_routing::sweep::{sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -99,8 +99,8 @@ fn compiled_routing_matches_interpreter_on_random_graphs() {
                 .expect("small graphs compile within budget");
             let mut sim = CompiledSim::new(&cp);
             for mask in sample_masks(&g, &mut rng) {
-                engine.load_mask(&mask);
-                let failures = failure_set_from_mask(engine.edges(), &mask);
+                engine.load_mask(&[mask]);
+                let failures = FailureSet::from_mask(engine.edges(), &[mask]);
                 sim.load_failures(&cp, &failures);
                 for s in g.nodes() {
                     for t in g.nodes() {
@@ -153,8 +153,8 @@ fn compiled_touring_matches_interpreter_on_random_graphs() {
             let cp = pattern.compile(&g).expect("compiles");
             let mut sim = CompiledSim::new(&cp);
             for mask in sample_masks(&g, &mut rng) {
-                engine.load_mask(&mask);
-                let failures = failure_set_from_mask(engine.edges(), &mask);
+                engine.load_mask(&[mask]);
+                let failures = FailureSet::from_mask(engine.edges(), &[mask]);
                 sim.load_failures(&cp, &failures);
                 for start in g.nodes() {
                     let reference = tour(&g, &failures, &pattern, start, max_hops);
@@ -186,7 +186,7 @@ fn compiled_pattern_next_hop_agrees_as_forwarding_pattern() {
             let max_hops = state_space_bound(&g);
             let mut rng = StdRng::seed_from_u64(5);
             for mask in sample_masks(&g, &mut rng) {
-                let failures = failure_set_from_mask(&g.edges(), &mask);
+                let failures = FailureSet::from_mask(&g.edges(), &[mask]);
                 for s in g.nodes() {
                     for t in g.nodes() {
                         assert_eq!(
@@ -466,8 +466,11 @@ fn sharded_r1_sweep_finds_a_late_counterexample_like_a_sequential_scan() {
     for _ in 0..=50 {
         assert!(gray.advance());
     }
-    let bad = gray.current().iter_ones().next().expect("a single failure");
-    let e = g.edges()[bad];
+    let [word] = *gray.current() else {
+        panic!("64 links fit one word")
+    };
+    assert_eq!(word.count_ones(), 1, "a single failure");
+    let e = g.edges()[word.trailing_zeros() as usize];
     let rotor = RotorPattern::clockwise_with_shortcut(&g);
     let pattern = FnPattern::new(
         RoutingModel::DestinationOnly,
@@ -523,7 +526,7 @@ fn sharded_r2_sweep_loads_every_mask_like_a_sequential_scan() {
     for _ in 0..=3000 {
         assert!(gray.advance());
     }
-    let target = failure_set_from_mask(&g.edges(), gray.current());
+    let target = FailureSet::from_mask(&g.edges(), gray.current());
     assert_eq!(target.len(), 2);
 
     let mut probes = 0usize;
@@ -542,11 +545,12 @@ fn sharded_r2_sweep_loads_every_mask_like_a_sequential_scan() {
         hit
     };
     assert_eq!(sequential.as_ref().map(|h| h.0), Some(3000));
-    let sharded = sweep_find_first(&g, Some(2), |engine: &mut SweepEngine<'_>| {
+    let sharded = sweep_find_first_budgeted(&g, Some(2), None, &StopSignal::none(), |engine| {
         let failures = engine.current_failure_set();
         (failures == target).then_some(failures)
     });
-    assert_eq!(sharded, sequential.map(|h| h.1));
+    let (_, expected) = sequential.expect("the target is enumerated");
+    assert_eq!(sharded.end, SweepEnd::Found(expected));
 }
 
 #[test]

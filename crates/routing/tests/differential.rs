@@ -6,7 +6,7 @@
 use frr_graph::connectivity::same_component;
 use frr_graph::{generators, Graph, Node};
 use frr_routing::budget::{RunBudget, Verdict};
-use frr_routing::failure::{failure_set_from_mask, FailureMasks, FailureSet};
+use frr_routing::failure::{FailureSet, GrayMasks};
 use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
 use frr_routing::resilience::{check, Property};
 use frr_routing::simulator::{route, state_space_bound, tour};
@@ -14,8 +14,8 @@ use frr_routing::sweep::SweepEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Seeded random connected graphs with at most `MAX_MASK_EDGES`-compatible
-/// sizes, spanning sparse trees-plus-chords to dense little meshes.
+/// Seeded random connected graphs whose masks fit one word, spanning sparse
+/// trees-plus-chords to dense little meshes.
 fn random_graphs(seed: u64, count: usize) -> Vec<Graph> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
@@ -50,8 +50,8 @@ fn mask_overlay_routing_matches_clone_based_routing() {
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in sample_masks(&g, &mut rng) {
-            engine.load_mask(&mask);
-            let failures = failure_set_from_mask(engine.edges(), &mask);
+            engine.load_mask(&[mask]);
+            let failures = FailureSet::from_mask(engine.edges(), &[mask]);
             for pattern in &patterns {
                 for s in g.nodes() {
                     for t in g.nodes() {
@@ -81,8 +81,8 @@ fn mask_overlay_connectivity_matches_surviving_graph() {
     for g in random_graphs(21, 12) {
         let mut engine = SweepEngine::new(&g);
         for mask in sample_masks(&g, &mut rng) {
-            engine.load_mask(&mask);
-            let failures = failure_set_from_mask(engine.edges(), &mask);
+            engine.load_mask(&[mask]);
+            let failures = FailureSet::from_mask(engine.edges(), &[mask]);
             let surviving = failures.surviving_graph(&g);
             for s in g.nodes() {
                 for t in g.nodes() {
@@ -109,8 +109,8 @@ fn mask_overlay_touring_matches_clone_based_touring() {
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in sample_masks(&g, &mut rng) {
-            engine.load_mask(&mask);
-            let failures = failure_set_from_mask(engine.edges(), &mask);
+            engine.load_mask(&[mask]);
+            let failures = FailureSet::from_mask(engine.edges(), &[mask]);
             for start in g.nodes() {
                 assert_eq!(
                     engine.tour_covers(&p, start, max_hops),
@@ -124,8 +124,8 @@ fn mask_overlay_touring_matches_clone_based_touring() {
 
 #[test]
 fn bounded_mask_enumeration_equals_filtered_full_walk() {
-    // On real graphs (not just synthetic widths): the direct ≤ k enumerator
-    // must visit exactly the masks the historical full 2^m walk kept.
+    // On real graphs (not just synthetic widths): the direct ≤ k Gray
+    // enumeration, sorted, must be exactly the masks a full 2^m walk keeps.
     for g in [
         generators::complete(5),
         generators::petersen(),
@@ -133,7 +133,12 @@ fn bounded_mask_enumeration_equals_filtered_full_walk() {
     ] {
         let m = g.edge_count();
         for k in [0usize, 1, 2, 3] {
-            let direct: Vec<u64> = FailureMasks::with_max_failures(m, Some(k)).collect();
+            let mut gray = GrayMasks::with_max_failures(m, Some(k));
+            let mut direct = Vec::new();
+            while gray.advance() {
+                direct.push(gray.current()[0]);
+            }
+            direct.sort_unstable();
             let walk: Vec<u64> = (0..1u64 << m)
                 .filter(|mask| mask.count_ones() as usize <= k)
                 .collect();
@@ -150,7 +155,7 @@ fn failure_set_round_trips_through_masks() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let mask = rng.gen_range(0..1u64 << edges.len());
-            let set = failure_set_from_mask(edges, &mask);
+            let set = FailureSet::from_mask(edges, &[mask]);
             assert_eq!(set.len(), mask.count_ones() as usize);
             let back = edges
                 .iter()

@@ -1,11 +1,11 @@
-//! Differential tests for the width-generic mask redesign: multi-word
-//! overlays against the single-word fast path, the Gray-code enumerator
-//! against the ascending enumerator, and incremental toggles against full
-//! reloads — including graphs beyond the historical 64-link wall.
+//! Differential tests for multi-word failure masks: zero-extended wide
+//! masks against one-word loads, the Gray-code enumerator against the
+//! definition of the ≤ k failure sets, and incremental toggles against full
+//! reloads — including graphs beyond 64 links.
 
 use frr_graph::{generators, Graph};
 use frr_routing::budget::{RunBudget, StopCause, Verdict};
-use frr_routing::failure::{FailureMasks, GrayFailureSets, GrayMasks};
+use frr_routing::failure::{GrayFailureSets, GrayMasks};
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
 use frr_routing::resilience::{
     check, check_bounded_r_resilience, EdgeLimitExceeded, Property, BOUNDED_EDGE_LIMIT,
@@ -30,7 +30,58 @@ fn single_word_graphs() -> Vec<Graph> {
     graphs
 }
 
-/// Graphs past the 64-link wall (two mask words).
+/// Every mask over `m` links with at most `k` failures, sorted: the
+/// definition the Gray order must match as a set.  A filter of all `2^m`
+/// masks where that is small, otherwise nested loops over up to three
+/// failed links.
+fn masks_up_to(m: usize, k: usize) -> Vec<Vec<u64>> {
+    let mut out: Vec<Vec<u64>> = if m <= 16 {
+        (0..1u64 << m)
+            .filter(|mask| mask.count_ones() as usize <= k)
+            .map(|mask| vec![mask])
+            .collect()
+    } else {
+        assert!(k <= 3, "the nested loops list at most three failures");
+        let mask = |bits: &[usize]| {
+            let mut words = vec![0u64; m.div_ceil(64)];
+            for &b in bits {
+                words[b / 64] |= 1 << (b % 64);
+            }
+            words
+        };
+        let mut out = vec![mask(&[])];
+        for a in 0..m {
+            if k >= 1 {
+                out.push(mask(&[a]));
+            }
+            for b in a + 1..m {
+                if k >= 2 {
+                    out.push(mask(&[a, b]));
+                }
+                for c in b + 1..m {
+                    if k >= 3 {
+                        out.push(mask(&[a, b, c]));
+                    }
+                }
+            }
+        }
+        out
+    };
+    out.sort_unstable();
+    out
+}
+
+/// The Gray enumeration capped at `k`, in emission order.
+fn gray_masks(m: usize, k: Option<usize>) -> Vec<Vec<u64>> {
+    let mut gray = GrayMasks::with_max_failures(m, k);
+    let mut out = Vec::new();
+    while gray.advance() {
+        out.push(gray.current().to_vec());
+    }
+    out
+}
+
+/// Graphs past 64 links (two mask words).
 fn multi_word_graphs() -> Vec<Graph> {
     vec![
         generators::hypercube(5), // 80 links
@@ -49,40 +100,25 @@ fn gray_enumeration_equals_ascending_as_sets_at_every_cap() {
             .chain((m <= 14).then_some(Some(m)))
             .collect();
         for k in caps {
-            let mut ascending: Vec<u64> = FailureMasks::with_max_failures(m, k).collect();
-            let mut gray = Vec::new();
-            let mut e = GrayMasks::with_max_failures(m, k);
-            while e.advance() {
-                gray.push(e.current().as_u64().expect("single word"));
-            }
-            let unsorted = gray.clone();
-            ascending.sort_unstable();
+            let mut gray = gray_masks(m, k);
+            assert!(gray.iter().all(|mask| mask.len() == 1), "single word");
+            let emitted = gray.len();
             gray.sort_unstable();
             gray.dedup();
-            assert_eq!(gray, ascending, "m={m}, k={k:?}");
-            assert_eq!(gray.len(), unsorted.len(), "Gray emits no duplicates");
+            assert_eq!(gray, masks_up_to(m, k.unwrap_or(m)), "m={m}, k={k:?}");
+            assert_eq!(gray.len(), emitted, "Gray emits no duplicates");
         }
     }
 }
 
 #[test]
 fn gray_enumeration_equals_ascending_beyond_64_links() {
-    // Same set equivalence on two-word masks, via the width-generic
-    // ascending enumerator (`next_mask`).
+    // Same set equivalence on two-word masks.
     let m = 70;
     for k in [0usize, 1, 2] {
-        let mut ascending: Vec<Vec<u64>> = Vec::new();
-        let mut fm = FailureMasks::with_max_failures(m, Some(k));
-        while let Some(mask) = fm.next_mask() {
-            ascending.push(mask.words().to_vec());
-        }
-        let mut gray: Vec<Vec<u64>> = Vec::new();
-        let mut e = GrayMasks::with_max_failures(m, Some(k));
-        while e.advance() {
-            gray.push(e.current().words().to_vec());
-        }
+        let mut gray = gray_masks(m, Some(k));
+        let ascending = masks_up_to(m, k);
         assert_eq!(gray.len(), ascending.len(), "k={k}");
-        ascending.sort_unstable();
         gray.sort_unstable();
         assert_eq!(gray, ascending, "k={k}");
     }
@@ -90,8 +126,7 @@ fn gray_enumeration_equals_ascending_beyond_64_links() {
 
 #[test]
 fn wide_zero_extended_masks_match_single_word_loads() {
-    // The multi-word entry point fed a zero-extended wide mask must behave
-    // exactly like the historical single-word fast path.
+    // A zero-extended wide mask must load exactly like its one-word form.
     let mut rng = StdRng::seed_from_u64(0x51DE);
     for g in single_word_graphs() {
         let m = g.edge_count();
@@ -101,8 +136,8 @@ fn wide_zero_extended_masks_match_single_word_loads() {
         let mut narrow = SweepEngine::new(&g);
         for _ in 0..40 {
             let mask = rand::Rng::gen_range(&mut rng, 0..1u64 << m);
-            wide.load_mask(&[mask, 0, 0][..]);
-            narrow.load_mask(&mask);
+            wide.load_mask(&[mask, 0, 0]);
+            narrow.load_mask(&[mask]);
             assert_eq!(wide.current_mask(), narrow.current_mask());
             assert_eq!(wide.current_failure_set(), narrow.current_failure_set());
             for s in g.nodes() {
@@ -125,10 +160,10 @@ fn incremental_toggle_equals_full_reload_beyond_64_links() {
     // compare the full observable engine state against fresh reloads.
     for g in multi_word_graphs() {
         let m = g.edge_count();
-        assert!(m > 64, "test graphs must be past the wall");
+        assert!(m > 64, "test graphs need two mask words");
         let mut inc = SweepEngine::new(&g);
         let mut reference = SweepEngine::new(&g);
-        assert!(inc.mask_width_words() >= 2);
+        assert!(inc.current_mask().len() >= 2);
         let mut gray = GrayMasks::with_max_failures(m, Some(2));
         let mut first = true;
         let mut checked = 0usize;

@@ -41,7 +41,7 @@ use crate::supervisor::{rebuild_tables, RebuildFailure, RebuildOutcome, Supervis
 use frr_graph::budget::{CancelToken, StopSignal};
 use frr_graph::{Edge, Graph, Node};
 use frr_obs::{Counter, Gauge, Histogram, Registry};
-use frr_routing::budget::{RunBudget, Verdict};
+use frr_routing::budget::{panic_message, RunBudget, Verdict};
 use frr_routing::compiled::{CompilePattern, CompiledPattern, CompiledSim, Fnv};
 use frr_routing::failure::FailureSet;
 use frr_routing::hostile::{NoCompile, NondeterministicPattern, PanicOnCompile};
@@ -479,15 +479,7 @@ impl Snapshot {
             let pattern: &dyn ForwardingPattern = pattern.as_ref();
             interpreted_route(survivor, failures, pattern, s, t, max_hops)
         }))
-        .map_err(|payload| {
-            QueryError::ProbePanicked(
-                payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|m| (*m).to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string()),
-            )
-        })?;
+        .map_err(|payload| QueryError::ProbePanicked(panic_message(payload)))?;
         let staleness = self.staleness_of(entry);
         self.metrics.record(staleness, started);
         Ok(RouteAnswer {
@@ -517,11 +509,7 @@ impl Snapshot {
         let verdict = match verdict {
             Ok(Ok(v)) => Ok(v),
             Ok(Err(panicked)) => Err(panicked.to_string()),
-            Err(payload) => Err(payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|m| (*m).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string())),
+            Err(payload) => Err(panic_message(payload)),
         };
         ResilienceAnswer {
             epoch: self.epoch,
