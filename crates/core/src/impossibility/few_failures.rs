@@ -106,7 +106,7 @@ fn guarded_few_failures(
         Err(payload) => Err(WorkerPanicked {
             position: 0,
             failures: None,
-            message: frr_routing::budget::panic_message(payload),
+            message: frr_routing::budget::panic_message(&*payload),
         }),
     }
 }

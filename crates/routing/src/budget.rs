@@ -304,8 +304,9 @@ pub struct ShardOutcome<T> {
     pub stopped: bool,
 }
 
-/// Extracts a printable message from a `catch_unwind` panic payload.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a printable message from a panic payload: a `catch_unwind`
+/// result (pass `&*payload`) or a panic hook's `info.payload()`.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -414,7 +415,7 @@ where
                     }
                     Err(payload) => {
                         best.fetch_min(i, Ordering::Relaxed);
-                        event = Some((i, ShardEvent::Panic(panic_message(payload))));
+                        event = Some((i, ShardEvent::Panic(panic_message(&*payload))));
                         break 'claims;
                     }
                 }

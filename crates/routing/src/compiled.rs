@@ -49,11 +49,12 @@ use crate::failure::FailureSet;
 use crate::model::{LocalContext, RoutingModel};
 use crate::pattern::ForwardingPattern;
 use crate::simulator::{route, state_space_bound, tour, Outcome, RouteResult, TourResult};
+use crate::sweep::DeliveryForests;
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const WORD_BITS: usize = u64::BITS as usize;
 
@@ -407,6 +408,13 @@ impl CompiledPattern {
     #[inline]
     pub(crate) fn tables_per_pair(&self) -> bool {
         matches!(self.tables, Tables::PerPair(_))
+    }
+
+    /// `true` if the pattern has one table per destination over the whole
+    /// graph (a destination-only whole-graph compile).
+    #[inline]
+    pub(crate) fn tables_per_destination(&self) -> bool {
+        matches!(self.tables, Tables::PerDestination(_))
     }
 
     /// One forwarding decision on the compiled tables: the **global port**
@@ -876,8 +884,16 @@ fn lists_table<F>(
 where
     F: FnMut(Node, Node, Node, Option<Node>, &mut Vec<Node>),
 {
-    let mut offsets: Vec<u32> = vec![0];
-    let mut rules: Vec<u32> = Vec::new();
+    // Every state's list holds at most `deg` distinct ports.
+    let rule_bound = (0..csr.n)
+        .map(|v| {
+            let deg = csr.degree(v) as usize;
+            (deg + 1) * deg
+        })
+        .sum();
+    let mut offsets: Vec<u32> = Vec::with_capacity(csr.state_count() + 1);
+    offsets.push(0);
+    let mut rules: Vec<u32> = Vec::with_capacity(rule_bound);
     for v in 0..csr.n {
         let deg = csr.degree(v);
         for inport_idx in 0..=deg {
@@ -1102,11 +1118,17 @@ impl CompiledSim {
 /// time, the caller's probe isolation reports that where it happens.  Both
 /// engines give the same outcomes, paths and hop counts, with the
 /// state-space hop bound [`state_space_bound`].
+///
+/// The sweep engine's all-pairs check also asks it, once, for the
+/// failure-free delivery forests of the tables
+/// ([`crate::sweep::SweepEngine::first_undelivered`]); they are built on
+/// that first request and shared by every worker.
 pub struct Forwarder<'a, P: ?Sized> {
     graph: &'a Graph,
     pattern: &'a P,
     tables: Option<CompiledPattern>,
     max_hops: usize,
+    forests: OnceLock<Option<DeliveryForests>>,
 }
 
 impl<'a, P: CompilePattern + ?Sized> Forwarder<'a, P> {
@@ -1121,6 +1143,7 @@ impl<'a, P: CompilePattern + ?Sized> Forwarder<'a, P> {
             pattern,
             tables,
             max_hops: state_space_bound(g),
+            forests: OnceLock::new(),
         }
     }
 }
@@ -1139,6 +1162,19 @@ impl<P: ForwardingPattern + ?Sized> Forwarder<'_, P> {
     /// The hop bound every route and tour runs under.
     pub(crate) fn max_hops(&self) -> usize {
         self.max_hops
+    }
+
+    /// The failure-free delivery forests of the compiled tables, built on
+    /// the first call; `None` without per-destination tables or when some
+    /// connected pair is not delivered even without failures (see
+    /// [`DeliveryForests::build`]).
+    pub(crate) fn forests(&self) -> Option<&DeliveryForests> {
+        self.forests
+            .get_or_init(|| {
+                let cp = self.tables.as_ref()?;
+                DeliveryForests::build(self.graph, cp)
+            })
+            .as_ref()
     }
 
     /// Fresh per-worker scratch for [`Forwarder::route`] and

@@ -431,7 +431,7 @@ fn stop_verdict<P: CompilePattern + ?Sized>(
         .map_err(|payload| WorkerPanicked {
             position: 0,
             failures: None,
-            message: crate::budget::panic_message(payload),
+            message: crate::budget::panic_message(&*payload),
         })?;
         if let Some(ce) = found {
             return Ok(Verdict::Refuted(ce));

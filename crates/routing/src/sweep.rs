@@ -31,6 +31,19 @@
 //!   stops at the first state an earlier source already labelled, and all
 //!   states it walked take its outcome.  One labelling pass per destination
 //!   replaces `n − 1` independent walks.
+//! * **Delta probes.**  With per-destination tables, most masks are decided
+//!   against the failure-free (∅) delivery forests (`DeliveryForests`,
+//!   built once per [`Forwarder`]) instead.  A compiled decision at
+//!   `(v, in-port)` reads only `v`'s failed-port word, so under `F` only the
+//!   states of nodes with a failed link can decide differently than under
+//!   ∅; a source whose ∅ walk meets none of those *changed* states keeps its
+//!   ∅ outcome, delivery.  The sources whose ∅ walk does meet one are the
+//!   changed states' forest subtrees — one pre-order interval each — and
+//!   only they are re-walked, each walk ending delivered at the first forest
+//!   state outside those intervals.  A mask whose failed-link nodes hold
+//!   more than a quarter of the compiled states takes the full labelled
+//!   pass, so large failure sets (most of a perfect-resilience sweep) keep
+//!   the full pass's cost.
 //! * [`sweep_find_first_budgeted`] drives a whole sweep over the
 //!   **Gray-code enumeration order** of [`GrayMasks`] (weight-ordered:
 //!   smaller failure sets first), sharding the enumeration positions across
@@ -170,6 +183,11 @@ pub struct SweepEngine<'g> {
     epoch: u32,
     /// The compiled state ids of the walk in progress.
     walk: Vec<u32>,
+    /// A forest probe's changed subtrees, as disjoint ascending pre-order
+    /// rank intervals.
+    changed: Vec<(u32, u32)>,
+    /// A forest probe's sources to re-walk.
+    rewalk: Vec<u32>,
     /// Packed node bitsets for component BFS / tour coverage.
     visit_a: Vec<u64>,
     visit_b: Vec<u64>,
@@ -198,7 +216,8 @@ struct StateLabel {
 /// [`frr_obs::global`] registry when a worker retires (cold), under these
 /// names: `sweep.masks_loaded`, `sweep.edges_toggled`, `sweep.bridge_tests`,
 /// `sweep.bridges_found`, `sweep.component_merges`, `sweep.routes`,
-/// `sweep.hops`, `sweep.tours`, plus the sweep-level `sweep.masks_swept`.
+/// `sweep.hops`, `sweep.tours`, `sweep.forest_probes`, plus the sweep-level
+/// `sweep.masks_swept`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Full overlay installs ([`SweepEngine::load_mask`]).
@@ -220,6 +239,10 @@ pub struct SweepStats {
     pub hops: u64,
     /// Touring simulations (`tour_covers` + `tour_covers_compiled`).
     pub tours: u64,
+    /// Destinations `first_undelivered` decided against the failure-free
+    /// delivery forests; `routes` and `hops` count only the sources those
+    /// probes re-walked.
+    pub forest_probes: u64,
 }
 
 impl SweepStats {
@@ -233,6 +256,7 @@ impl SweepStats {
         self.routes += other.routes;
         self.hops += other.hops;
         self.tours += other.tours;
+        self.forest_probes += other.forest_probes;
     }
 
     /// Adds the tallies to `registry` under the `sweep.*` counter names.
@@ -247,6 +271,7 @@ impl SweepStats {
             ("sweep.routes", self.routes),
             ("sweep.hops", self.hops),
             ("sweep.tours", self.tours),
+            ("sweep.forest_probes", self.forest_probes),
         ]);
     }
 }
@@ -287,6 +312,8 @@ impl<'g> SweepEngine<'g> {
             labels: vec![StateLabel::default(); compiled_states],
             epoch: 0,
             walk: Vec::with_capacity(compiled_states),
+            changed: Vec::new(),
+            rewalk: Vec::with_capacity(n),
             visit_a: vec![0; words],
             visit_b: vec![0; words],
             visit_c: vec![0; words],
@@ -737,6 +764,8 @@ impl<'g> SweepEngine<'g> {
     /// a state of its own walk (a loop), or a state an earlier walk of the
     /// same epoch labelled — whose outcome it then shares, because the
     /// forwarding from a state does not depend on how the packet got there.
+    /// It also ends, delivered, at any state `settled` accepts: the caller
+    /// vouches that every packet in such a state is delivered.
     ///
     /// `source != destination`.
     fn labelled_walk(
@@ -746,6 +775,7 @@ impl<'g> SweepEngine<'g> {
         source: usize,
         destination: usize,
         max_hops: usize,
+        settled: impl Fn(usize) -> bool,
     ) -> Outcome {
         let csr = cp.csr();
         let epoch = self.epoch;
@@ -757,6 +787,9 @@ impl<'g> SweepEngine<'g> {
             let label = self.labels[state];
             if label.epoch == epoch {
                 break label.fate.unwrap_or(Outcome::Loop);
+            }
+            if settled(state) {
+                break Outcome::Delivered;
             }
             // Every walked state took one hop onwards.
             if self.walk.len() >= max_hops {
@@ -802,7 +835,14 @@ impl<'g> SweepEngine<'g> {
         }
         self.next_epoch();
         let table = cp.table(source, destination);
-        self.labelled_walk(cp, table, source.index(), destination.index(), max_hops)
+        self.labelled_walk(
+            cp,
+            table,
+            source.index(),
+            destination.index(),
+            max_hops,
+            |_| false,
+        )
     }
 
     /// The outcome of one packet from `source` to `destination` under the
@@ -852,6 +892,25 @@ impl<'g> SweepEngine<'g> {
     /// Once a failing pair `(s*, t*)` is known, later destinations only
     /// check sources below `s*`.  Without tables each pair runs the
     /// interpreted [`SweepEngine::route_outcome`].
+    ///
+    /// **Delta probes.**  With per-destination tables whose failure-free
+    /// (∅) forwarding delivers every connected pair, each destination is
+    /// decided against its ∅ delivery forest instead.
+    /// A decision at state `(v, in-port)` reads only `v`'s failed-port
+    /// word, so under `F` only the states of the nodes with a failed link
+    /// can decide differently than under ∅.  A source whose ∅ walk meets no
+    /// such *changed* state walks the same path and is delivered; the
+    /// sources whose ∅ walk does are exactly those in the changed states'
+    /// forest subtrees.  Only they are re-walked, in ascending order, and
+    /// a re-walk ends delivered at any forest state outside those subtrees.
+    /// Changed states at nodes cut off from `t` are skipped: a connected
+    /// source rerouted there crossed a failed link on the way, and the
+    /// state that chose that link is a changed state at a node connected
+    /// to `t`.  A destination with no changed state is decided without a
+    /// walk.  The result is the same pair as the full pass.  Cost rule: a
+    /// mask whose failed-link nodes hold more than a quarter of the
+    /// compiled states (`Σ (deg + 1)` over them) runs the full labelled
+    /// pass.
     pub fn first_undelivered<P: ForwardingPattern + ?Sized>(
         &mut self,
         fwd: &Forwarder<'_, P>,
@@ -876,31 +935,155 @@ impl<'g> SweepEngine<'g> {
         // A walk revisits a state before it can exceed the hop bound, so no
         // labelled walk ends in `HopLimit`.
         debug_assert!(cp.csr().state_count() < max_hops);
-        let per_pair = cp.tables_per_pair();
+        let touched_states: usize = self
+            .touched
+            .iter()
+            .map(|&v| cp.csr().degree(v) as usize + 1)
+            .sum();
+        let forests = if 4 * touched_states <= cp.csr().state_count() {
+            fwd.forests()
+        } else {
+            None
+        };
         let mut first: Option<(Node, Node)> = None;
         for t in destinations {
             // Later destinations come after `first` for every source but
             // the ones below it.
             let sources = first.map_or(n, |(s, _)| s.index());
-            if !per_pair {
-                self.next_epoch();
-            }
-            for s in 0..sources {
-                if s == t || !self.same_component(Node(s), Node(t)) {
-                    continue;
-                }
-                self.stats.routes += 1;
-                if per_pair {
-                    self.next_epoch();
-                }
-                let table = cp.table(Node(s), Node(t));
-                if self.labelled_walk(cp, table, s, t, max_hops) != Outcome::Delivered {
-                    first = Some((Node(s), Node(t)));
-                    break;
-                }
+            let hit = match forests {
+                Some(forests) => self.forest_probe(cp, forests.of(t), t, sources, max_hops),
+                None => self.labelled_probe(cp, t, sources, max_hops),
+            };
+            if let Some(s) = hit {
+                first = Some((Node(s), Node(t)));
             }
         }
         first
+    }
+
+    /// The smallest source below `sources` that is connected to `t` in
+    /// `G \ F` but not delivered, by labelled walks from every such source.
+    fn labelled_probe(
+        &mut self,
+        cp: &CompiledPattern,
+        t: usize,
+        sources: usize,
+        max_hops: usize,
+    ) -> Option<usize> {
+        let per_pair = cp.tables_per_pair();
+        if !per_pair {
+            self.next_epoch();
+        }
+        for s in 0..sources {
+            if s == t || !self.same_component(Node(s), Node(t)) {
+                continue;
+            }
+            self.stats.routes += 1;
+            if per_pair {
+                self.next_epoch();
+            }
+            let table = cp.table(Node(s), Node(t));
+            if self.labelled_walk(cp, table, s, t, max_hops, |_| false) != Outcome::Delivered {
+                return Some(s);
+            }
+        }
+        None
+    }
+
+    /// [`SweepEngine::labelled_probe`] decided against `t`'s ∅ delivery
+    /// forest (see [`SweepEngine::first_undelivered`]): only the sources in
+    /// the subtrees of changed states are re-walked.
+    fn forest_probe(
+        &mut self,
+        cp: &CompiledPattern,
+        forest: Forest<'_>,
+        t: usize,
+        sources: usize,
+        max_hops: usize,
+    ) -> Option<usize> {
+        self.stats.forest_probes += 1;
+        let csr = cp.csr();
+        let table = cp.table(Node(t), Node(t));
+        let mut changed = std::mem::take(&mut self.changed);
+        changed.clear();
+        for &v in &self.touched {
+            if !self.same_component(Node(v), Node(t)) {
+                // A source rerouted here is cut off from `t` too, or meets
+                // a changed state at a node still connected to `t` first.
+                continue;
+            }
+            let failed = self.failed_port_word(v);
+            let base = csr.state_base(v);
+            for inport_idx in 0..=csr.degree(v) {
+                let rank = forest.pre[(base + inport_idx) as usize];
+                if rank != NOT_IN_FOREST
+                    && cp.decide(table, v, inport_idx, failed) != cp.decide(table, v, inport_idx, 0)
+                {
+                    changed.push((rank, forest.end[rank as usize]));
+                }
+            }
+        }
+        let mut hit = None;
+        if !changed.is_empty() {
+            // Subtrees nest or are disjoint: merging sorted intervals keeps
+            // the outermost ones.
+            changed.sort_unstable();
+            let mut kept = 0;
+            for i in 1..changed.len() {
+                if changed[i].0 >= changed[kept].1 {
+                    kept += 1;
+                    changed[kept] = changed[i];
+                }
+            }
+            changed.truncate(kept + 1);
+            let mut rewalk = std::mem::take(&mut self.rewalk);
+            rewalk.clear();
+            for &(lo, hi) in &changed {
+                let from = forest.sources.partition_point(|&(rank, _)| rank < lo);
+                rewalk.extend(
+                    forest.sources[from..]
+                        .iter()
+                        .take_while(|&&(rank, _)| rank < hi)
+                        .map(|&(_, s)| s)
+                        .filter(|&s| (s as usize) < sources),
+                );
+            }
+            rewalk.sort_unstable();
+            let inside = |rank: u32| {
+                let i = changed.partition_point(|&(lo, _)| lo <= rank);
+                i > 0 && rank < changed[i - 1].1
+            };
+            let settled = |state: usize| {
+                let rank = forest.pre[state];
+                rank != NOT_IN_FOREST && !inside(rank)
+            };
+            self.next_epoch();
+            for &s in &rewalk {
+                let s = s as usize;
+                if !self.same_component(Node(s), Node(t)) {
+                    continue;
+                }
+                self.stats.routes += 1;
+                if self.labelled_walk(cp, table, s, t, max_hops, settled) != Outcome::Delivered {
+                    hit = Some(s);
+                    break;
+                }
+            }
+            self.rewalk = rewalk;
+        }
+        self.changed = changed;
+        #[cfg(debug_assertions)]
+        {
+            // The delta probe must find exactly the full pass's source.
+            let stats = self.stats;
+            debug_assert_eq!(
+                hit,
+                self.labelled_probe(cp, t, sources, max_hops),
+                "forest probe disagrees with the full pass for destination {t}"
+            );
+            self.stats = stats;
+        }
+        hit
     }
 
     /// [`SweepEngine::tour_covers`] on compiled rule tables.
@@ -949,6 +1132,191 @@ impl<'g> SweepEngine<'g> {
             if !self.mark_state((csr.state_base(v) + inport_idx) as usize) {
                 return false;
             }
+        }
+    }
+}
+
+/// Pre-order rank of a compiled state that no source's ∅ walk reaches.
+const NOT_IN_FOREST: u32 = u32::MAX;
+
+/// Largest `n · (2m + n)` (destinations × compiled states) the delivery
+/// forests are built for: their rank array holds one `u32` per pair, so
+/// this caps it at 16 MiB.  The zoo's largest audited network (120 nodes,
+/// 123 links) needs about 1% of it.
+const FOREST_STATE_LIMIT: usize = 1 << 22;
+
+/// The failure-free (∅) delivery forests of a destination-only compiled
+/// pattern, one per destination `t`.
+///
+/// Under ∅ every compiled state that some source's walk to `t` reaches has
+/// one successor state (or delivers), and since every such walk delivers
+/// these successor links form a forest rooted at delivery.  Its pre-order
+/// numbering makes each state's subtree — the states whose ∅ walk passes
+/// through it — one rank interval, so the sources a changed decision can
+/// reroute are those whose start state ranks inside the interval.
+pub(crate) struct DeliveryForests {
+    /// Compiled states per destination (`2m + n`).
+    states: usize,
+    /// `pre[t · states + x]`: the pre-order rank of state `x` in `t`'s
+    /// forest, or [`NOT_IN_FOREST`].
+    pre: Vec<u32>,
+    /// Per destination, indexed by rank: one past the last rank of the
+    /// rank's subtree.  `t`'s slice starts at `end_offset[t]`.
+    end: Vec<u32>,
+    end_offset: Vec<u32>,
+    /// Per destination: `(rank of the source's start state, source)` for
+    /// every source connected to `t`, sorted by rank.  `t`'s slice starts
+    /// at `source_offset[t]`.
+    sources: Vec<(u32, u32)>,
+    source_offset: Vec<u32>,
+}
+
+/// One destination's slice of [`DeliveryForests`].
+#[derive(Clone, Copy)]
+struct Forest<'a> {
+    pre: &'a [u32],
+    end: &'a [u32],
+    sources: &'a [(u32, u32)],
+}
+
+impl DeliveryForests {
+    /// Walks every connected pair of `cp` (compiled for `g`) without
+    /// failures and builds the forests; `None` unless `cp` has
+    /// per-destination tables over the whole graph, every connected pair is
+    /// delivered, and the forests fit [`FOREST_STATE_LIMIT`].  Costs about
+    /// one full labelled pass.
+    pub(crate) fn build(g: &Graph, cp: &CompiledPattern) -> Option<Self> {
+        let csr = cp.csr();
+        let (n, states) = (csr.node_count(), csr.state_count());
+        if !cp.tables_per_destination() || n.checked_mul(states)? > FOREST_STATE_LIMIT {
+            return None;
+        }
+        let mut component = vec![0; n];
+        for (id, nodes) in frr_graph::connectivity::connected_components(g)
+            .iter()
+            .enumerate()
+        {
+            for v in nodes {
+                component[v.index()] = id;
+            }
+        }
+        let mut forests = DeliveryForests {
+            states,
+            pre: vec![NOT_IN_FOREST; n * states],
+            end: Vec::new(),
+            end_offset: vec![0],
+            sources: Vec::new(),
+            source_offset: vec![0],
+        };
+        // Per-destination scratch: each state's ∅ successor (`DELIVERS`
+        // when its hop reaches `t`), the source whose walk labelled it, the
+        // children in CSR form, and the pre-order.
+        const DELIVERS: u32 = u32::MAX - 1;
+        let mut succ = vec![NOT_IN_FOREST; states];
+        let mut walker = vec![u32::MAX; states];
+        let mut child_offset = vec![0u32; states + 1];
+        let mut children = Vec::new();
+        let mut order: Vec<u32> = Vec::new();
+        let mut size: Vec<u32> = Vec::new();
+        let mut stack = Vec::new();
+        let start_state = |s: usize| (csr.state_base(s) + csr.degree(s)) as usize;
+        for t in 0..n {
+            let table = cp.table(Node(t), Node(t));
+            succ.fill(NOT_IN_FOREST);
+            walker.fill(u32::MAX);
+            let connected = (0..n).filter(|&s| s != t && component[s] == component[t]);
+            for s in connected.clone() {
+                let (mut v, mut inport_idx) = (s, csr.degree(s));
+                let mut state = start_state(s);
+                while walker[state] != s as u32 {
+                    if succ[state] != NOT_IN_FOREST {
+                        // An earlier walk, which was delivered.
+                        break;
+                    }
+                    walker[state] = s as u32;
+                    // A drop: this pair is not delivered even without
+                    // failures.
+                    let port = cp.decide(table, v, inport_idx, 0)? as usize;
+                    v = csr.port_target(port);
+                    inport_idx = csr.reverse_port(port);
+                    if v == t {
+                        succ[state] = DELIVERS;
+                        break;
+                    }
+                    let next = (csr.state_base(v) + inport_idx) as usize;
+                    succ[state] = next as u32;
+                    state = next;
+                }
+                if walker[state] == s as u32 && succ[state] != DELIVERS {
+                    // The walk came back to one of its own states: a loop.
+                    return None;
+                }
+            }
+            // Children lists, then an iterative pre-order from the roots
+            // (the states whose hop delivers).
+            child_offset.fill(0);
+            for &p in &succ {
+                if p < DELIVERS {
+                    child_offset[p as usize + 1] += 1;
+                }
+            }
+            for x in 0..states {
+                child_offset[x + 1] += child_offset[x];
+            }
+            children.resize(child_offset[states] as usize, 0u32);
+            let mut cursor = child_offset.clone();
+            for (x, &p) in succ.iter().enumerate() {
+                if p < DELIVERS {
+                    children[cursor[p as usize] as usize] = x as u32;
+                    cursor[p as usize] += 1;
+                }
+            }
+            let pre = &mut forests.pre[t * states..(t + 1) * states];
+            order.clear();
+            stack.clear();
+            stack.extend(
+                (0..states as u32)
+                    .rev()
+                    .filter(|&x| succ[x as usize] == DELIVERS),
+            );
+            while let Some(x) = stack.pop() {
+                let x = x as usize;
+                pre[x] = order.len() as u32;
+                order.push(x as u32);
+                let kids = child_offset[x] as usize..child_offset[x + 1] as usize;
+                stack.extend(children[kids].iter().rev());
+            }
+            // Subtree sizes, children before parents (reverse pre-order).
+            size.clear();
+            size.resize(order.len(), 1);
+            for rank in (1..order.len()).rev() {
+                let parent = succ[order[rank] as usize];
+                if parent != DELIVERS {
+                    size[pre[parent as usize] as usize] += size[rank];
+                }
+            }
+            forests
+                .end
+                .extend(size.iter().enumerate().map(|(rank, &sz)| rank as u32 + sz));
+            forests.end_offset.push(forests.end.len() as u32);
+            let from = forests.sources.len();
+            forests
+                .sources
+                .extend(connected.map(|s| (pre[start_state(s)], s as u32)));
+            forests.sources[from..].sort_unstable();
+            forests.source_offset.push(forests.sources.len() as u32);
+        }
+        Some(forests)
+    }
+
+    /// Destination `t`'s forest.
+    fn of(&self, t: usize) -> Forest<'_> {
+        let ends = self.end_offset[t] as usize..self.end_offset[t + 1] as usize;
+        let srcs = self.source_offset[t] as usize..self.source_offset[t + 1] as usize;
+        Forest {
+            pre: &self.pre[t * self.states..(t + 1) * self.states],
+            end: &self.end[ends],
+            sources: &self.sources[srcs],
         }
     }
 }
@@ -1271,6 +1639,52 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sweep.edges_toggled"), Some(3));
         assert_eq!(snap.counter("sweep.bridge_tests"), Some(2));
+    }
+
+    /// Every destination of every mask of weight ≤ 1, through
+    /// `first_undelivered`; returns the engine's tallies.
+    fn r1_probe_stats<P: crate::compiled::CompilePattern + ?Sized>(
+        g: &Graph,
+        pattern: &P,
+    ) -> SweepStats {
+        let fwd = Forwarder::new(g, pattern);
+        let mut engine = SweepEngine::new(g);
+        let mut gray = GrayMasks::with_max_failures(g.edge_count(), Some(1));
+        while gray.advance() {
+            engine.load_mask(gray.current());
+            engine.first_undelivered(&fwd, 0..g.node_count());
+        }
+        engine.take_stats()
+    }
+
+    #[test]
+    fn forest_probes_count_destinations_decided_against_the_forests() {
+        // Petersen: 40 compiled states, and one failure touches two nodes
+        // holding 8 of them, so all 16 masks take the delta path.
+        let g = generators::petersen();
+        let n = g.node_count() as u64;
+        let stats = r1_probe_stats(&g, &ShortestPathPattern::new(&g));
+        assert_eq!(stats.forest_probes, 16 * n);
+        // Only re-walked sources count as routes: far fewer than the
+        // n·(n−1) pairs of every mask.
+        assert!(stats.routes < 16 * n * (n - 1) / 2, "{stats:?}");
+        let reg = frr_obs::Registry::new();
+        stats.flush_to(&reg);
+        assert_eq!(reg.snapshot().counter("sweep.forest_probes"), Some(16 * n));
+        // Per-pair tables have no forests: every pair is walked.
+        let per_pair = crate::pattern::FnPattern::new(
+            crate::model::RoutingModel::SourceDestination,
+            "smallest-alive",
+            |ctx: &LocalContext<'_>| {
+                if ctx.destination_is_alive_neighbor() {
+                    return Some(ctx.destination);
+                }
+                ctx.alive_neighbors().first().copied()
+            },
+        );
+        let stats = r1_probe_stats(&g, &per_pair);
+        assert_eq!(stats.forest_probes, 0);
+        assert!(stats.routes > 0);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! walks it replaces.
 
 use frr_graph::{generators, Graph, Node};
-use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
-use frr_routing::budget::{RunBudget, StopSignal, Verdict, WorkerPanicked};
+use frr_routing::adversary::{Adversary, BruteForceAdversary, Counterexample, RandomAdversary};
+use frr_routing::budget::{
+    sharded_first_controlled, RunBudget, ShardEvent, StopSignal, Verdict, WorkerPanicked,
+};
 use frr_routing::compiled::{tabulate, CompilePattern, CompiledPattern, CompiledSim, Forwarder};
 use frr_routing::failure::{FailureSet, GrayMasks};
 use frr_routing::hostile::{FailedLinkForwarder, NoCompile, NonNeighborForwarder};
@@ -323,22 +325,51 @@ fn first_undelivered_per_pair<P: ForwardingPattern + ?Sized>(
     None
 }
 
+/// What [`assert_first_undelivered_matches`] ran into, counted over the
+/// all-destination calls.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Masks with an undelivered pair.
+    failing: usize,
+    /// Per failure count: masks decided against the failure-free delivery
+    /// forests (the `forest_probes` counter moved).
+    forest: Vec<usize>,
+    /// Per failure count: masks decided by the full labelled or
+    /// interpreted pass.
+    full: Vec<usize>,
+}
+
+impl Coverage {
+    fn forest_masks(&self) -> usize {
+        self.forest.iter().sum()
+    }
+
+    fn full_masks(&self) -> usize {
+        self.full.iter().sum()
+    }
+}
+
 /// Asserts `first_undelivered` ≡ the per-pair loop on every mask of weight
 /// at most `max_failures`, over all destinations and two sub-ranges of them.
-/// Returns how many masks had an undelivered pair.
 fn assert_first_undelivered_matches<P: ForwardingPattern + ?Sized>(
     g: &Graph,
     fwd: &Forwarder<'_, P>,
     max_failures: usize,
-) -> usize {
+) -> Coverage {
     let n = g.node_count();
     let mut engine = SweepEngine::new(g);
     let mut gray = GrayMasks::with_max_failures(g.edge_count(), Some(max_failures));
-    let mut failing = 0;
+    let mut coverage = Coverage {
+        forest: vec![0; max_failures + 1],
+        full: vec![0; max_failures + 1],
+        ..Coverage::default()
+    };
     while gray.advance() {
         engine.load_mask(gray.current());
         for destinations in [0..n, n / 2..n, 1..2] {
+            let before = engine.stats().forest_probes;
             let labelled = engine.first_undelivered(fwd, destinations.clone());
+            let forest = engine.stats().forest_probes > before;
             let reference = first_undelivered_per_pair(&mut engine, fwd, destinations.clone());
             assert_eq!(
                 labelled,
@@ -347,10 +378,15 @@ fn assert_first_undelivered_matches<P: ForwardingPattern + ?Sized>(
                 fwd.pattern().name(),
                 engine.current_failure_set()
             );
-            failing += usize::from(destinations.start == 0 && labelled.is_some());
+            if destinations.start == 0 {
+                let weight = engine.current_failure_set().len();
+                coverage.failing += usize::from(labelled.is_some());
+                coverage.forest[weight] += usize::from(forest);
+                coverage.full[weight] += usize::from(!forest);
+            }
         }
     }
-    failing
+    coverage
 }
 
 /// A source–destination pattern with loops and drops: forward to the
@@ -383,7 +419,17 @@ fn first_undelivered_matches_per_pair_walks_on_random_graphs() {
         for pattern in patterns {
             let fwd = Forwarder::new(g, pattern);
             assert!(fwd.tables().is_some(), "small graphs compile");
-            failing += assert_first_undelivered_matches(g, &fwd, 2);
+            let coverage = assert_first_undelivered_matches(g, &fwd, 2);
+            failing += coverage.failing;
+            if pattern.model() == RoutingModel::DestinationOnly {
+                // Shortest paths deliver without failures; one failure
+                // stays within the cost rule, two exceed it here.
+                assert!(coverage.forest_masks() > 0, "{coverage:?}");
+                assert!(coverage.full_masks() > 0, "{coverage:?}");
+            } else {
+                // Touring and per-pair tables have no delivery forests.
+                assert_eq!(coverage.forest_masks(), 0, "{}", pattern.name());
+            }
         }
     }
     // Past the single-word mask wall.  Per-pair tables of a graph this
@@ -399,9 +445,243 @@ fn first_undelivered_matches_per_pair_walks_on_random_graphs() {
             fwd.tables().is_some(),
             "direct compilers take any degree below 64"
         );
-        failing += assert_first_undelivered_matches(&wide, &fwd, 2);
+        let coverage = assert_first_undelivered_matches(&wide, &fwd, 2);
+        failing += coverage.failing;
+        if pattern.model() == RoutingModel::DestinationOnly {
+            assert!(
+                coverage.forest[1] > 0 && coverage.full_masks() > 0,
+                "{coverage:?}"
+            );
+        }
     }
     assert!(failing > 0, "the portfolio must exercise undelivered pairs");
+}
+
+/// A destination-only pattern that delivers every connected pair without
+/// failures but is no priority list: shortest paths while no incident link
+/// is down, the largest alive neighbor once one is.  Its tables keep
+/// `DENSE` failed-mask maps wherever a node of degree ≥ 3 has a
+/// shortest-path next hop below its largest neighbor.
+fn shortest_or_largest(g: &Graph) -> impl CompilePattern {
+    let sp = ShortestPathPattern::new(g);
+    FnPattern::new(
+        RoutingModel::DestinationOnly,
+        "shortest-or-largest",
+        move |ctx: &LocalContext<'_>| {
+            if ctx.failed_neighbors.is_empty() {
+                return sp.next_hop(ctx);
+            }
+            ctx.alive_neighbors().last().copied()
+        },
+    )
+}
+
+/// Whether some compiled decision is no first-alive priority list: at a
+/// packet's first hop, no failure sends it out on `p`, yet failing another
+/// link `a` moves it off `p`.  Such a state can only be a `DENSE`
+/// failed-mask map.
+fn breaks_a_priority_list(g: &Graph, cp: &CompiledPattern) -> bool {
+    let decide = |v: Node, t: Node, failed: &[Node]| {
+        cp.next_hop(&LocalContext {
+            node: v,
+            inport: None,
+            source: t,
+            destination: t,
+            failed_neighbors: failed,
+            graph: g,
+        })
+    };
+    g.nodes().any(|v| {
+        g.nodes().filter(|&t| t != v).any(|t| {
+            decide(v, t, &[]).is_some_and(|p| {
+                g.neighbors(v)
+                    .any(|a| a != p && decide(v, t, &[a]) != Some(p))
+            })
+        })
+    })
+}
+
+/// `a` and `b` side by side, plus one isolated node.
+fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+    let offset = a.node_count();
+    let mut g = Graph::new(offset + b.node_count() + 1);
+    for e in a.edges() {
+        g.add_edge(e.u(), e.v());
+    }
+    for e in b.edges() {
+        g.add_edge(Node(e.u().index() + offset), Node(e.v().index() + offset));
+    }
+    g
+}
+
+#[test]
+fn delta_probes_match_per_pair_walks_on_dense_states_and_disconnected_hosts() {
+    let mut failing = 0;
+    let graphs = random_graphs(0xDE17A, 6);
+    let split = disjoint_union(&graphs[0], &graphs[1]);
+    for g in graphs.iter().chain([&split]) {
+        let pattern = shortest_or_largest(g);
+        let fwd = Forwarder::new(g, &pattern);
+        let cp = fwd.tables().expect("small graphs tabulate");
+        assert!(breaks_a_priority_list(g, cp), "some states are dense maps");
+        let coverage = assert_first_undelivered_matches(g, &fwd, 2);
+        assert!(coverage.forest_masks() > 0, "{coverage:?}");
+        failing += coverage.failing;
+        let sp = ShortestPathPattern::new(g);
+        let coverage = assert_first_undelivered_matches(g, &Forwarder::new(g, &sp), 2);
+        assert!(coverage.forest_masks() > 0, "{coverage:?}");
+    }
+    assert!(failing > 0, "the dense pattern must strand some pairs");
+}
+
+#[test]
+fn delta_probes_need_failure_free_delivery() {
+    // Smallest alive neighbor loops or dead-ends without any failure on
+    // these graphs, so there are no forests: every mask takes the full pass.
+    let smallest_alive = FnPattern::new(
+        RoutingModel::DestinationOnly,
+        "smallest-alive",
+        |ctx: &LocalContext<'_>| {
+            if ctx.destination_is_alive_neighbor() {
+                return Some(ctx.destination);
+            }
+            ctx.alive_neighbors().first().copied()
+        },
+    );
+    // Drops every packet at node 1 unless it is the destination's neighbor.
+    let drop_at_one = FnPattern::new(
+        RoutingModel::DestinationOnly,
+        "drop-at-one",
+        |ctx: &LocalContext<'_>| {
+            if ctx.destination_is_alive_neighbor() {
+                return Some(ctx.destination);
+            }
+            (ctx.node != Node(1)).then(|| ctx.alive_neighbors().last().copied())?
+        },
+    );
+    let mut broken = 0;
+    for g in random_graphs(0x100F, 6) {
+        for pattern in [&smallest_alive as &dyn CompilePattern, &drop_at_one] {
+            let fwd = Forwarder::new(&g, pattern);
+            let mut engine = SweepEngine::new(&g);
+            engine.load_mask(&[0]);
+            let fails_unfailed = first_undelivered_per_pair(&mut engine, &fwd, 0..g.node_count());
+            let coverage = assert_first_undelivered_matches(&g, &fwd, 2);
+            if fails_unfailed.is_some() {
+                broken += 1;
+                assert_eq!(coverage.forest_masks(), 0, "{}", pattern.name());
+            }
+        }
+    }
+    assert!(broken > 0, "some pattern must fail without failures");
+}
+
+#[test]
+fn delta_probes_cross_the_cost_rule_at_three_failures() {
+    // A 16-node ring with a 5-spoke hub: 59 compiled states, so a mask runs
+    // delta probes while its failed-link nodes hold at most 14 of them.
+    // Three adjacent ring links touch 4 nodes (12–16 states); three spokes
+    // touch the hub's 6 states plus three ring nodes (18).
+    let mut g = generators::cycle(16);
+    let hub = Graph::new(17);
+    let mut wheel = hub;
+    for e in g.edges() {
+        wheel.add_edge(e.u(), e.v());
+    }
+    for spoke in [0, 3, 6, 9, 12] {
+        wheel.add_edge(Node(16), Node(spoke));
+    }
+    g = wheel;
+    let sp = ShortestPathPattern::new(&g);
+    let dense = shortest_or_largest(&g);
+    for pattern in [&sp as &dyn CompilePattern, &dense] {
+        let coverage = assert_first_undelivered_matches(&g, &Forwarder::new(&g, pattern), 3);
+        assert!(
+            coverage.forest[3] > 0 && coverage.full[3] > 0,
+            "{}: {coverage:?}",
+            pattern.name()
+        );
+    }
+}
+
+/// `check`'s routing sweep rebuilt from public pieces on exactly `workers`
+/// workers: every Gray position loaded fresh, the earliest
+/// `first_undelivered` hit replayed into a counterexample.
+fn sweep_verdict_on_workers<P: CompilePattern + ?Sized>(
+    g: &Graph,
+    pattern: &P,
+    r: usize,
+    workers: usize,
+) -> Verdict {
+    let fwd = Forwarder::new(g, pattern);
+    let mut gray = GrayMasks::with_max_failures(g.edge_count(), Some(r));
+    let mut masks = Vec::new();
+    while gray.advance() {
+        masks.push(gray.current().to_vec());
+    }
+    let outcome = sharded_first_controlled(
+        masks.len() as u64,
+        1,
+        1,
+        workers,
+        &StopSignal::none(),
+        || SweepEngine::new(g),
+        |engine, i| {
+            engine.load_mask(&masks[i as usize]);
+            let (s, t) = engine.first_undelivered(&fwd, 0..g.node_count())?;
+            Some((engine.current_failure_set(), s, t))
+        },
+    );
+    match outcome.event {
+        None => Verdict::Proven,
+        Some((_, ShardEvent::Hit((failures, source, destination)))) => {
+            let replay = route(
+                g,
+                &failures,
+                pattern,
+                source,
+                destination,
+                state_space_bound(g),
+            );
+            Verdict::Refuted(Counterexample {
+                failures,
+                source,
+                destination,
+                outcome: replay.outcome,
+                path: replay.path,
+            })
+        }
+        Some((position, ShardEvent::Panic(message))) => {
+            panic!("probe panicked at position {position}: {message}")
+        }
+    }
+}
+
+#[test]
+fn check_verdicts_are_identical_at_one_two_and_eight_workers() {
+    let mut refuted = 0;
+    for g in random_graphs(0x1287, 5) {
+        let sp = ShortestPathPattern::new(&g);
+        let dense = shortest_or_largest(&g);
+        for pattern in [&sp as &dyn CompilePattern, &dense] {
+            for r in 1..=3 {
+                let verdict = check(&g, pattern, Property::bounded(r), &RunBudget::unlimited())
+                    .expect("benign patterns");
+                let expected = format!("{verdict:?}");
+                for workers in [1, 2, 8] {
+                    let found = sweep_verdict_on_workers(&g, pattern, r, workers);
+                    assert_eq!(
+                        format!("{found:?}"),
+                        expected,
+                        "{}, r = {r}, {workers} workers, graph {g:?}",
+                        pattern.name()
+                    );
+                }
+                refuted += usize::from(verdict.is_refuted());
+            }
+        }
+    }
+    assert!(refuted > 0, "some verdicts must carry a counterexample");
 }
 
 #[test]
@@ -418,11 +698,11 @@ fn first_undelivered_matches_per_pair_walks_on_hostile_patterns() {
         ];
         for pattern in patterns {
             let cp = tabulate(&g, pattern).expect("small graphs tabulate");
-            failing += assert_first_undelivered_matches(&g, &Forwarder::new(&g, &cp), 2);
+            failing += assert_first_undelivered_matches(&g, &Forwarder::new(&g, &cp), 2).failing;
             let interpreted = NoCompile(pattern);
             let fwd = Forwarder::new(&g, &interpreted);
             assert!(fwd.tables().is_none());
-            failing += assert_first_undelivered_matches(&g, &fwd, 2);
+            failing += assert_first_undelivered_matches(&g, &fwd, 2).failing;
         }
     }
     assert!(failing > 0);
@@ -449,7 +729,7 @@ fn first_undelivered_keeps_the_interpreter_when_compile_is_refused() {
     let smallest_alive = Forwarder::new(&g, &smallest_alive);
     assert!(smallest_alive.tables().is_none());
     assert_first_undelivered_matches(&g, &sp, 1);
-    let failing = assert_first_undelivered_matches(&g, &smallest_alive, 1);
+    let failing = assert_first_undelivered_matches(&g, &smallest_alive, 1).failing;
     assert!(failing > 0);
 }
 

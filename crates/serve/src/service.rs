@@ -479,7 +479,7 @@ impl Snapshot {
             let pattern: &dyn ForwardingPattern = pattern.as_ref();
             interpreted_route(survivor, failures, pattern, s, t, max_hops)
         }))
-        .map_err(|payload| QueryError::ProbePanicked(panic_message(payload)))?;
+        .map_err(|payload| QueryError::ProbePanicked(panic_message(&*payload)))?;
         let staleness = self.staleness_of(entry);
         self.metrics.record(staleness, started);
         Ok(RouteAnswer {
@@ -509,7 +509,7 @@ impl Snapshot {
         let verdict = match verdict {
             Ok(Ok(v)) => Ok(v),
             Ok(Err(panicked)) => Err(panicked.to_string()),
-            Err(payload) => Err(panic_message(payload)),
+            Err(payload) => Err(panic_message(&*payload)),
         };
         ResilienceAnswer {
             epoch: self.epoch,

@@ -95,12 +95,7 @@ pub struct RebuildOutcome {
 pub fn silence_supervised_panics() {
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-        if message.is_some_and(|m| m.contains("hostile pattern panic")) {
+        if panic_message(info.payload()).contains("hostile pattern panic") {
             return;
         }
         previous(info);
@@ -178,7 +173,7 @@ fn rebuild_one(
             }
             Err(payload) => {
                 tally.panics += 1;
-                last_failure = RebuildFailure::Panicked(panic_message(payload));
+                last_failure = RebuildFailure::Panicked(panic_message(&*payload));
             }
         }
         if attempt < max_attempts {
