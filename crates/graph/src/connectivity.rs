@@ -1,6 +1,7 @@
 //! Connectivity primitives: components, Menger-style `s–t` edge connectivity,
-//! global edge connectivity, bridges, articulation points, biconnected
-//! components and the block–cut tree.
+//! global edge connectivity, and the blocks (biconnected components) of a
+//! [`BitGraph`], the one block decomposition behind planarity,
+//! outerplanarity and outerplanar embeddings.
 //!
 //! The paper's `r`-tolerance promise (Definition 1) is defined in terms of
 //! *link* connectivity: `s` and `t` are `r`-connected if there are `r`
@@ -8,7 +9,7 @@
 //! the `s–t` minimum cut computed here via unit-capacity max-flow.
 
 use crate::bitgraph::BitGraph;
-use crate::graph::{Edge, Graph, Node};
+use crate::graph::{Graph, Node};
 use std::collections::VecDeque;
 
 /// Returns `true` if the graph is connected.
@@ -219,18 +220,6 @@ where
     flow
 }
 
-/// Returns `true` if `s` and `t` are connected by at least `r` pairwise
-/// link-disjoint paths (the paper's `r`-connectivity promise).
-pub fn are_r_connected(g: &Graph, s: Node, t: Node, r: usize) -> bool {
-    if r == 0 {
-        return true;
-    }
-    if s == t {
-        return true;
-    }
-    st_edge_connectivity(g, s, t) >= r
-}
-
 /// Global edge connectivity: the minimum over all `s–t` pairs of the `s–t`
 /// edge connectivity (0 for disconnected or single-node graphs).
 pub fn edge_connectivity(g: &Graph) -> usize {
@@ -249,165 +238,15 @@ pub fn edge_connectivity(g: &Graph) -> usize {
         .unwrap_or(0)
 }
 
-/// Returns `true` if the graph is `k`-edge-connected.
-pub fn is_k_edge_connected(g: &Graph, k: usize) -> bool {
-    if k == 0 {
-        return true;
-    }
-    edge_connectivity(g) >= k
-}
-
-/// Internal DFS machinery shared by bridges / articulation points /
-/// biconnected components (iterative Tarjan low-link computation).
-struct LowLink {
-    disc: Vec<usize>,
-    low: Vec<usize>,
-    parent: Vec<Option<Node>>,
-    bridges: Vec<Edge>,
-    articulation: Vec<bool>,
-    /// Edge stack partitioned into biconnected components.
-    components: Vec<Vec<Edge>>,
-}
-
-fn lowlink(g: &Graph) -> LowLink {
-    let n = g.node_count();
-    let mut res = LowLink {
-        disc: vec![usize::MAX; n],
-        low: vec![usize::MAX; n],
-        parent: vec![None; n],
-        bridges: Vec::new(),
-        articulation: vec![false; n],
-        components: Vec::new(),
-    };
-    let mut timer = 0usize;
-    let mut edge_stack: Vec<Edge> = Vec::new();
-
-    for root in g.nodes() {
-        if res.disc[root.index()] != usize::MAX {
-            continue;
-        }
-        let mut root_children = 0usize;
-        // stack of (node, neighbor iterator index)
-        let mut stack: Vec<(Node, usize)> = vec![(root, 0)];
-        res.disc[root.index()] = timer;
-        res.low[root.index()] = timer;
-        timer += 1;
-
-        while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-            let neighbors = g.neighbors_vec(v);
-            if *idx < neighbors.len() {
-                let u = neighbors[*idx];
-                *idx += 1;
-                if res.disc[u.index()] == usize::MAX {
-                    // tree edge
-                    res.parent[u.index()] = Some(v);
-                    if v == root {
-                        root_children += 1;
-                    }
-                    edge_stack.push(Edge::new(v, u));
-                    res.disc[u.index()] = timer;
-                    res.low[u.index()] = timer;
-                    timer += 1;
-                    stack.push((u, 0));
-                } else if Some(u) != res.parent[v.index()]
-                    && res.disc[u.index()] < res.disc[v.index()]
-                {
-                    // back edge
-                    edge_stack.push(Edge::new(v, u));
-                    res.low[v.index()] = res.low[v.index()].min(res.disc[u.index()]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _)) = stack.last() {
-                    res.low[p.index()] = res.low[p.index()].min(res.low[v.index()]);
-                    if res.low[v.index()] > res.disc[p.index()] {
-                        res.bridges.push(Edge::new(p, v));
-                    }
-                    if res.low[v.index()] >= res.disc[p.index()] {
-                        // p is an articulation point (root handled separately);
-                        // pop the biconnected component.
-                        if p != root {
-                            res.articulation[p.index()] = true;
-                        }
-                        let mut comp = Vec::new();
-                        while let Some(&e) = edge_stack.last() {
-                            if res.disc[e.u().index()] >= res.disc[v.index()]
-                                || res.disc[e.v().index()] >= res.disc[v.index()]
-                            {
-                                comp.push(e);
-                                edge_stack.pop();
-                            } else {
-                                break;
-                            }
-                        }
-                        // the edge (p, v) itself
-                        if let Some(&e) = edge_stack.last() {
-                            if e == Edge::new(p, v) {
-                                comp.push(e);
-                                edge_stack.pop();
-                            }
-                        }
-                        if !comp.is_empty() {
-                            res.components.push(comp);
-                        }
-                    }
-                }
-            }
-        }
-        if root_children >= 2 {
-            res.articulation[root.index()] = true;
-        }
-        // Any leftover edges on the stack form the last component of this root.
-        if !edge_stack.is_empty() {
-            res.components.push(std::mem::take(&mut edge_stack));
-        }
-    }
-    res
-}
-
-/// All bridge links (links whose removal disconnects their component).
-pub fn bridges(g: &Graph) -> Vec<Edge> {
-    let mut b = lowlink(g).bridges;
-    b.sort_unstable();
-    b
-}
-
-/// All articulation points (cut vertices).
-pub fn articulation_points(g: &Graph) -> Vec<Node> {
-    let ll = lowlink(g);
-    g.nodes().filter(|v| ll.articulation[v.index()]).collect()
-}
-
-/// Biconnected components as edge lists (every edge belongs to exactly one
-/// component; isolated nodes yield no component).
-pub fn biconnected_components(g: &Graph) -> Vec<Vec<Edge>> {
-    let mut comps = lowlink(g).components;
-    for c in &mut comps {
-        c.sort_unstable();
-        c.dedup();
-    }
-    comps.retain(|c| !c.is_empty());
-    comps
-}
-
-/// A block of the block–cut tree: either a biconnected component (as a set of
-/// nodes and its edge list) or a bridge edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
-    /// Nodes of the block, sorted.
-    pub nodes: Vec<Node>,
-    /// Edges of the block, sorted.
-    pub edges: Vec<Edge>,
-}
-
 /// The node sets of the blocks (biconnected components, including single-edge
 /// bridges) of a [`BitGraph`], with an optional vertex masked out.
 ///
 /// This is the vertex-deletion-overlay primitive behind the clone-free
 /// planarity and outerplanarity probes: classifying the paper's "sometimes"
 /// destinations tests `G − t` for every destination `t`, and masking `t`
-/// during the DFS avoids materializing the deleted graph.  Node lists are
-/// sorted; isolated (or masked) nodes yield no block, matching [`blocks`].
+/// during the DFS avoids materializing the deleted graph.  Blocks come out
+/// in the order the DFS closes them; node lists are sorted, cut vertices
+/// appear in several blocks, and isolated (or masked) nodes yield no block.
 pub fn bit_blocks(g: &BitGraph, removed: Option<Node>) -> Vec<Vec<Node>> {
     const WORD_BITS: usize = u64::BITS as usize;
     let n = g.node_count();
@@ -522,24 +361,58 @@ pub fn bit_blocks(g: &BitGraph, removed: Option<Node>) -> Vec<Vec<Node>> {
     out
 }
 
-/// The blocks (biconnected components, including single-edge bridges) of the
-/// graph.  Cut vertices appear in several blocks.
-pub fn blocks(g: &Graph) -> Vec<Block> {
-    biconnected_components(g)
-        .into_iter()
-        .map(|edges| {
-            let mut nodes: Vec<Node> = edges.iter().flat_map(|e| [e.u(), e.v()]).collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            Block { nodes, edges }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::graph::Edge;
+
+    /// Component label of every node.
+    fn component_labels(g: &Graph) -> Vec<usize> {
+        let mut label = vec![0; g.node_count()];
+        for (i, comp) in connected_components(g).iter().enumerate() {
+            for v in comp {
+                label[v.index()] = i;
+            }
+        }
+        label
+    }
+
+    /// Brute-force blocks, sorted: two distinct nodes share a block iff they
+    /// are adjacent, or connected and not separated by deleting any third
+    /// node.  The block of an edge `uv` is `u`, `v` and every node sharing a
+    /// block with both (the blocks containing a node form a subtree of the
+    /// block–cut tree, and pairwise-meeting subtrees of a tree meet).
+    fn brute_force_blocks(g: &Graph) -> Vec<Vec<Node>> {
+        let n = g.node_count();
+        let whole = component_labels(g);
+        let deleted: Vec<Vec<usize>> = g
+            .nodes()
+            .map(|w| component_labels(&g.isolating(w)))
+            .collect();
+        let share = |u: usize, v: usize| {
+            u != v
+                && (g.has_edge(Node(u), Node(v))
+                    || (whole[u] == whole[v]
+                        && (0..n).all(|w| w == u || w == v || deleted[w][u] == deleted[w][v])))
+        };
+        let mut out: Vec<Vec<Node>> = g
+            .edges()
+            .iter()
+            .map(|e| {
+                let (u, v) = (e.u().index(), e.v().index());
+                g.nodes()
+                    .filter(|x| {
+                        let x = x.index();
+                        x == u || x == v || (share(u, x) && share(v, x))
+                    })
+                    .collect()
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
 
     #[test]
     fn connectivity_basic() {
@@ -581,15 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn r_connected_promise() {
-        let k5 = generators::complete(5);
-        assert!(are_r_connected(&k5, Node(0), Node(1), 4));
-        assert!(!are_r_connected(&k5, Node(0), Node(1), 5));
-        assert!(are_r_connected(&k5, Node(2), Node(2), 10));
-        assert!(are_r_connected(&k5, Node(0), Node(1), 0));
-    }
-
-    #[test]
     fn global_edge_connectivity() {
         assert_eq!(edge_connectivity(&generators::complete(5)), 4);
         assert_eq!(edge_connectivity(&generators::cycle(7)), 2);
@@ -599,59 +463,23 @@ mod tests {
             edge_connectivity(&Graph::from_edges(4, &[(0, 1), (2, 3)])),
             0
         );
-        assert!(is_k_edge_connected(&generators::complete(6), 5));
-        assert!(!is_k_edge_connected(&generators::cycle(6), 3));
-        assert!(is_k_edge_connected(&generators::cycle(6), 0));
-    }
-
-    #[test]
-    fn bridges_and_articulation_points() {
-        // Two triangles joined by a bridge: 0-1-2-0, 3-4-5-3, bridge 2-3.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
-        assert_eq!(bridges(&g), vec![Edge::new(Node(2), Node(3))]);
-        assert_eq!(articulation_points(&g), vec![Node(2), Node(3)]);
-        // A cycle has no bridges and no articulation points.
-        assert!(bridges(&generators::cycle(5)).is_empty());
-        assert!(articulation_points(&generators::cycle(5)).is_empty());
-        // A path: every internal node is an articulation point, every edge a bridge.
-        let p = generators::path(4);
-        assert_eq!(bridges(&p).len(), 3);
-        assert_eq!(articulation_points(&p), vec![Node(1), Node(2)]);
-        // Star: hub is the articulation point.
-        let s = generators::star(4);
-        assert_eq!(articulation_points(&s), vec![Node(0)]);
-        assert_eq!(bridges(&s).len(), 4);
-    }
-
-    #[test]
-    fn biconnected_components_partition_edges() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
-        let comps = biconnected_components(&g);
-        assert_eq!(comps.len(), 3);
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        assert_eq!(total, g.edge_count());
-        // Each edge appears in exactly one component.
-        let mut all: Vec<Edge> = comps.into_iter().flatten().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), g.edge_count());
     }
 
     #[test]
     fn blocks_of_wheel_is_single_block() {
-        let w = generators::wheel(5);
-        let b = blocks(&w);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].nodes.len(), 6);
-        assert_eq!(b[0].edges.len(), 10);
+        let w = BitGraph::from_graph(&generators::wheel(5));
+        assert_eq!(
+            bit_blocks(&w, None),
+            vec![(0..6).map(Node).collect::<Vec<_>>()]
+        );
     }
 
     #[test]
     fn blocks_share_cut_vertices() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]);
-        let b = blocks(&g);
+        let b = bit_blocks(&BitGraph::from_graph(&g), None);
         assert_eq!(b.len(), 2);
-        assert!(b.iter().all(|blk| blk.nodes.contains(&Node(2))));
+        assert!(b.iter().all(|blk| blk.contains(&Node(2))));
     }
 
     #[test]
@@ -691,10 +519,15 @@ mod tests {
 
     #[test]
     fn complete_graph_is_single_block_no_cut_vertices() {
-        let k5 = generators::complete(5);
-        assert!(articulation_points(&k5).is_empty());
-        assert!(bridges(&k5).is_empty());
-        assert_eq!(blocks(&k5).len(), 1);
+        let k5 = BitGraph::from_graph(&generators::complete(5));
+        assert_eq!(
+            bit_blocks(&k5, None),
+            vec![(0..5).map(Node).collect::<Vec<_>>()]
+        );
+        // No single deletion splits K5: every G − t is one block, too.
+        for t in 0..5 {
+            assert_eq!(bit_blocks(&k5, Some(Node(t))).len(), 1);
+        }
     }
 
     #[test]
@@ -710,9 +543,8 @@ mod tests {
             Graph::new(4),
         ] {
             let b = BitGraph::from_graph(&g);
-            let mut expected: Vec<Vec<Node>> = blocks(&g).into_iter().map(|bl| bl.nodes).collect();
+            let expected = brute_force_blocks(&g);
             let mut got = bit_blocks(&b, None);
-            expected.sort();
             got.sort();
             assert_eq!(got, expected, "blocks mismatch on {}", g.summary());
         }
@@ -736,18 +568,8 @@ mod tests {
         );
         let b = BitGraph::from_graph(&g);
         for t in g.nodes() {
-            let (h, map) = crate::ops::delete_node(&g, t);
-            let mut expected: Vec<Vec<Node>> = blocks(&h)
-                .into_iter()
-                .map(|bl| {
-                    let mut nodes: Vec<Node> =
-                        bl.nodes.into_iter().map(|v| map[v.index()]).collect();
-                    nodes.sort_unstable();
-                    nodes
-                })
-                .collect();
+            let expected = brute_force_blocks(&g.isolating(t));
             let mut got = bit_blocks(&b, Some(t));
-            expected.sort();
             got.sort();
             assert_eq!(got, expected, "blocks mismatch removing {t}");
         }

@@ -383,23 +383,6 @@ impl Graph {
         out
     }
 
-    /// Edges incident to `v` in ascending order of the other endpoint.
-    pub fn incident_edges(&self, v: Node) -> Vec<Edge> {
-        self.neighbors(v).map(|u| Edge::new(u, v)).collect()
-    }
-
-    /// Degree sequence in descending order.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self.adjacency.iter().map(|a| a.len()).collect();
-        d.sort_unstable_by(|a, b| b.cmp(a));
-        d
-    }
-
-    /// Nodes with degree zero.
-    pub fn isolated_nodes(&self) -> Vec<Node> {
-        self.nodes().filter(|&v| self.degree(v) == 0).collect()
-    }
-
     /// Returns a copy of the graph with the given links removed
     /// (the paper's `G \ F`).
     ///
@@ -425,44 +408,9 @@ impl Graph {
         g
     }
 
-    /// Complement graph on the same node set.
-    pub fn complement(&self) -> Graph {
-        let n = self.node_count();
-        let mut g = Graph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if !self.has_edge(Node(u), Node(v)) {
-                    g.add_edge(Node(u), Node(v));
-                }
-            }
-        }
-        g
-    }
-
-    /// Returns `true` if `other` has the same node count and an edge set that
-    /// is a subset of this graph's edge set.
-    pub fn is_supergraph_of(&self, other: &Graph) -> bool {
-        other.node_count() == self.node_count()
-            && other.edges().iter().all(|e| self.has_edge(e.u(), e.v()))
-    }
-
     /// A short human-readable summary such as `"Graph(n=5, m=10)"`.
     pub fn summary(&self) -> String {
         format!("Graph(n={}, m={})", self.node_count(), self.edge_count())
-    }
-
-    /// Renders the graph in Graphviz DOT format (useful for debugging
-    /// counterexamples produced by the adversaries).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = format!("graph {name} {{\n");
-        for v in self.nodes() {
-            out.push_str(&format!("  {};\n", v.0));
-        }
-        for e in self.edges() {
-            out.push_str(&format!("  {} -- {};\n", e.u().0, e.v().0));
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -556,7 +504,6 @@ mod tests {
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.degree(Node(0)), 2);
         assert_eq!(g.neighbors_vec(Node(0)), vec![Node(1), Node(3)]);
-        assert_eq!(g.degree_sequence(), vec![2, 2, 2, 2]);
         assert_eq!(g.max_degree(), 2);
         assert_eq!(g.min_degree(), 2);
         assert!((g.density() - 1.0).abs() < 1e-12);
@@ -590,39 +537,5 @@ mod tests {
         assert_eq!(gi.degree(Node(0)), 0);
         assert_eq!(gi.edge_count(), 1);
         assert_eq!(gi.node_count(), 4);
-    }
-
-    #[test]
-    fn complement_of_path() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let c = g.complement();
-        assert_eq!(c.edge_count(), 1);
-        assert!(c.has_edge(Node(0), Node(2)));
-    }
-
-    #[test]
-    fn supergraph_check() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let h = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        assert!(g.is_supergraph_of(&h));
-        assert!(!h.is_supergraph_of(&g));
-    }
-
-    #[test]
-    fn incident_edges_and_dot() {
-        let g = Graph::from_edges(3, &[(0, 1), (0, 2)]);
-        assert_eq!(
-            g.incident_edges(Node(0)),
-            vec![Edge::new(Node(0), Node(1)), Edge::new(Node(0), Node(2))]
-        );
-        let dot = g.to_dot("g");
-        assert!(dot.contains("0 -- 1"));
-        assert!(dot.contains("0 -- 2"));
-    }
-
-    #[test]
-    fn isolated_nodes_listing() {
-        let g = Graph::from_edges(4, &[(0, 1)]);
-        assert_eq!(g.isolated_nodes(), vec![Node(2), Node(3)]);
     }
 }

@@ -11,9 +11,9 @@
 //! * the generators used throughout the paper (complete graphs `K_n`,
 //!   complete bipartite graphs `K_{a,b}`, their `-c`-link variants, paths,
 //!   cycles, trees, grids, wheels, random graphs, outerplanar fans, …),
-//! * traversal and connectivity primitives (BFS/DFS, components, `s–t`
-//!   edge connectivity via Menger/max-flow, bridges, articulation points,
-//!   biconnected components and the block–cut tree),
+//! * traversal and connectivity primitives (BFS, components, `s–t` edge
+//!   connectivity via Menger/max-flow, and one bitset block decomposition
+//!   that masks out a deleted vertex),
 //! * planarity testing (Demoucron–Malgrange–Pertuiset) and outerplanarity
 //!   testing with outerplanar embeddings (rotation systems),
 //! * exact minor-containment search with a work budget for the paper's

@@ -106,16 +106,6 @@ pub fn has_minor_with_budget(g: &Graph, h: &Graph, budget: u64) -> MinorAnswer {
     MinorEngine::new().solve_bit(&BitGraph::from_graph(g), h, budget)
 }
 
-/// [`has_minor`] on a [`BitGraph`] host.
-pub fn has_minor_bit(g: &BitGraph, h: &Graph) -> MinorAnswer {
-    MinorEngine::new().solve_bit(g, h, DEFAULT_BUDGET)
-}
-
-/// [`has_minor_with_budget`] on a [`BitGraph`] host.
-pub fn has_minor_bit_with_budget(g: &BitGraph, h: &Graph, budget: u64) -> MinorAnswer {
-    MinorEngine::new().solve_bit(g, h, budget)
-}
-
 /// Number of bits per adjacency word.
 const WORD_BITS: usize = u64::BITS as usize;
 
@@ -657,7 +647,7 @@ impl MinorEngine {
 
     /// The engine's memo/search work tallies since construction (or the last
     /// [`MinorEngine::take_memo_stats`]).  Tallies accumulate across
-    /// `solve`/`solve_bit` calls — one engine classifies many graphs.
+    /// `solve_bit` calls — one engine classifies many graphs.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo_stats
     }
@@ -670,11 +660,6 @@ impl MinorEngine {
 
     /// Decides whether `h` is a minor of `g` using at most `budget`
     /// contractions.
-    pub fn solve(&mut self, g: &Graph, h: &Graph, budget: u64) -> MinorAnswer {
-        self.solve_bit(&BitGraph::from_graph(g), h, budget)
-    }
-
-    /// [`MinorEngine::solve`] on a [`BitGraph`] host.
     pub fn solve_bit(&mut self, g: &BitGraph, h: &Graph, budget: u64) -> MinorAnswer {
         self.solve_bit_with_stop(g, h, budget, &StopSignal::none())
     }
@@ -1514,9 +1499,9 @@ mod tests {
         assert_eq!(engine.memo_stats(), MemoStats::default());
         // Petersen has a K5 minor but no K5 subgraph: the search must
         // contract edges and probe the memo table before succeeding.
-        let g = generators::petersen();
+        let g = BitGraph::from_graph(&generators::petersen());
         let k5 = generators::complete(5);
-        assert!(engine.solve(&g, &k5, 100_000).is_yes());
+        assert!(engine.solve_bit(&g, &k5, 100_000).is_yes());
         let stats = engine.take_memo_stats();
         assert!(stats.contractions > 0);
         assert!(stats.probes > 0);
@@ -1524,8 +1509,8 @@ mod tests {
         assert!(stats.subiso_checks > 0);
         // take resets; tallies accumulate across solves otherwise.
         assert_eq!(engine.memo_stats(), MemoStats::default());
-        assert!(engine.solve(&g, &k5, 100_000).is_yes());
-        assert!(engine.solve(&g, &k5, 100_000).is_yes());
+        assert!(engine.solve_bit(&g, &k5, 100_000).is_yes());
+        assert!(engine.solve_bit(&g, &k5, 100_000).is_yes());
         let twice = engine.memo_stats();
         assert_eq!(twice.contractions, 2 * stats.contractions);
         let mut folded = MemoStats::default();
@@ -1569,7 +1554,8 @@ mod tests {
         ];
         for (name, g, h) in &cases {
             let mut engine = MinorEngine::new();
-            assert_eq!(engine.solve(g, h, 50_000), MinorAnswer::No, "{name}");
+            let g = BitGraph::from_graph(g);
+            assert_eq!(engine.solve_bit(&g, h, 50_000), MinorAnswer::No, "{name}");
             let stats = engine.take_memo_stats();
             assert_eq!(stats.contractions, 0, "{name}");
             assert_eq!(stats.pruned, 1, "{name}");

@@ -1,4 +1,4 @@
-//! Structural graph operations: induced subgraphs, edge contraction,
+//! Structural graph operations: induced subgraphs, node deletion,
 //! relabelling, disjoint union, and subgraph-isomorphism containment.
 //!
 //! These are the primitives behind the paper's minor arguments (§IV.A.1,
@@ -35,31 +35,6 @@ pub fn induced_subgraph(g: &Graph, keep: &[Node]) -> (Graph, Vec<Node>) {
 pub fn delete_node(g: &Graph, v: Node) -> (Graph, Vec<Node>) {
     let keep: Vec<Node> = g.nodes().filter(|&u| u != v).collect();
     induced_subgraph(g, &keep)
-}
-
-/// Contracts the edge `{u, v}` (merging `v` into `u`), removing any parallel
-/// edges that would arise.  Returns the contracted graph and the mapping from
-/// new node indices to representative original nodes (the representative of
-/// the merged node is `u`).
-///
-/// # Panics
-///
-/// Panics if `{u, v}` is not an edge of `g`.
-pub fn contract_edge(g: &Graph, u: Node, v: Node) -> (Graph, Vec<Node>) {
-    assert!(g.has_edge(u, v), "cannot contract a non-edge {u}-{v}");
-    let keep: Vec<Node> = g.nodes().filter(|&x| x != v).collect();
-    let index_of: BTreeMap<Node, usize> = keep.iter().enumerate().map(|(i, &x)| (x, i)).collect();
-    let mut h = Graph::new(keep.len());
-    let u_new = index_of[&u];
-    for e in g.edges() {
-        let (a, b) = e.endpoints();
-        let a_new = if a == v { u_new } else { index_of[&a] };
-        let b_new = if b == v { u_new } else { index_of[&b] };
-        if a_new != b_new {
-            h.add_edge(Node(a_new), Node(b_new));
-        }
-    }
-    (h, keep)
 }
 
 /// Relabels the graph according to `perm`, where `perm[old] = new`.
@@ -216,29 +191,6 @@ mod tests {
         assert_eq!(h.node_count(), 4);
         assert_eq!(h.edge_count(), 4); // the rim cycle
         assert!(!map.contains(&Node(0)));
-    }
-
-    #[test]
-    fn contract_edge_in_cycle_gives_smaller_cycle() {
-        let g = generators::cycle(5);
-        let (h, _) = contract_edge(&g, Node(0), Node(1));
-        assert_eq!(h.node_count(), 4);
-        assert_eq!(h.edge_count(), 4);
-    }
-
-    #[test]
-    fn contract_edge_merges_parallel_edges() {
-        let g = generators::complete(4);
-        let (h, _) = contract_edge(&g, Node(0), Node(1));
-        assert_eq!(h.node_count(), 3);
-        assert_eq!(h.edge_count(), 3); // K3
-    }
-
-    #[test]
-    #[should_panic(expected = "non-edge")]
-    fn contract_non_edge_panics() {
-        let g = generators::path(3);
-        let _ = contract_edge(&g, Node(0), Node(2));
     }
 
     #[test]

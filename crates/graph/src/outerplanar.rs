@@ -9,11 +9,9 @@
 //! consume.
 
 use crate::bitgraph::{BitGraph, BitIter};
-use crate::connectivity::{bit_blocks, blocks};
+use crate::connectivity::bit_blocks;
 use crate::graph::{Graph, Node};
-use crate::ops::induced_subgraph;
 use crate::planarity::is_planar;
-use std::collections::BTreeMap;
 
 /// Number of bits per adjacency word.
 const WORD_BITS: usize = u64::BITS as usize;
@@ -52,9 +50,9 @@ pub struct OuterplanarScratch {
 /// The test runs per biconnected block: a block on ≥ 3 nodes is outerplanar
 /// iff its unique Hamiltonian outer cycle can be recovered by repeatedly
 /// peeling a degree-2 node `v` (re-inserting the chord between its neighbors)
-/// and splicing the peeled nodes back onto the final triangle — the same
-/// reduction [`outer_cycle_biconnected`] uses to build embeddings, here on
-/// packed `u64` rows and without producing the cycle.
+/// and splicing the peeled nodes back onto the final triangle, on packed
+/// `u64` rows.  [`outerplanar_embedding`] runs the same peel and reads the
+/// recovered cycle.
 pub fn is_outerplanar_without(
     g: &BitGraph,
     removed: Option<Node>,
@@ -254,126 +252,48 @@ impl OuterplanarEmbedding {
 /// Computes an outerplanar embedding of `g`, or `None` if `g` is not
 /// outerplanar.
 ///
-/// The embedding is built per block: the unique Hamiltonian outer cycle of
-/// each biconnected block is recovered by peeling degree-2 nodes, the block's
-/// nodes are placed on a circle in that order, chords become straight lines
-/// inside, and the rotations of the blocks sharing a cut vertex are
-/// concatenated.
+/// The embedding is built per block of [`bit_blocks`]: the peel of
+/// [`is_outerplanar_without`] recovers the unique Hamiltonian outer cycle of
+/// each biconnected block, the block's nodes are placed on a circle in that
+/// order, chords become straight lines inside, and the rotations of the blocks
+/// sharing a cut vertex are concatenated in block order.
 pub fn outerplanar_embedding(g: &Graph) -> Option<OuterplanarEmbedding> {
-    if !is_outerplanar(g) {
+    let n = g.node_count();
+    if n >= 2 && g.edge_count() > 2 * n - 3 {
         return None;
     }
-    let n = g.node_count();
+    let b = BitGraph::from_graph(g);
+    let w = b.words_per_row();
+    let mut scratch = OuterplanarScratch::default();
+    scratch.rows.resize(n * w, 0);
     let mut rotation: Vec<Vec<Node>> = vec![Vec::new(); n];
-
-    for block in blocks(g) {
-        if block.nodes.len() == 2 {
-            // A bridge edge: each endpoint simply lists the other.
-            let (a, b) = (block.nodes[0], block.nodes[1]);
-            rotation[a.index()].push(b);
-            rotation[b.index()].push(a);
+    let mut pos = vec![0usize; n];
+    for block in bit_blocks(&b, None) {
+        if let [a, c] = block[..] {
+            // A bridge: each endpoint simply lists the other.
+            rotation[a.index()].push(c);
+            rotation[c.index()].push(a);
             continue;
         }
-        let (h, map) = induced_subgraph(g, &block.nodes);
-        let cycle = outer_cycle_biconnected(&h)?;
-        let pos: BTreeMap<usize, usize> = cycle
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.index(), i))
-            .collect();
-        let len = cycle.len();
-        for v in h.nodes() {
-            let pv = pos[&v.index()];
-            let mut ns = h.neighbors_vec(v);
+        if !outerplanar_block(&b, &block, &mut scratch, w) {
+            return None;
+        }
+        let len = scratch.cycle.len();
+        for (i, &v) in scratch.cycle.iter().enumerate() {
+            pos[v as usize] = i;
+        }
+        for &v in &block {
+            let pv = pos[v.index()];
+            let mut ns: Vec<Node> = g
+                .neighbors(v)
+                .filter(|u| block.binary_search(u).is_ok())
+                .collect();
             // Sort neighbors by their clockwise circular distance from v.
-            ns.sort_by_key(|u| (pos[&u.index()] + len - pv) % len);
-            let original_v = map[v.index()];
-            for u in ns {
-                rotation[original_v.index()].push(map[u.index()]);
-            }
+            ns.sort_by_key(|u| (pos[u.index()] + len - pv) % len);
+            rotation[v.index()].extend(ns);
         }
     }
     Some(OuterplanarEmbedding { rotation })
-}
-
-/// Recovers the unique Hamiltonian outer cycle of a biconnected outerplanar
-/// graph (≥ 3 nodes), or `None` if the graph is not outerplanar.
-///
-/// Works by repeatedly removing a degree-2 node `v` with neighbors `a`, `b`
-/// and (re-)inserting the edge `a–b`; on the way back `v` is spliced between
-/// `a` and `b` on the cycle.
-pub fn outer_cycle_biconnected(h: &Graph) -> Option<Vec<Node>> {
-    let n = h.node_count();
-    if n < 3 {
-        return None;
-    }
-    let mut work = h.clone();
-    let mut active: Vec<bool> = vec![true; n];
-    let mut active_count = n;
-    let mut peeled: Vec<(Node, Node, Node)> = Vec::new();
-
-    while active_count > 3 {
-        let v = work
-            .nodes()
-            .find(|&v| active[v.index()] && work.degree(v) == 2)?;
-        let ns = work.neighbors_vec(v);
-        let (a, b) = (ns[0], ns[1]);
-        peeled.push((v, a, b));
-        work.remove_edge(v, a);
-        work.remove_edge(v, b);
-        work.add_edge(a, b);
-        active[v.index()] = false;
-        active_count -= 1;
-    }
-
-    // Base case: the three remaining active nodes must form a triangle.
-    let remaining: Vec<Node> = h.nodes().filter(|v| active[v.index()]).collect();
-    if remaining.len() != 3 {
-        return None;
-    }
-    for i in 0..3 {
-        for j in (i + 1)..3 {
-            if !work.has_edge(remaining[i], remaining[j]) {
-                return None;
-            }
-        }
-    }
-    let mut cycle = remaining;
-
-    // Unwind: splice each peeled node back between its two neighbors, which
-    // must be adjacent on the (unique) outer cycle.
-    for &(v, a, b) in peeled.iter().rev() {
-        let pa = cycle.iter().position(|&x| x == a)?;
-        let pb = cycle.iter().position(|&x| x == b)?;
-        let len = cycle.len();
-        if (pa + 1) % len == pb {
-            cycle.insert(pb, v);
-        } else if (pb + 1) % len == pa {
-            cycle.insert(pa, v);
-        } else {
-            // a and b are not adjacent on the outer cycle: not outerplanar.
-            return None;
-        }
-    }
-    Some(cycle)
-}
-
-/// Returns the fraction of nodes `t` such that `G` with `t` removed is
-/// outerplanar — the paper's "sometimes" measure (§VIII, footnote 7): for such
-/// destinations the neighbors of `t` can be toured, so destination-based
-/// perfect resilience holds for `t`.
-pub fn tourable_destination_fraction(g: &Graph) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    let b = BitGraph::from_graph(g);
-    let mut scratch = OuterplanarScratch::default();
-    let good = g
-        .nodes()
-        .filter(|&t| is_outerplanar_without(&b, Some(t), &mut scratch))
-        .count();
-    good as f64 / n as f64
 }
 
 #[cfg(test)]
@@ -412,25 +332,34 @@ mod tests {
         assert!(is_outerplanar(&g));
     }
 
+    /// Follows each node's first rotation entry from node 0 and checks that
+    /// the walk is the outer ring: it visits every node once, and each node's
+    /// last rotation entry is the node the walk came from.
+    fn assert_rotations_follow_ring(g: &Graph) {
+        let emb = outerplanar_embedding(g).unwrap();
+        let n = g.node_count();
+        let mut seen = vec![false; n];
+        let mut v = Node(0);
+        for _ in 0..n {
+            assert!(!seen[v.index()], "ring revisits {v} in {}", g.summary());
+            seen[v.index()] = true;
+            let next = emb.rotation[v.index()][0];
+            assert_eq!(emb.rotation[next.index()].last(), Some(&v));
+            v = next;
+        }
+        assert_eq!(v, Node(0), "ring does not close in {}", g.summary());
+    }
+
     #[test]
     fn outer_cycle_of_cycle_and_fan() {
-        let c = generators::cycle(6);
-        let cyc = outer_cycle_biconnected(&c).unwrap();
-        assert_eq!(cyc.len(), 6);
-        for i in 0..6 {
-            assert!(c.has_edge(cyc[i], cyc[(i + 1) % 6]));
-        }
-        let f = generators::maximal_outerplanar(7);
-        let cyc = outer_cycle_biconnected(&f).unwrap();
-        assert_eq!(cyc.len(), 7);
-        for i in 0..7 {
-            assert!(f.has_edge(cyc[i], cyc[(i + 1) % 7]));
-        }
+        assert_rotations_follow_ring(&generators::cycle(6));
+        assert_rotations_follow_ring(&generators::fan(7));
+        assert_rotations_follow_ring(&generators::maximal_outerplanar(7));
     }
 
     #[test]
     fn outer_cycle_rejects_k4() {
-        assert!(outer_cycle_biconnected(&generators::complete(4)).is_none());
+        assert!(outerplanar_embedding(&generators::complete(4)).is_none());
     }
 
     #[test]
@@ -499,10 +428,18 @@ mod tests {
     fn wheel_rim_is_sometimes_tourable() {
         // Removing the hub of a wheel leaves a cycle (outerplanar); removing a
         // rim node leaves a fan (outerplanar).  So every destination works.
+        let mut scratch = OuterplanarScratch::default();
         let w = generators::wheel(5);
         assert!(!is_outerplanar(&w));
-        assert!((tourable_destination_fraction(&w) - 1.0).abs() < 1e-12);
+        let b = BitGraph::from_graph(&w);
+        assert!(w
+            .nodes()
+            .all(|t| is_outerplanar_without(&b, Some(t), &mut scratch)));
         // For K5, removing any node leaves K4, which is not outerplanar.
-        assert_eq!(tourable_destination_fraction(&generators::complete(5)), 0.0);
+        let k5 = generators::complete(5);
+        let b = BitGraph::from_graph(&k5);
+        assert!(k5
+            .nodes()
+            .all(|t| !is_outerplanar_without(&b, Some(t), &mut scratch)));
     }
 }

@@ -1,4 +1,4 @@
-//! Breadth-first / depth-first traversal and shortest-path helpers.
+//! Breadth-first traversal, distances and cycle finding.
 
 use crate::graph::{Graph, Node};
 use std::collections::VecDeque;
@@ -16,30 +16,6 @@ pub fn bfs_order(g: &Graph, start: Node) -> Vec<Node> {
             if !visited[u.index()] {
                 visited[u.index()] = true;
                 queue.push_back(u);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first search from `start` (iterative, neighbors explored in
-/// ascending order); returns the visit order.
-pub fn dfs_order(g: &Graph, start: Node) -> Vec<Node> {
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        if visited[v.index()] {
-            continue;
-        }
-        visited[v.index()] = true;
-        order.push(v);
-        // Push in reverse so that the smallest neighbor is visited first.
-        let mut ns = g.neighbors_vec(v);
-        ns.reverse();
-        for u in ns {
-            if !visited[u.index()] {
-                stack.push(u);
             }
         }
     }
@@ -67,51 +43,6 @@ pub fn distances_from(g: &Graph, start: Node) -> Vec<Option<usize>> {
 /// Unweighted distance between two nodes (`None` = disconnected).
 pub fn distance(g: &Graph, s: Node, t: Node) -> Option<usize> {
     distances_from(g, s)[t.index()]
-}
-
-/// A shortest path from `s` to `t` as a node sequence (`None` if disconnected).
-pub fn shortest_path(g: &Graph, s: Node, t: Node) -> Option<Vec<Node>> {
-    let mut parent: Vec<Option<Node>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    let mut queue = VecDeque::new();
-    seen[s.index()] = true;
-    queue.push_back(s);
-    while let Some(v) = queue.pop_front() {
-        if v == t {
-            break;
-        }
-        for u in g.neighbors(v) {
-            if !seen[u.index()] {
-                seen[u.index()] = true;
-                parent[u.index()] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    if !seen[t.index()] {
-        return None;
-    }
-    let mut path = vec![t];
-    let mut cur = t;
-    while cur != s {
-        cur = parent[cur.index()].expect("parents form a path back to s");
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
-/// The eccentricity-maximum over all reachable pairs (diameter of the
-/// component containing the most distant pair); `None` for graphs without
-/// edges.
-pub fn diameter(g: &Graph) -> Option<usize> {
-    let mut best = None;
-    for v in g.nodes() {
-        for d in distances_from(g, v).into_iter().flatten() {
-            best = Some(best.map_or(d, |b: usize| b.max(d)));
-        }
-    }
-    best.filter(|&d| d > 0)
 }
 
 /// Finds any cycle in the graph, returned as a node sequence
@@ -172,7 +103,6 @@ mod tests {
     fn bfs_dfs_cover_component() {
         let g = generators::cycle(5);
         assert_eq!(bfs_order(&g, Node(0)).len(), 5);
-        assert_eq!(dfs_order(&g, Node(0)).len(), 5);
         let g = generators::path(4);
         assert_eq!(
             bfs_order(&g, Node(0)),
@@ -192,27 +122,6 @@ mod tests {
     fn distance_unreachable() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert_eq!(distance(&g, Node(0), Node(3)), None);
-        assert_eq!(shortest_path(&g, Node(0), Node(3)), None);
-    }
-
-    #[test]
-    fn shortest_path_is_shortest() {
-        let g = generators::cycle(6);
-        let p = shortest_path(&g, Node(0), Node(3)).unwrap();
-        assert_eq!(p.len(), 4);
-        assert_eq!(p[0], Node(0));
-        assert_eq!(p[3], Node(3));
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn diameter_of_known_graphs() {
-        assert_eq!(diameter(&generators::path(5)), Some(4));
-        assert_eq!(diameter(&generators::complete(5)), Some(1));
-        assert_eq!(diameter(&generators::cycle(6)), Some(3));
-        assert_eq!(diameter(&Graph::new(3)), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Differential suites for the bitset planarity / outerplanarity stack:
 //! the peel-based outerplanarity test against the apex+DMP baseline, the
-//! vertex-deletion overlay against materialized deletion, and planarity
-//! against Wagner's theorem via both minor engines.
+//! vertex-deletion overlay against materialized deletion, planarity
+//! against Wagner's theorem via both minor engines, and a digest pin of the
+//! outerplanar embeddings the right-hand-rule patterns are built on.
 
 use frr_graph::minors::{self, forbidden, reference};
 use frr_graph::outerplanar::{
-    is_outerplanar, is_outerplanar_via_apex, is_outerplanar_without, OuterplanarScratch,
+    is_outerplanar, is_outerplanar_via_apex, is_outerplanar_without, outerplanar_embedding,
+    OuterplanarScratch,
 };
 use frr_graph::planarity::is_planar;
 use frr_graph::{generators, ops, BitGraph, Graph};
@@ -142,4 +144,76 @@ fn outerplanarity_matches_forbidden_minor_characterization() {
         let by_minors = minors::has_minor(&g, &k4).is_no() && minors::has_minor(&g, &k23).is_no();
         assert_eq!(outer, by_minors, "minor mismatch on {}", g.summary());
     }
+}
+
+/// `g`, every single-link deletion of `g` and every `g.isolating(t)`.
+fn push_with_variants(g: Graph, out: &mut Vec<Graph>) {
+    for e in g.edges() {
+        out.push(g.without_edges([&e]));
+    }
+    for t in g.nodes() {
+        out.push(g.isolating(t));
+    }
+    out.push(g);
+}
+
+/// The embedding pin's pool: [`graph_pool`] plus seeded random connected
+/// graphs and trees, each with all its single-link deletions and
+/// single-node isolations.
+fn embedding_pool() -> Vec<Graph> {
+    let mut bases = graph_pool();
+    let mut rng = StdRng::seed_from_u64(0x0E4B_2026);
+    for i in 0..360 {
+        let n = 5 + i % 10;
+        bases.push(if i % 3 == 0 {
+            generators::random_tree(n, &mut rng)
+        } else {
+            generators::random_connected(n, i % 7, &mut rng)
+        });
+    }
+    let mut pool = Vec::new();
+    for g in bases {
+        push_with_variants(g, &mut pool);
+    }
+    pool
+}
+
+/// FNV-1a over the little-endian bytes of `word`.
+fn fnv_word(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+#[test]
+fn outerplanar_embeddings_are_pinned() {
+    // Every rotation of every embedding, and every refusal, feeds one digest:
+    // a change to the block order, the outer-cycle peel or the clockwise
+    // neighbor order moves it.
+    let pool = embedding_pool();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut outerplanar = 0usize;
+    for g in &pool {
+        let emb = outerplanar_embedding(g);
+        assert_eq!(emb.is_some(), is_outerplanar(g), "{}", g.summary());
+        match emb {
+            None => fnv_word(&mut hash, u64::MAX),
+            Some(emb) => {
+                outerplanar += 1;
+                for (v, rot) in emb.rotation.iter().enumerate() {
+                    let mut sorted = rot.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, g.neighbors_vec(frr_graph::Node(v)));
+                    fnv_word(&mut hash, rot.len() as u64);
+                    for u in rot {
+                        fnv_word(&mut hash, u.index() as u64);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (pool.len(), outerplanar, hash),
+        (10_498, 6_949, 0x6a60_a890_6a3d_c466)
+    );
 }
