@@ -3,13 +3,10 @@
 //! verification oracles actually run (plus the historical single-route
 //! throughput probes on larger topologies).
 //!
-//! Three flavors drive the same mask enumeration on the same engine:
+//! Two flavors drive the same mask enumeration on the same engine:
 //!
 //! * `compiled` — [`SweepEngine::route_outcome_compiled`]: dense rule tables,
 //!   a state-id lookup plus a first-alive scan per hop,
-//! * `sweep_interpreted` — [`SweepEngine::route_outcome`]: the same overlay
-//!   machinery but dynamic dispatch into `next_hop` per hop (the PR 2 state
-//!   of the art, kept as the intermediate data point),
 //! * `trait_object` — the historical baseline, inlined: the plain
 //!   [`route`] interpreter over a [`FailureSet`] materialized per mask, which
 //!   is what every verification oracle ran before the sweep engine existed
@@ -33,13 +30,11 @@ use std::time::Duration;
 #[derive(Clone, Copy, PartialEq)]
 enum Flavor {
     Compiled,
-    SweepInterpreted,
     TraitObject,
 }
 
-const FLAVORS: [(Flavor, &str); 3] = [
+const FLAVORS: [(Flavor, &str); 2] = [
     (Flavor::Compiled, "compiled"),
-    (Flavor::SweepInterpreted, "sweep_interpreted"),
     (Flavor::TraitObject, "trait_object"),
 ];
 
@@ -68,7 +63,6 @@ fn sweep_routing<P: ForwardingPattern + ?Sized>(
                 }
                 let outcome = match flavor {
                     Flavor::Compiled => engine.route_outcome_compiled(compiled, s, t, max_hops),
-                    Flavor::SweepInterpreted => engine.route_outcome(pattern, s, t, max_hops),
                     Flavor::TraitObject => {
                         route(g, failures.as_ref().unwrap(), pattern, s, t, max_hops).outcome
                     }
@@ -99,7 +93,6 @@ fn sweep_touring<P: ForwardingPattern + ?Sized>(
         for start in g.nodes() {
             let ok = match flavor {
                 Flavor::Compiled => engine.tour_covers_compiled(compiled, start, max_hops),
-                Flavor::SweepInterpreted => engine.tour_covers(pattern, start, max_hops),
                 Flavor::TraitObject => {
                     tour(g, failures.as_ref().unwrap(), pattern, start, max_hops).covered_component
                 }

@@ -285,13 +285,11 @@ mod tests {
         );
         let cp = p.compile(&g).expect("small degrees");
         let max_hops = state_space_bound(&g);
-        let mut sim = CompiledSim::new(&cp);
         for mask in 0..(1u64 << g.edge_count()) {
             let failures = frr_routing::failure::FailureSet::from_mask(&g.edges(), &[mask]);
-            sim.load_failures(&cp, &failures);
             for start in g.nodes() {
                 assert_eq!(
-                    sim.tour(&cp, start, max_hops),
+                    tour(&g, &failures, &cp, start, max_hops),
                     tour(&g, &failures, &p, start, max_hops),
                     "mask {mask:#b}, start {start}"
                 );

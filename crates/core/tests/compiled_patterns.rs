@@ -54,7 +54,7 @@ fn assert_compiled_matches<P: CompilePattern>(g: &Graph, pattern: &P, seed: u64)
         if pattern.model() == RoutingModel::Touring {
             for start in g.nodes() {
                 assert_eq!(
-                    sim.tour(&cp, start, max_hops),
+                    tour(g, &failures, &cp, start, max_hops),
                     tour(g, &failures, pattern, start, max_hops),
                     "{} on {}, mask {mask:#b}, start {start}",
                     pattern.name(),

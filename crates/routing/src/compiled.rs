@@ -33,26 +33,27 @@
 //!   *provably* identical on every reachable context (the differential
 //!   test-suite asserts this end to end).
 //! * [`CompiledSim`] — reusable scratch (failed-port masks, packed
-//!   visited-state bitset, path buffer) that routes and tours on compiled
-//!   tables with zero allocations in the steady state.
+//!   visited-state bitset) that routes on compiled tables against a
+//!   materialized [`FailureSet`], allocating only the reported path.
 //! * [`Forwarder`] — the one place that chooses between these tables and the
-//!   trait-object interpreter.  It compiles once, under a panic guard, and
-//!   routes and tours on the tables when that succeeds.  A refused compile
-//!   (degree ≥ 64 or tabulation over budget) or a panicking one keeps the
-//!   interpreter, with identical outcomes.  The resilience checkers, the
-//!   samplers, the generic adversaries and the delivery statistics all
-//!   forward through it; on the sweep engine's overlays,
-//!   [`crate::sweep::SweepEngine::outcome`] and
-//!   [`crate::sweep::SweepEngine::covers`] make the same choice from it.
+//!   reference interpreter, [`crate::simulator`].  It compiles once, under a
+//!   panic guard, and routes on the tables when that succeeds.  A refused
+//!   compile (degree ≥ 64 or tabulation over budget) or a panicking one
+//!   keeps the interpreter, with identical outcomes.  The resilience
+//!   checkers, the routing sampler, the generic adversaries and the delivery
+//!   statistics all route through it; on the sweep engine's overlays,
+//!   [`crate::sweep::SweepEngine::outcome`],
+//!   [`crate::sweep::SweepEngine::covers`] and
+//!   [`crate::sweep::SweepEngine::first_undelivered`] make the same choice
+//!   from it.
 
 use crate::failure::FailureSet;
 use crate::model::{LocalContext, RoutingModel};
 use crate::pattern::ForwardingPattern;
-use crate::simulator::{route, state_space_bound, tour, Outcome, RouteResult, TourResult};
+use crate::simulator::{route, state_space_bound, Outcome, RouteResult};
 use crate::sweep::DeliveryForests;
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
@@ -919,31 +920,22 @@ where
     }
 }
 
-/// Reusable scratch for simulating compiled patterns against materialized
-/// [`FailureSet`]s: per-node failed-port masks, the packed `(node, in-port)`
-/// visited-state bitset, and node bitsets for tour coverage.  All buffers are
-/// sized once per pattern shape and reused — zero allocations in the steady
-/// state (route/tour only allocate their reported path/visited collections).
+/// Reusable scratch for routing on compiled patterns against materialized
+/// [`FailureSet`]s: per-node failed-port masks and the packed
+/// `(node, in-port)` visited-state bitset.  Both are sized once per pattern
+/// shape and reused — a route allocates only its reported path.
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
     failed_ports: Vec<u64>,
     seen: Vec<u64>,
-    visited: Vec<u64>,
-    component: Vec<u64>,
-    frontier: Vec<u32>,
 }
 
 impl CompiledSim {
     /// Scratch sized for `cp`'s graph shape.
     pub fn new(cp: &CompiledPattern) -> Self {
-        let n = cp.csr.n;
-        let node_words = n.div_ceil(WORD_BITS).max(1);
         CompiledSim {
-            failed_ports: vec![0; n],
+            failed_ports: vec![0; cp.csr.n],
             seen: vec![0; cp.csr.state_count().div_ceil(WORD_BITS).max(1)],
-            visited: vec![0; node_words],
-            component: vec![0; node_words],
-            frontier: Vec::with_capacity(n),
         }
     }
 
@@ -1034,83 +1026,10 @@ impl CompiledSim {
             }
         }
     }
-
-    /// Simulates the touring model on the loaded failures; identical to
-    /// [`crate::simulator::tour`] with the interpreted source pattern.
-    pub fn tour(&mut self, cp: &CompiledPattern, start: Node, max_hops: usize) -> TourResult {
-        // Component of `start` in G \ F by BFS over alive ports.
-        self.component.fill(0);
-        self.frontier.clear();
-        let set = |words: &mut [u64], v: usize| {
-            let (w, b) = (v / WORD_BITS, 1u64 << (v % WORD_BITS));
-            let fresh = words[w] & b == 0;
-            words[w] |= b;
-            fresh
-        };
-        set(&mut self.component, start.index());
-        self.frontier.push(start.index() as u32);
-        let mut component_size = 1u32;
-        while let Some(v) = self.frontier.pop() {
-            let v = v as usize;
-            let alive = self.failed_ports[v];
-            for (p, &u) in cp.csr.ports_of(v).iter().enumerate() {
-                if alive & (1u64 << p) == 0 && set(&mut self.component, u as usize) {
-                    component_size += 1;
-                    self.frontier.push(u);
-                }
-            }
-        }
-
-        self.seen.fill(0);
-        self.visited.fill(0);
-        set(&mut self.visited, start.index());
-        let mut remaining = component_size - 1;
-        let mut path = vec![start];
-        let mut v = start.index();
-        let mut inport_idx = cp.csr.degree(v);
-        self.insert_state(cp, v, inport_idx);
-        let table = cp.table(start, start);
-        let mut returned_after_cover = false;
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                break;
-            }
-            let port = match cp.decide(table, v, inport_idx, self.failed_ports[v]) {
-                Some(p) => p as usize,
-                None => break,
-            };
-            v = cp.csr.ports[port] as usize;
-            inport_idx = cp.csr.reverse_port[port];
-            hops += 1;
-            path.push(Node(v));
-            if set(&mut self.visited, v)
-                && self.component[v / WORD_BITS] & (1u64 << (v % WORD_BITS)) != 0
-            {
-                remaining -= 1;
-            }
-            if v == start.index() && remaining == 0 {
-                returned_after_cover = true;
-            }
-            if !self.insert_state(cp, v, inport_idx) {
-                break;
-            }
-        }
-        let visited: BTreeSet<Node> = (0..cp.csr.n)
-            .filter(|&u| self.visited[u / WORD_BITS] & (1u64 << (u % WORD_BITS)) != 0)
-            .map(Node)
-            .collect();
-        TourResult {
-            covered_component: remaining == 0,
-            returned_to_start: returned_after_cover,
-            visited,
-            path,
-        }
-    }
 }
 
 /// A pattern on a graph, forwarding on its compiled tables when it has them
-/// and through the trait-object interpreter otherwise.
+/// and through the reference interpreter ([`crate::simulator`]) otherwise.
 ///
 /// [`Forwarder::new`] compiles once and catches a panicking `compile`: a
 /// compile that panics is treated like one that refuses, so the pattern
@@ -1177,9 +1096,8 @@ impl<P: ForwardingPattern + ?Sized> Forwarder<'_, P> {
             .as_ref()
     }
 
-    /// Fresh per-worker scratch for [`Forwarder::route`] and
-    /// [`Forwarder::tour`]: the compiled simulator's buffers, or `None` when
-    /// the interpreter forwards.
+    /// Fresh per-worker scratch for [`Forwarder::route`]: the compiled
+    /// simulator's buffers, or `None` when the interpreter forwards.
     pub fn scratch(&self) -> Option<CompiledSim> {
         self.tables.as_ref().map(CompiledSim::new)
     }
@@ -1206,23 +1124,6 @@ impl<P: ForwardingPattern + ?Sized> Forwarder<'_, P> {
                 destination,
                 self.max_hops,
             ),
-        }
-    }
-
-    /// Tours from `start` under `failures`, exactly like
-    /// [`crate::simulator::tour`].
-    pub fn tour(
-        &self,
-        scratch: &mut Option<CompiledSim>,
-        failures: &FailureSet,
-        start: Node,
-    ) -> TourResult {
-        match (&self.tables, scratch) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, failures);
-                sim.tour(cp, start, self.max_hops)
-            }
-            _ => tour(self.graph, failures, self.pattern, start, self.max_hops),
         }
     }
 }
@@ -1386,13 +1287,11 @@ mod tests {
         // At least one state must have needed the dense encoding.
         assert!(cp.rule_words() > 0);
         let max_hops = state_space_bound(&g);
-        let mut sim = CompiledSim::new(&cp);
         for mask in 0..(1u64 << g.edge_count()) {
             let failures = crate::failure::FailureSet::from_mask(&g.edges(), &[mask]);
-            sim.load_failures(&cp, &failures);
             for s in g.nodes() {
                 assert_eq!(
-                    sim.tour(&cp, s, max_hops),
+                    tour(&g, &failures, &cp, s, max_hops),
                     tour(&g, &failures, &p, s, max_hops),
                     "mask {mask:#b}, start {s}"
                 );

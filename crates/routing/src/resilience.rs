@@ -548,8 +548,9 @@ fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
 }
 
 /// Randomly samples failure scenarios and start nodes on a (possibly large)
-/// graph and returns the first violation of touring resilience found.
-pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
+/// graph and returns the first violation of touring resilience found.  Each
+/// trial tours with the reference interpreter, [`tour`].
+pub fn sampled_touring_violation<P: ForwardingPattern + ?Sized, R: Rng>(
     g: &Graph,
     pattern: &P,
     trials: usize,
@@ -560,13 +561,12 @@ pub fn sampled_touring_violation<P: CompilePattern + ?Sized, R: Rng>(
     if nodes.is_empty() {
         return None;
     }
-    let fwd = Forwarder::new(g, pattern);
-    let mut scratch = fwd.scratch();
+    let max_hops = state_space_bound(g);
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
         let failures = random_failure_set(g, k, rng);
         let start = nodes[rng.gen_range(0..nodes.len())];
-        let result = fwd.tour(&mut scratch, &failures, start);
+        let result = tour(g, &failures, pattern, start, max_hops);
         if !result.covered_component {
             return Some(Counterexample {
                 failures,

@@ -288,7 +288,8 @@ pub fn tour<P: ForwardingPattern + ?Sized>(
 }
 
 /// A generous hop limit that always suffices for exact loop detection on `g`:
-/// the number of distinct `(node, in-port)` states plus one.
+/// `2n(n+1) + 2`, twice the `n(n+1)` distinct `(node, in-port)` states plus
+/// two (so also above the `2m + n` states of the compiled tables).
 pub fn state_space_bound(g: &Graph) -> usize {
     2 * g.node_count() * (g.node_count() + 1) + 2
 }

@@ -10,20 +10,21 @@
 //!
 //! * [`SweepEngine::load_mask`] installs an overlay in `O(|F| + n·w)` word
 //!   operations (`w` = words per adjacency row): per-node failed-neighbor
-//!   bits/lists and a connected-component decomposition of `G \ F`, all into
-//!   scratch reused across masks — no allocation in steady state.
+//!   bits, one failed-port word per node and a connected-component
+//!   decomposition of `G \ F`, all into scratch reused across masks — no
+//!   allocation in steady state.
 //! * [`SweepEngine::toggle_edge`] is the **incremental** path: it patches the
-//!   failed-adjacency rows, failed-port words and failed lists of the two
-//!   endpoints in `O(w)` and re-derives the component decomposition only as
+//!   failed-adjacency rows and failed-port words of the two endpoints in
+//!   `O(w)` and re-derives the component decomposition only as
 //!   far as the flipped edge demands — an early-exit alive-BFS bridge test on
 //!   removal (components split only if the edge was a bridge), an `O(n)`
 //!   relabel on revival (only if the endpoints were in different components).
 //!   Driving consecutive Gray-code masks through `toggle_edge` replaces the
 //!   per-mask overlay rebuild with one or two edge patches.
-//! * [`SweepEngine::route_outcome`] / [`SweepEngine::tour_covers`] run the
-//!   exact simulator semantics (same `(node, in-port)` state space, same
-//!   fault rules) against the overlay, tracking seen states in a packed
-//!   bitset instead of a `HashSet`.
+//! * The engine forwards only on compiled tables, reading each node's
+//!   failed-port word.  Without tables, [`SweepEngine::outcome`] and
+//!   [`SweepEngine::covers`] run the one interpreter, [`crate::simulator`],
+//!   on the materialized failure set.
 //! * [`SweepEngine::first_undelivered`] is the all-pairs delivery check of
 //!   the routing sweeps.  On compiled tables the forwarding for a fixed
 //!   `(F, t)` is one function over the `2m + n` `(node, in-port)` states, so
@@ -67,9 +68,8 @@
 use crate::budget::{sharded_first_controlled, ShardEvent, StopCause};
 use crate::compiled::{CompiledPattern, Forwarder, RuleTable};
 use crate::failure::{capped_mask_count, mask_ones, mask_words, FailureSet, GrayMasks};
-use crate::model::LocalContext;
 use crate::pattern::ForwardingPattern;
-use crate::simulator::Outcome;
+use crate::simulator::{route, tour, Outcome};
 use frr_graph::bitgraph::{BitGraph, BitIter};
 use frr_graph::budget::StopSignal;
 use frr_graph::{Edge, Graph, Node};
@@ -142,24 +142,22 @@ pub struct SweepEngine<'g> {
     n: usize,
     /// Words per adjacency row (shared with `bits`).
     words: usize,
-    /// Words per failed-port row (`⌈max-degree / 64⌉`).
-    port_words: usize,
-    /// Per edge `i` of the canonical order: the **local port indices** of the
-    /// far endpoint at each end (`v`'s rank among `u`'s ascending neighbors
-    /// and vice versa) — the bit positions the compiled tables test.
-    edge_local: Vec<(u32, u32)>,
+    /// Per edge `i` of the canonical order: the failed-port bit of the far
+    /// endpoint at each end (`1 << p` for `v`'s rank `p` among `u`'s
+    /// ascending neighbors and vice versa) — the bits the compiled tables
+    /// test.  Zero for ranks ≥ 64: compilation refuses those nodes.
+    edge_port_bits: Vec<(u64, u64)>,
     // ---- per-mask scratch (maintained by `load_mask` / `toggle_edge`) ----
     /// The currently installed failure mask (`⌈m / 64⌉` words).
     cur_mask: Vec<u64>,
     /// `n * words` words; bit `u` of node `v`'s row set iff `{u, v}` failed.
     failed_adj: Vec<u64>,
-    /// Per-node failed-**port** rows, `port_words` words each (bit `p` ⇒ the
-    /// node's `p`-th incident link failed) — word 0 is the aliveness word
-    /// the compiled hot loops consume (compilation refuses degree ≥ 64).
+    /// Per-node failed-**port** word (bit `p` ⇒ the node's `p`-th incident
+    /// link failed) — the aliveness word the compiled hot loops consume.
     failed_ports: Vec<u64>,
-    /// Per-node failed neighbors, sorted ascending (the `LocalContext` view).
-    failed_list: Vec<Vec<Node>>,
-    /// Nodes whose scratch entries are dirty (bounded by `2·|F|`).
+    /// Per-node failed-link count.
+    failed_links: Vec<u32>,
+    /// Nodes with a failed link: their scratch entries are dirty (≤ `2·|F|`).
     touched: Vec<usize>,
     /// Component id of each node in `G \ F`.  Ids are **not canonical**: a
     /// toggle-maintained decomposition may label the same partition
@@ -172,8 +170,6 @@ pub struct SweepEngine<'g> {
     /// Retired component ids, reused by splits.
     free_comp: Vec<u32>,
     // ---- per-simulation scratch ----
-    /// Packed bitset over the `n · (n + 1)` distinct `(node, in-port)` states.
-    seen_states: Vec<u64>,
     /// One label per compiled `(node, in-port-index)` state (the `2m + n`
     /// CSR state ids of [`crate::compiled`]).  A label written in an earlier
     /// epoch reads as unset, so starting a walk or a destination costs one
@@ -233,11 +229,12 @@ pub struct SweepStats {
     /// `(source, destination)` pairs decided (`route_outcome`,
     /// `route_outcome_compiled` and each pair `first_undelivered` checks).
     pub routes: u64,
-    /// Forwarding decisions those routing queries took.  Labelled walks stop
-    /// at states an earlier source already decided, so `hops / routes` is
-    /// the walking the labelling leaves.
+    /// Forwarding decisions those routing queries took (links crossed, on
+    /// the interpreter).  Labelled walks stop at states an earlier source
+    /// already decided, so `hops / routes` is the walking the labelling
+    /// leaves.
     pub hops: u64,
-    /// Touring simulations (`tour_covers` + `tour_covers_compiled`).
+    /// Touring simulations (`covers` and `tour_covers_compiled`).
     pub tours: u64,
     /// Destinations `first_undelivered` decided against the failure-free
     /// delivery forests; `routes` and `hops` count only the sources those
@@ -284,31 +281,28 @@ impl<'g> SweepEngine<'g> {
         let edges = g.edges();
         let n = g.node_count();
         let words = bits.words_per_row();
-        let max_degree = (0..n).map(|v| g.neighbors(Node(v)).count()).max();
-        let port_words = max_degree.unwrap_or(0).div_ceil(WORD_BITS).max(1);
-        let state_words = (n * (n + 1)).div_ceil(WORD_BITS).max(1);
         let compiled_states = 2 * edges.len() + n;
-        let rank =
-            |v: Node, u: Node| g.neighbors(v).position(|x| x == u).expect("incident edge") as u32;
-        let edge_local = edges
+        let port_bit = |v: Node, u: Node| {
+            let rank = g.neighbors(v).position(|x| x == u).expect("incident edge");
+            1u64.checked_shl(rank as u32).unwrap_or(0)
+        };
+        let edge_port_bits = edges
             .iter()
-            .map(|e| (rank(e.u(), e.v()), rank(e.v(), e.u())))
+            .map(|e| (port_bit(e.u(), e.v()), port_bit(e.v(), e.u())))
             .collect();
         SweepEngine {
             graph: g,
             n,
             words,
-            port_words,
-            edge_local,
+            edge_port_bits,
             cur_mask: vec![0; mask_words(edges.len())],
             failed_adj: vec![0; n * words],
-            failed_ports: vec![0; n * port_words],
-            failed_list: vec![Vec::new(); n],
+            failed_ports: vec![0; n],
+            failed_links: vec![0; n],
             touched: Vec::with_capacity(n),
             comp_id: vec![0; n],
             comp_size: Vec::with_capacity(n),
             free_comp: Vec::new(),
-            seen_states: vec![0; state_words],
             labels: vec![StateLabel::default(); compiled_states],
             epoch: 0,
             walk: Vec::with_capacity(compiled_states),
@@ -370,39 +364,55 @@ impl<'g> SweepEngine<'g> {
         // Reset the scratch of the previous mask.
         for &v in &self.touched {
             self.failed_adj[v * self.words..(v + 1) * self.words].fill(0);
-            self.failed_ports[v * self.port_words..(v + 1) * self.port_words].fill(0);
-            self.failed_list[v].clear();
+            self.failed_ports[v] = 0;
+            self.failed_links[v] = 0;
         }
         self.touched.clear();
         self.cur_mask.fill(0);
-        // Install the new overlay; mask bits ascend, so each node's failed
-        // list comes out sorted (normalized edges ascend lexicographically).
         for i in mask_ones(mask) {
             debug_assert!(i < self.edges.len(), "mask bit beyond edge count");
-            self.cur_mask[i / WORD_BITS] |= 1 << (i % WORD_BITS);
-            let e = self.edges[i];
-            let (u, v) = (e.u().index(), e.v().index());
-            let (pu, pv) = self.edge_local[i];
-            for (a, b, p) in [(u, v, pu as usize), (v, u, pv as usize)] {
-                // The bit rows, port words and lists are dirtied together, so
-                // an empty list is an exact "node untouched so far" test.
-                if self.failed_list[a].is_empty() {
-                    self.touched.push(a);
-                }
-                self.failed_adj[a * self.words + b / WORD_BITS] |= 1u64 << (b % WORD_BITS);
-                self.failed_ports[a * self.port_words + p / WORD_BITS] |= 1u64 << (p % WORD_BITS);
-                self.failed_list[a].push(Node(b));
-            }
+            self.flip_link(i);
         }
         self.recompute_components();
     }
 
+    /// Flips edge `i` in the mask, in both endpoints' failed-adjacency rows
+    /// and failed-port words, and in their failed-link counts (keeping
+    /// `touched` in step); `true` if the edge is failed now.
+    fn flip_link(&mut self, i: usize) -> bool {
+        let bit = 1 << (i % WORD_BITS);
+        let word = &mut self.cur_mask[i / WORD_BITS];
+        let now_failed = *word & bit == 0;
+        *word ^= bit;
+        let e = self.edges[i];
+        let (u, v) = (e.u().index(), e.v().index());
+        let (pu, pv) = self.edge_port_bits[i];
+        for (a, b, p) in [(u, v, pu), (v, u, pv)] {
+            self.failed_adj[a * self.words + b / WORD_BITS] ^= 1u64 << (b % WORD_BITS);
+            self.failed_ports[a] ^= p;
+            if now_failed {
+                if self.failed_links[a] == 0 {
+                    self.touched.push(a);
+                }
+                self.failed_links[a] += 1;
+            } else {
+                self.failed_links[a] -= 1;
+                if self.failed_links[a] == 0 {
+                    if let Some(t) = self.touched.iter().position(|&x| x == a) {
+                        self.touched.swap_remove(t);
+                    }
+                }
+            }
+        }
+        now_failed
+    }
+
     /// Flips the failure state of edge `edge_index` **incrementally**: the
-    /// endpoints' failed-adjacency rows, failed-port words and failed lists
-    /// are patched in `O(w)`, and the component decomposition is re-derived
-    /// only as far as the flip demands — an early-exit alive-BFS bridge test
-    /// when the edge fails (splitting only if it was a bridge of `G \ F`),
-    /// an `O(n)` id relabel when it revives across two components.
+    /// endpoints' failed-adjacency rows and failed-port words are patched in
+    /// `O(w)`, and the component decomposition is re-derived only as far as
+    /// the flip demands — an early-exit alive-BFS bridge test when the edge
+    /// fails (splitting only if it was a bridge of `G \ F`), an `O(n)` id
+    /// relabel when it revives across two components.
     ///
     /// Equivalent to reloading the current mask with that bit flipped
     /// (asserted by the differential suite), at a fraction of the cost for
@@ -411,32 +421,7 @@ impl<'g> SweepEngine<'g> {
         self.stats.edges_toggled += 1;
         let e = self.edges[edge_index];
         let (u, v) = (e.u().index(), e.v().index());
-        let (pu, pv) = self.edge_local[edge_index];
-        let bit = 1 << (edge_index % WORD_BITS);
-        let word = &mut self.cur_mask[edge_index / WORD_BITS];
-        let now_failed = *word & bit == 0;
-        *word ^= bit;
-        for (a, b, p) in [(u, v, pu as usize), (v, u, pv as usize)] {
-            self.failed_adj[a * self.words + b / WORD_BITS] ^= 1u64 << (b % WORD_BITS);
-            self.failed_ports[a * self.port_words + p / WORD_BITS] ^= 1u64 << (p % WORD_BITS);
-            let list = &mut self.failed_list[a];
-            let pos = list.partition_point(|&x| x < Node(b));
-            if now_failed {
-                if list.is_empty() {
-                    self.touched.push(a);
-                }
-                list.insert(pos, Node(b));
-            } else {
-                debug_assert_eq!(list.get(pos), Some(&Node(b)));
-                list.remove(pos);
-                if list.is_empty() {
-                    if let Some(t) = self.touched.iter().position(|&x| x == a) {
-                        self.touched.swap_remove(t);
-                    }
-                }
-            }
-        }
-        if now_failed {
+        if self.flip_link(edge_index) {
             // The edge was alive, so its endpoints share a component; it
             // splits only if the edge was a bridge of G \ F.
             self.split_components(u, v);
@@ -451,15 +436,6 @@ impl<'g> SweepEngine<'g> {
         self.failed_adj[u.index() * self.words + v.index() / WORD_BITS]
             & (1u64 << (v.index() % WORD_BITS))
             != 0
-    }
-
-    /// Component id of `v` in `G \ F` (for the loaded overlay).  Ids are
-    /// only meaningful for equality against other ids of the **same**
-    /// overlay state; a toggle-maintained decomposition may label the same
-    /// partition differently than a fresh [`SweepEngine::load_mask`].
-    #[inline]
-    pub fn component_of(&self, v: Node) -> u32 {
-        self.comp_id[v.index()]
     }
 
     /// Size of `v`'s component in `G \ F`.
@@ -595,25 +571,10 @@ impl<'g> SweepEngine<'g> {
         self.free_comp.push(dead);
     }
 
-    #[inline]
-    fn state_index(&self, node: Node, inport: Option<Node>) -> usize {
-        node.index() * (self.n + 1) + inport.map_or(0, |u| u.index() + 1)
-    }
-
-    /// Inserts a `(node, in-port)` state; `true` if it was new.
-    #[inline]
-    fn insert_state(&mut self, node: Node, inport: Option<Node>) -> bool {
-        let i = self.state_index(node, inport);
-        let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-        let fresh = self.seen_states[w] & b == 0;
-        self.seen_states[w] |= b;
-        fresh
-    }
-
-    /// Routes one packet under the loaded overlay and returns only the
-    /// [`Outcome`] — no path vector, no per-hop allocation.  Semantics are
-    /// identical to [`crate::simulator::route`] on the materialized failure
-    /// set (asserted by the differential test-suite).
+    /// The [`Outcome`] of [`crate::simulator::route`] on the loaded
+    /// overlay's materialized failure set.  Kept public only because the
+    /// frozen benchmark (`perfbench/`) calls it, like
+    /// [`crate::resilience::check_bounded_r_resilience`].
     pub fn route_outcome<P: ForwardingPattern + ?Sized>(
         &mut self,
         pattern: &P,
@@ -622,109 +583,17 @@ impl<'g> SweepEngine<'g> {
         max_hops: usize,
     ) -> Outcome {
         self.stats.routes += 1;
-        if source == destination {
-            return Outcome::Delivered;
-        }
-        self.seen_states.fill(0);
-        let mut current = source;
-        let mut inport: Option<Node> = None;
-        self.insert_state(current, inport);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return Outcome::HopLimit;
-            }
-            self.stats.hops += 1;
-            let ctx = LocalContext {
-                node: current,
-                inport,
-                source,
-                destination,
-                failed_neighbors: &self.failed_list[current.index()],
-                graph: self.graph,
-            };
-            let next = match pattern.next_hop(&ctx) {
-                Some(n) => n,
-                None => return Outcome::Stuck,
-            };
-            if !self.bits.has_edge(current, next) || self.link_failed(current, next) {
-                return Outcome::Stuck;
-            }
-            inport = Some(current);
-            current = next;
-            hops += 1;
-            if current == destination {
-                return Outcome::Delivered;
-            }
-            if !self.insert_state(current, inport) {
-                return Outcome::Loop;
-            }
-        }
-    }
-
-    /// Simulates the touring model under the loaded overlay and returns
-    /// whether the walk covered `start`'s entire component in `G \ F`
-    /// (the `covered_component` field of [`crate::simulator::tour`]).
-    pub fn tour_covers<P: ForwardingPattern + ?Sized>(
-        &mut self,
-        pattern: &P,
-        start: Node,
-        max_hops: usize,
-    ) -> bool {
-        self.stats.tours += 1;
-        // Track how many component members remain unvisited; visit_a doubles
-        // as the visited-node bitset.
-        let mut remaining = self.component_size(start) - 1;
-        if remaining == 0 {
-            return true;
-        }
-        self.seen_states.fill(0);
-        self.visit_a.fill(0);
-        self.visit_a[start.index() / WORD_BITS] |= 1u64 << (start.index() % WORD_BITS);
-        let mut current = start;
-        let mut inport: Option<Node> = None;
-        self.insert_state(current, inport);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return false;
-            }
-            let ctx = LocalContext {
-                node: current,
-                inport,
-                // The touring model has no header; see `simulator::tour`.
-                source: start,
-                destination: start,
-                failed_neighbors: &self.failed_list[current.index()],
-                graph: self.graph,
-            };
-            let next = match pattern.next_hop(&ctx) {
-                Some(n) => n,
-                None => return false,
-            };
-            if !self.bits.has_edge(current, next) || self.link_failed(current, next) {
-                return false;
-            }
-            inport = Some(current);
-            current = next;
-            hops += 1;
-            let (w, b) = (
-                current.index() / WORD_BITS,
-                1u64 << (current.index() % WORD_BITS),
-            );
-            if self.visit_a[w] & b == 0 {
-                self.visit_a[w] |= b;
-                if self.same_component(current, start) {
-                    remaining -= 1;
-                    if remaining == 0 {
-                        return true;
-                    }
-                }
-            }
-            if !self.insert_state(current, inport) {
-                return false;
-            }
-        }
+        let failures = self.current_failure_set();
+        let result = route(
+            self.graph,
+            &failures,
+            pattern,
+            source,
+            destination,
+            max_hops,
+        );
+        self.stats.hops += result.hops as u64;
+        result.outcome
     }
 
     /// Starts a fresh labelling epoch: every compiled-state label written
@@ -748,14 +617,6 @@ impl<'g> SweepEngine<'g> {
         let fresh = label.epoch != epoch;
         *label = StateLabel { epoch, fate: None };
         fresh
-    }
-
-    /// The single failed-port word of node `v` the compiled tables test.
-    /// Compilation refuses nodes of degree ≥ 64, so word 0 of the node's
-    /// failed-port row is the complete picture on every compiled path.
-    #[inline]
-    fn failed_port_word(&self, v: usize) -> u64 {
-        self.failed_ports[v * self.port_words]
     }
 
     /// Walks a packet from `source` towards `destination` on compiled
@@ -797,7 +658,7 @@ impl<'g> SweepEngine<'g> {
             }
             self.labels[state] = StateLabel { epoch, fate: None };
             self.walk.push(state as u32);
-            let port = match cp.decide(table, v, inport_idx, self.failed_port_word(v)) {
+            let port = match cp.decide(table, v, inport_idx, self.failed_ports[v]) {
                 Some(p) => p as usize,
                 None => break Outcome::Stuck,
             };
@@ -814,11 +675,13 @@ impl<'g> SweepEngine<'g> {
         outcome
     }
 
-    /// [`SweepEngine::route_outcome`] on compiled rule tables: the hot loop
-    /// is a state-id lookup, a first-alive scan against the node's failed-
-    /// port mask and two array reads per hop — no dynamic dispatch, no
-    /// neighbor re-derivation, no allocation.  Byte-identical outcomes to the
-    /// interpreted path (the compiled tables replicate `next_hop` exactly).
+    /// Routes one packet under the loaded overlay on compiled rule tables and
+    /// returns only the [`Outcome`]: the hot loop is a state-id lookup, a
+    /// first-alive scan against the node's failed-port word and two array
+    /// reads per hop — no dynamic dispatch, no neighbor re-derivation, no
+    /// allocation.  Identical outcomes to [`crate::simulator::route`] with
+    /// the source pattern (the compiled tables replicate `next_hop`
+    /// exactly).
     ///
     /// `cp` must be compiled for this engine's graph.
     pub fn route_outcome_compiled(
@@ -847,8 +710,9 @@ impl<'g> SweepEngine<'g> {
 
     /// The outcome of one packet from `source` to `destination` under the
     /// loaded overlay: on `fwd`'s compiled tables when it has some
-    /// ([`SweepEngine::route_outcome_compiled`]), interpreted otherwise
-    /// ([`SweepEngine::route_outcome`]), with `fwd`'s hop bound.
+    /// ([`SweepEngine::route_outcome_compiled`]), otherwise by
+    /// [`crate::simulator::route`] on the materialized failure set, with
+    /// `fwd`'s hop bound.
     pub fn outcome<P: ForwardingPattern + ?Sized>(
         &mut self,
         fwd: &Forwarder<'_, P>,
@@ -863,8 +727,9 @@ impl<'g> SweepEngine<'g> {
 
     /// Whether the tour from `start` covers its component under the loaded
     /// overlay: on `fwd`'s compiled tables when it has some
-    /// ([`SweepEngine::tour_covers_compiled`]), interpreted otherwise
-    /// ([`SweepEngine::tour_covers`]), with `fwd`'s hop bound.
+    /// ([`SweepEngine::tour_covers_compiled`]), otherwise by
+    /// [`crate::simulator::tour`] on the materialized failure set, with
+    /// `fwd`'s hop bound.
     pub fn covers<P: ForwardingPattern + ?Sized>(
         &mut self,
         fwd: &Forwarder<'_, P>,
@@ -872,7 +737,11 @@ impl<'g> SweepEngine<'g> {
     ) -> bool {
         match fwd.tables() {
             Some(cp) => self.tour_covers_compiled(cp, start, fwd.max_hops()),
-            None => self.tour_covers(fwd.pattern(), start, fwd.max_hops()),
+            None => {
+                self.stats.tours += 1;
+                let failures = self.current_failure_set();
+                tour(self.graph, &failures, fwd.pattern(), start, fwd.max_hops()).covered_component
+            }
         }
     }
 
@@ -890,8 +759,9 @@ impl<'g> SweepEngine<'g> {
     /// source.  Source–destination tables differ per source, so there every
     /// pair gets its own epoch — plain loop detection on the same walk.
     /// Once a failing pair `(s*, t*)` is known, later destinations only
-    /// check sources below `s*`.  Without tables each pair runs the
-    /// interpreted [`SweepEngine::route_outcome`].
+    /// check sources below `s*`.  Without tables each pair runs
+    /// [`crate::simulator::route`] on the failure set, materialized once per
+    /// call.
     ///
     /// **Delta probes.**  With per-destination tables whose failure-free
     /// (∅) forwarding delivers every connected pair, each destination is
@@ -917,20 +787,24 @@ impl<'g> SweepEngine<'g> {
         destinations: Range<usize>,
     ) -> Option<(Node, Node)> {
         let n = self.n;
+        let max_hops = fwd.max_hops();
         let Some(cp) = fwd.tables() else {
+            let failures = self.current_failure_set();
             for s in (0..n).map(Node) {
                 for t in destinations.clone().map(Node) {
-                    if s != t
-                        && self.same_component(s, t)
-                        && !self.outcome(fwd, s, t).is_delivered()
-                    {
+                    if s == t || !self.same_component(s, t) {
+                        continue;
+                    }
+                    self.stats.routes += 1;
+                    let result = route(self.graph, &failures, fwd.pattern(), s, t, max_hops);
+                    self.stats.hops += result.hops as u64;
+                    if !result.outcome.is_delivered() {
                         return Some((s, t));
                     }
                 }
             }
             return None;
         };
-        let max_hops = fwd.max_hops();
         debug_assert!(cp.matches_shape(n, self.edges.len()));
         // A walk revisits a state before it can exceed the hop bound, so no
         // labelled walk ends in `HopLimit`.
@@ -1012,7 +886,7 @@ impl<'g> SweepEngine<'g> {
                 // a changed state at a node still connected to `t` first.
                 continue;
             }
-            let failed = self.failed_port_word(v);
+            let failed = self.failed_ports[v];
             let base = csr.state_base(v);
             for inport_idx in 0..=csr.degree(v) {
                 let rank = forest.pre[(base + inport_idx) as usize];
@@ -1086,7 +960,10 @@ impl<'g> SweepEngine<'g> {
         hit
     }
 
-    /// [`SweepEngine::tour_covers`] on compiled rule tables.
+    /// Simulates the touring model under the loaded overlay on compiled rule
+    /// tables and returns whether the walk covered `start`'s entire
+    /// component in `G \ F` (the `covered_component` field of
+    /// [`crate::simulator::tour`]).
     pub fn tour_covers_compiled(
         &mut self,
         cp: &CompiledPattern,
@@ -1112,7 +989,7 @@ impl<'g> SweepEngine<'g> {
             if hops >= max_hops {
                 return false;
             }
-            let port = match cp.decide(table, v, inport_idx, self.failed_port_word(v)) {
+            let port = match cp.decide(table, v, inport_idx, self.failed_ports[v]) {
                 Some(p) => p as usize,
                 None => return false,
             };
@@ -1539,8 +1416,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompilePattern;
+    use crate::model::LocalContext;
     use crate::pattern::{RotorPattern, ShortestPathPattern};
-    use crate::simulator::{route, state_space_bound, tour};
+    use crate::simulator::state_space_bound;
     use frr_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1710,14 +1589,18 @@ mod tests {
 
     #[test]
     fn toggle_edge_matches_full_reload() {
-        // Random toggle walks: after every toggle, the engine must be
-        // observationally identical to a fresh engine loading the same mask.
+        // Random toggle walks, then every link once: after every toggle, the
+        // engine must be observationally identical to a fresh engine loading
+        // the same mask, and bit `p` of a node's failed-port word must say
+        // whether its `p`-th link failed.  The wheel's hub has degree 64, so
+        // its last link sits on port 63.
         let mut rng = StdRng::seed_from_u64(0x7061);
         for (gi, g) in [
             generators::cycle(6),
             generators::complete(5),
             generators::petersen(),
             generators::random_connected(8, 4, &mut StdRng::seed_from_u64(3)),
+            generators::wheel(64),
         ]
         .iter()
         .enumerate()
@@ -1725,31 +1608,41 @@ mod tests {
             let m = g.edge_count();
             let mut inc = SweepEngine::new(g);
             let mut reference = SweepEngine::new(g);
-            inc.load_mask(&[0]);
-            let mut mask = 0u64;
-            for step in 0..200 {
-                let bit = rng.gen_range(0..m);
-                mask ^= 1u64 << bit;
+            let mut mask = vec![0u64; mask_words(m)];
+            inc.load_mask(&mask);
+            let walk: Vec<usize> = (0..200).map(|_| rng.gen_range(0..m)).chain(0..m).collect();
+            for (step, bit) in walk.into_iter().enumerate() {
+                mask[bit / WORD_BITS] ^= 1u64 << (bit % WORD_BITS);
                 inc.toggle_edge(bit);
-                reference.load_mask(&[mask]);
-                assert_eq!(inc.current_mask(), [mask]);
-                for e in inc.edges().to_vec() {
-                    assert_eq!(
-                        inc.link_failed(e.u(), e.v()),
-                        reference.link_failed(e.u(), e.v())
-                    );
+                reference.load_mask(&mask);
+                assert_eq!(inc.current_mask(), mask);
+                assert_eq!(
+                    inc.failed_ports, reference.failed_ports,
+                    "graph {gi}, step {step}"
+                );
+                for v in g.nodes() {
+                    for (p, u) in g.neighbors(v).enumerate() {
+                        let failed = inc.failed_ports[v.index()] >> p & 1 == 1;
+                        assert_eq!(inc.link_failed(v, u), failed, "graph {gi}, step {step}");
+                        assert_eq!(reference.link_failed(v, u), failed);
+                    }
                 }
+                // Toggles and reloads list the dirty nodes in different
+                // orders.
+                let mut touched = [inc.touched.clone(), reference.touched.clone()];
+                touched.iter_mut().for_each(|t| t.sort_unstable());
+                assert_eq!(touched[0], touched[1], "graph {gi}, step {step}");
                 for s in g.nodes() {
                     assert_eq!(
                         inc.component_size(s),
                         reference.component_size(s),
-                        "graph {gi}, step {step}, mask {mask:#b}, node {s}"
+                        "graph {gi}, step {step}, mask {mask:?}, node {s}"
                     );
                     for t in g.nodes() {
                         assert_eq!(
                             inc.same_component(s, t),
                             reference.same_component(s, t),
-                            "graph {gi}, step {step}, mask {mask:#b}, pair {s}-{t}"
+                            "graph {gi}, step {step}, mask {mask:?}, pair {s}-{t}"
                         );
                     }
                 }
@@ -1760,11 +1653,11 @@ mod tests {
 
     #[test]
     fn toggle_driven_routing_matches_loaded_routing() {
-        // Drive the Gray sequence by toggles and compare every routing
-        // observable against a load_mask engine.
+        // Drive the Gray sequence by toggles and compare every compiled
+        // routing observable against a load_mask engine.
         let g = generators::complete(4);
-        let p = ShortestPathPattern::new(&g);
-        let rotor = RotorPattern::clockwise(&g);
+        let cp = ShortestPathPattern::new(&g).compile(&g).unwrap();
+        let rotor_cp = RotorPattern::clockwise(&g).compile(&g).unwrap();
         let max_hops = state_space_bound(&g);
         let m = g.edge_count();
         let mut inc = SweepEngine::new(&g);
@@ -1784,13 +1677,13 @@ mod tests {
             for s in g.nodes() {
                 for t in g.nodes() {
                     assert_eq!(
-                        inc.route_outcome(&p, s, t, max_hops),
-                        loaded.route_outcome(&p, s, t, max_hops)
+                        inc.route_outcome_compiled(&cp, s, t, max_hops),
+                        loaded.route_outcome_compiled(&cp, s, t, max_hops)
                     );
                 }
                 assert_eq!(
-                    inc.tour_covers(&rotor, s, max_hops),
-                    loaded.tour_covers(&rotor, s, max_hops)
+                    inc.tour_covers_compiled(&rotor_cp, s, max_hops),
+                    loaded.tour_covers_compiled(&rotor_cp, s, max_hops)
                 );
             }
         }
@@ -1798,8 +1691,11 @@ mod tests {
 
     #[test]
     fn route_outcome_agrees_with_simulator() {
+        // The overlay's failed-port words drive the compiled walks exactly
+        // like the materialized failure set drives the interpreter.
         let g = generators::complete(4);
         let p = ShortestPathPattern::new(&g);
+        let cp = p.compile(&g).unwrap();
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in 0..(1u64 << g.edge_count()) {
@@ -1809,7 +1705,7 @@ mod tests {
                 for t in g.nodes() {
                     let expected = route(&g, &failures, &p, s, t, max_hops).outcome;
                     assert_eq!(
-                        engine.route_outcome(&p, s, t, max_hops),
+                        engine.route_outcome_compiled(&cp, s, t, max_hops),
                         expected,
                         "mask {mask:#b}, {s}->{t}"
                     );
@@ -1820,8 +1716,11 @@ mod tests {
 
     #[test]
     fn tour_covers_agrees_with_simulator() {
+        // Coverage on the overlay counts the component partition, which
+        // must match the materialized failure set's components.
         let g = generators::complete(4);
         let p = RotorPattern::clockwise(&g);
+        let cp = p.compile(&g).unwrap();
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in 0..(1u64 << g.edge_count()) {
@@ -1830,7 +1729,7 @@ mod tests {
             for start in g.nodes() {
                 let expected = tour(&g, &failures, &p, start, max_hops).covered_component;
                 assert_eq!(
-                    engine.tour_covers(&p, start, max_hops),
+                    engine.tour_covers_compiled(&cp, start, max_hops),
                     expected,
                     "mask {mask:#b}, start {start}"
                 );
@@ -1908,11 +1807,11 @@ mod tests {
         // two-failure set finds it.
         let g = generators::cycle(72);
         assert!(g.edge_count() > 64);
-        let p = RotorPattern::clockwise(&g);
+        let cp = RotorPattern::clockwise(&g).compile(&g).unwrap();
         let max_hops = state_space_bound(&g);
         let miss = sweep_find_first_budgeted(&g, Some(1), None, &StopSignal::none(), |engine| {
             let start = Node(0);
-            (!engine.tour_covers(&p, start, max_hops) && engine.component_size(start) > 1)
+            (!engine.tour_covers_compiled(&cp, start, max_hops) && engine.component_size(start) > 1)
                 .then_some(())
         });
         assert_eq!(
@@ -1939,19 +1838,20 @@ mod tests {
         let mut engine = SweepEngine::new(&g);
         engine.load_mask(&[0]);
         assert_eq!(engine.component_size(Node(0)), 1);
-        let p = RotorPattern::clockwise(&g);
-        assert!(engine.tour_covers(&p, Node(0), 10));
+        let cp = RotorPattern::clockwise(&g).compile(&g).unwrap();
+        assert!(engine.tour_covers_compiled(&cp, Node(0), 10));
         assert_eq!(
-            engine.route_outcome(&p, Node(0), Node(0), 10),
+            engine.route_outcome_compiled(&cp, Node(0), Node(0), 10),
             Outcome::Delivered
         );
         // A routed packet with no ports is stuck, matching the simulator.
         let g2 = frr_graph::Graph::new(2);
         let p2 = RotorPattern::clockwise(&g2);
+        let cp2 = p2.compile(&g2).unwrap();
         let mut engine2 = SweepEngine::new(&g2);
         engine2.load_mask(&[0]);
         assert_eq!(
-            engine2.route_outcome(&p2, Node(0), Node(1), 10),
+            engine2.route_outcome_compiled(&cp2, Node(0), Node(1), 10),
             route(&g2, &FailureSet::new(), &p2, Node(0), Node(1), 10).outcome
         );
     }

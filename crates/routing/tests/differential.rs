@@ -1,13 +1,14 @@
 //! Differential tests: the bitmask-overlay sweep engine must agree with the
-//! plain clone/`FailureSet`-based simulator on every observable — outcome,
-//! path, hop count, tour coverage, and connectivity filtering — across seeded
-//! random graphs and failure sets.
+//! plain clone/`FailureSet`-based simulator on every observable — routing
+//! outcome and tour coverage of the compiled walks the overlay drives, and
+//! connectivity filtering — across seeded random graphs and failure sets.
 
 use frr_graph::connectivity::same_component;
 use frr_graph::{generators, Graph, Node};
 use frr_routing::budget::{RunBudget, Verdict};
+use frr_routing::compiled::CompilePattern;
 use frr_routing::failure::{FailureSet, GrayMasks};
-use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
+use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
 use frr_routing::resilience::{check, Property};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
@@ -43,22 +44,23 @@ fn sample_masks(g: &Graph, rng: &mut StdRng) -> Vec<u64> {
 fn mask_overlay_routing_matches_clone_based_routing() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
     for g in random_graphs(7, 12) {
-        let patterns: Vec<Box<dyn ForwardingPattern>> = vec![
+        let patterns: Vec<Box<dyn CompilePattern>> = vec![
             Box::new(ShortestPathPattern::new(&g)),
             Box::new(RotorPattern::clockwise_with_shortcut(&g)),
         ];
+        let tables: Vec<_> = patterns.iter().map(|p| p.compile(&g).unwrap()).collect();
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in sample_masks(&g, &mut rng) {
             engine.load_mask(&[mask]);
             let failures = FailureSet::from_mask(engine.edges(), &[mask]);
-            for pattern in &patterns {
+            for (pattern, cp) in patterns.iter().zip(&tables) {
                 for s in g.nodes() {
                     for t in g.nodes() {
                         let reference = route(&g, &failures, pattern.as_ref(), s, t, max_hops);
                         // Identical outcome from the overlay...
                         assert_eq!(
-                            engine.route_outcome(pattern.as_ref(), s, t, max_hops),
+                            engine.route_outcome_compiled(cp, s, t, max_hops),
                             reference.outcome,
                             "graph {g:?}, mask {mask:#b}, {s}->{t}, {}",
                             pattern.name()
@@ -106,6 +108,7 @@ fn mask_overlay_touring_matches_clone_based_touring() {
     let mut rng = StdRng::seed_from_u64(0x70);
     for g in random_graphs(42, 8) {
         let p = RotorPattern::clockwise(&g);
+        let cp = p.compile(&g).unwrap();
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
         for mask in sample_masks(&g, &mut rng) {
@@ -113,7 +116,7 @@ fn mask_overlay_touring_matches_clone_based_touring() {
             let failures = FailureSet::from_mask(engine.edges(), &[mask]);
             for start in g.nodes() {
                 assert_eq!(
-                    engine.tour_covers(&p, start, max_hops),
+                    engine.tour_covers_compiled(&cp, start, max_hops),
                     tour(&g, &failures, &p, start, max_hops).covered_component,
                     "graph {g:?}, mask {mask:#b}, start {start}"
                 );

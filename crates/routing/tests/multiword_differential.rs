@@ -5,6 +5,7 @@
 
 use frr_graph::{generators, Graph};
 use frr_routing::budget::{RunBudget, StopCause, Verdict};
+use frr_routing::compiled::CompilePattern;
 use frr_routing::failure::{GrayFailureSets, GrayMasks};
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
 use frr_routing::resilience::{
@@ -130,7 +131,7 @@ fn wide_zero_extended_masks_match_single_word_loads() {
     let mut rng = StdRng::seed_from_u64(0x51DE);
     for g in single_word_graphs() {
         let m = g.edge_count();
-        let p = ShortestPathPattern::new(&g);
+        let cp = ShortestPathPattern::new(&g).compile(&g).unwrap();
         let max_hops = state_space_bound(&g);
         let mut wide = SweepEngine::new(&g);
         let mut narrow = SweepEngine::new(&g);
@@ -145,8 +146,8 @@ fn wide_zero_extended_masks_match_single_word_loads() {
                 for t in g.nodes() {
                     assert_eq!(wide.same_component(s, t), narrow.same_component(s, t));
                     assert_eq!(
-                        wide.route_outcome(&p, s, t, max_hops),
-                        narrow.route_outcome(&p, s, t, max_hops)
+                        wide.route_outcome_compiled(&cp, s, t, max_hops),
+                        narrow.route_outcome_compiled(&cp, s, t, max_hops)
                     );
                 }
             }
