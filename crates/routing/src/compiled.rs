@@ -90,9 +90,10 @@ impl Fnv {
     /// The bulk is folded over eight independent lanes (one xor-multiply per
     /// word per lane) that are combined into the accumulator at the end: a
     /// single FNV chain is a serial multiply dependency at ~4 cycles/word,
-    /// and the control plane digests every published table on each serve
-    /// tick (`Snapshot::digest`).  The lanes keep every bit of every word in
-    /// the digest; only the mixing order differs from byte-serial FNV-1a.
+    /// and the control plane digests every table it rebuilds on each serve
+    /// tick (once per table; `Snapshot::digest` folds the cached words).
+    /// The lanes keep every bit of every word in the digest; only the
+    /// mixing order differs from byte-serial FNV-1a.
     /// The pinned replay digests depend on this exact mixing order.
     pub fn words_u32(&mut self, words: &[u32]) {
         self.word(words.len() as u64);
@@ -307,9 +308,22 @@ pub struct CompiledPattern {
     name: Cow<'static, str>,
     csr: PortGraph,
     tables: Tables,
+    /// [`CompiledPattern::digest`], computed on first use.  Sound because a
+    /// compiled pattern is never mutated after construction.
+    digest: OnceLock<u64>,
 }
 
 impl CompiledPattern {
+    fn new(model: RoutingModel, name: Cow<'static, str>, csr: PortGraph, tables: Tables) -> Self {
+        CompiledPattern {
+            model,
+            name,
+            csr,
+            tables,
+            digest: OnceLock::new(),
+        }
+    }
+
     /// The routing model the tables are keyed for.
     pub fn model(&self) -> RoutingModel {
         self.model
@@ -351,8 +365,12 @@ impl CompiledPattern {
     /// single-destination compile serves).  Two compiles of the same pattern
     /// on the same graph digest identically; any rule, shape or destination
     /// difference changes the digest.  Used by the control plane's epoch
-    /// digests and by determinism tests.
+    /// digests and by determinism tests.  Hashed once per pattern and cached.
     pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.fresh_digest())
+    }
+
+    fn fresh_digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.word(match self.model {
             RoutingModel::Touring => 1,
@@ -540,15 +558,15 @@ impl CompilePattern for CompiledPattern {
 
     fn compile_destination(&self, _g: &Graph, t: Node) -> Option<CompiledPattern> {
         match &self.tables {
-            Tables::PerDestination(ts) if t.index() < ts.len() => Some(CompiledPattern {
-                model: self.model,
-                name: self.name.clone(),
-                csr: self.csr.clone(),
-                tables: Tables::SingleDestination {
+            Tables::PerDestination(ts) if t.index() < ts.len() => Some(CompiledPattern::new(
+                self.model,
+                self.name.clone(),
+                self.csr.clone(),
+                Tables::SingleDestination {
                     destination: t.index() as u32,
                     table: ts[t.index()].clone(),
                 },
-            }),
+            )),
             Tables::SingleDestination { destination, .. } if *destination as usize == t.index() => {
                 Some(self.clone())
             }
@@ -617,12 +635,12 @@ pub fn tabulate<P: ForwardingPattern + ?Sized>(g: &Graph, pattern: &P) -> Option
             &mut failed_buf,
         ));
     }
-    Some(CompiledPattern {
+    Some(CompiledPattern::new(
         model,
-        name: pattern.name(),
+        pattern.name(),
         csr,
-        tables: wrap_tables(model, tables),
-    })
+        wrap_tables(model, tables),
+    ))
 }
 
 /// Tabulates only destination `t`'s table of a **destination-only** pattern
@@ -650,15 +668,15 @@ pub fn tabulate_destination<P: ForwardingPattern + ?Sized>(
     let mut failed_buf: Vec<Node> = Vec::new();
     // Destination-only headers pass `source = t`, exactly like `tabulate`.
     let table = tabulate_table(g, &csr, pattern, t, t, &mut decisions, &mut failed_buf);
-    Some(CompiledPattern {
-        model: RoutingModel::DestinationOnly,
-        name: pattern.name(),
+    Some(CompiledPattern::new(
+        RoutingModel::DestinationOnly,
+        pattern.name(),
         csr,
-        tables: Tables::SingleDestination {
+        Tables::SingleDestination {
             destination: t.index() as u32,
             table,
         },
-    })
+    ))
 }
 
 /// Total local contexts one header table costs to tabulate
@@ -829,12 +847,12 @@ where
     for &(source, destination) in &headers {
         tables.push(lists_table(&csr, source, destination, &mut rule, &mut out));
     }
-    Some(CompiledPattern {
+    Some(CompiledPattern::new(
         model,
         name,
         csr,
-        tables: wrap_tables(model, tables),
-    })
+        wrap_tables(model, tables),
+    ))
 }
 
 /// [`compile_lists`] for only destination `t`'s table of a destination-only
@@ -862,15 +880,15 @@ where
     // Destination-only headers pass `source = t`, exactly like the full
     // compile.
     let table = lists_table(&csr, t, t, &mut rule, &mut out);
-    Some(CompiledPattern {
-        model: RoutingModel::DestinationOnly,
+    Some(CompiledPattern::new(
+        RoutingModel::DestinationOnly,
         name,
         csr,
-        tables: Tables::SingleDestination {
+        Tables::SingleDestination {
             destination: t.index() as u32,
             table,
         },
-    })
+    ))
 }
 
 /// Builds one header's rule table from priority lists (the shared body of
@@ -1245,6 +1263,35 @@ mod tests {
         assert_ne!(a.digest(), c.digest(), "different destination");
         let full = p.compile(&g).expect("compiles");
         assert_ne!(a.digest(), full.digest(), "slice differs from full");
+    }
+
+    #[test]
+    fn cached_digest_always_equals_a_fresh_hash() {
+        let g = generators::wheel(7);
+        let p = ShortestPathPattern::new(&g);
+        let full = p.compile(&g).expect("compiles");
+        // Cloned before and after the cache is filled.
+        let early = full.clone();
+        assert_eq!(full.digest(), full.fresh_digest());
+        let late = full.clone();
+        assert_eq!(early.digest(), full.fresh_digest());
+        assert_eq!(late.digest(), full.fresh_digest());
+        for t in g.nodes() {
+            // A slice of a (cached) whole-graph compile hashes its own tables.
+            let slice = full
+                .compile_destination(&g, t)
+                .expect("per-destination slice");
+            assert_eq!(slice.digest(), slice.fresh_digest(), "slice {t}");
+            assert_ne!(slice.digest(), full.digest(), "slice {t}");
+            let direct = p.compile_destination(&g, t).expect("compiles");
+            assert_eq!(direct.digest(), direct.fresh_digest(), "direct {t}");
+            let lists = compile_lists_destination(&g, p.name(), t, |_s, t, v, _inport, out| {
+                out.push(t);
+                out.extend(g.neighbors(v));
+            })
+            .expect("compiles");
+            assert_eq!(lists.digest(), lists.fresh_digest(), "lists {t}");
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 
 use crate::compiled::{compile_lists, compile_lists_destination, CompilePattern, CompiledPattern};
 use crate::model::{LocalContext, RoutingModel};
-use frr_graph::traversal::distances_from;
+use frr_graph::traversal::distances_into;
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 
 /// A static local forwarding function (one rule set per node).
 ///
@@ -235,6 +236,9 @@ impl CompilePattern for RotorPattern {
     }
 }
 
+/// A [`ShortestPathPattern`] next-hop entry with no primary hop.
+const NO_HOP: u32 = u32::MAX;
+
 /// A destination-based shortest-path pattern with rotor fallback: every node
 /// stores, per destination, the next hop on a shortest path of the *failure
 /// free* network; if that primary port is down (or would bounce the packet
@@ -245,9 +249,10 @@ impl CompilePattern for RotorPattern {
 /// serves as the "plausible but imperfect" baseline in the experiments.
 #[derive(Debug, Clone)]
 pub struct ShortestPathPattern {
-    /// `primary[v][t]` = next hop from `v` towards destination `t` (failure
-    /// free), `None` if unreachable or `v == t`.
-    primary: Vec<Vec<Option<Node>>>,
+    /// `primary[v * n + t]` = next hop from `v` towards destination `t`
+    /// (failure free), [`NO_HOP`] if unreachable or `v == t`.
+    primary: Vec<u32>,
+    n: usize,
     rotor: RotorPattern,
 }
 
@@ -255,25 +260,35 @@ impl ShortestPathPattern {
     /// Precomputes shortest-path next hops for every (node, destination) pair.
     pub fn new(g: &Graph) -> Self {
         let n = g.node_count();
-        let mut primary = vec![vec![None; n]; n];
+        let mut primary = vec![NO_HOP; n * n];
+        let (mut dist, mut queue) = (Vec::new(), VecDeque::new());
         for t in g.nodes() {
-            let dist = distances_from(g, t);
+            distances_into(g, t, &mut dist, &mut queue);
             for v in g.nodes() {
                 if v == t {
                     continue;
                 }
-                if let Some(dv) = dist[v.index()] {
-                    // Choose the smallest neighbor strictly closer to t.
-                    primary[v.index()][t.index()] = g
-                        .neighbors(v)
-                        .find(|u| dist[u.index()].map(|du| du + 1 == dv).unwrap_or(false));
+                // Choose the smallest neighbor strictly closer to t.
+                let closer = dist[v.index()].and_then(|dv| {
+                    g.neighbors(v)
+                        .find(|u| dist[u.index()].is_some_and(|du| du + 1 == dv))
+                });
+                if let Some(u) = closer {
+                    primary[v.index() * n + t.index()] = u.index() as u32;
                 }
             }
         }
         ShortestPathPattern {
             primary,
+            n,
             rotor: RotorPattern::clockwise_with_shortcut(g),
         }
+    }
+
+    /// The failure-free next hop from `v` towards `t`.
+    fn primary_hop(&self, v: Node, t: Node) -> Option<Node> {
+        let hop = self.primary[v.index() * self.n + t.index()];
+        (hop != NO_HOP).then_some(Node(hop as usize))
     }
 }
 
@@ -286,7 +301,7 @@ impl ForwardingPattern for ShortestPathPattern {
         if ctx.destination_is_alive_neighbor() {
             return Some(ctx.destination);
         }
-        if let Some(primary) = self.primary[ctx.node.index()][ctx.destination.index()] {
+        if let Some(primary) = self.primary_hop(ctx.node, ctx.destination) {
             if ctx.is_alive(primary) && ctx.inport != Some(primary) {
                 return Some(primary);
             }
@@ -311,7 +326,7 @@ impl CompilePattern for ShortestPathPattern {
                 // then the rotor fallback (whose own shortcut entry is a
                 // harmless duplicate of the first entry).
                 out.push(t);
-                if let Some(primary) = self.primary[v.index()][t.index()] {
+                if let Some(primary) = self.primary_hop(v, t) {
                     if inport != Some(primary) {
                         out.push(primary);
                     }
@@ -326,7 +341,7 @@ impl CompilePattern for ShortestPathPattern {
         compile_lists_destination(g, self.name(), t, |_s, t, v, inport, out| {
             // Same priority lists as `compile`, restricted to one header.
             out.push(t);
-            if let Some(primary) = self.primary[v.index()][t.index()] {
+            if let Some(primary) = self.primary_hop(v, t) {
                 if inport != Some(primary) {
                     out.push(primary);
                 }

@@ -49,6 +49,7 @@ use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern}
 use frr_routing::resilience::{check, Property};
 use frr_routing::simulator::{route as interpreted_route, state_space_bound, Outcome};
 use frr_topologies::Topology;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,8 +71,9 @@ pub enum PatternSpec {
 
 impl PatternSpec {
     /// Builds the pattern for `g`.  `Box<dyn CompilePattern>` so hostile and
-    /// well-behaved specs flow through one rebuild path.
-    pub fn pattern(&self, g: &Graph) -> Box<dyn CompilePattern> {
+    /// well-behaved specs flow through one rebuild path; `Send` so one
+    /// rebuild's workers can share a single pattern.
+    pub fn pattern(&self, g: &Graph) -> Box<dyn CompilePattern + Send> {
         match self {
             PatternSpec::ShortestPath | PatternSpec::Hostile(HostileKind::WellBehaved) => {
                 Box::new(ShortestPathPattern::new(g))
@@ -443,11 +445,12 @@ impl Snapshot {
         if let Some(table) = &entry.table {
             // Overlay: query failures plus links that went down since the
             // build.  Links that recovered since the build are simply absent
-            // from the compiled graph and go unused.
-            let mut overlay = failures.clone();
+            // from the compiled graph and go unused.  Copied only when there
+            // is such a link, i.e. only for stale answers.
+            let mut overlay = Cow::Borrowed(failures);
             for e in &self.down {
                 if !entry.down_at_build.contains(e) {
-                    overlay.insert(*e);
+                    overlay.to_mut().insert(*e);
                 }
             }
             let max_hops = table.csr().state_count() + 1;

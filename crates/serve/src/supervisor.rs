@@ -124,8 +124,16 @@ impl Drop for RebuildTally {
     }
 }
 
+/// The pattern one [`rebuild_tables`] call compiles every destination from,
+/// built by whichever attempt needs it first.
+type SharedPattern = OnceLock<Box<dyn CompilePattern + Send>>;
+
 /// One destination's supervised rebuild: `catch_unwind` around the compile,
 /// deadline check per attempt, exponential backoff between retries.
+///
+/// The pattern is built inside the attempt's `catch_unwind`, so a panicking
+/// construction is caught and retried like a panicking compile, and the cell
+/// stays empty for the next attempt (on any worker).
 ///
 /// Refusals (`compile_destination` returning `None`) are deterministic, so
 /// they fail fast without retries; panics and deadline expiries are retried
@@ -133,6 +141,7 @@ impl Drop for RebuildTally {
 fn rebuild_one(
     survivor: &Graph,
     spec: &PatternSpec,
+    pattern: &SharedPattern,
     destination: usize,
     cfg: &SupervisorConfig,
     tally: &mut RebuildTally,
@@ -146,7 +155,8 @@ fn rebuild_one(
             None => RunBudget::unlimited(),
         };
         let built = catch_unwind(AssertUnwindSafe(|| {
-            spec.pattern(survivor)
+            pattern
+                .get_or_init(|| spec.pattern(survivor))
                 .compile_destination(survivor, Node(destination))
         }));
         match built {
@@ -204,6 +214,7 @@ pub fn rebuild_tables(
 ) -> Vec<RebuildOutcome> {
     let slots: Vec<OnceLock<RebuildOutcome>> =
         destinations.iter().map(|_| OnceLock::new()).collect();
+    let pattern = SharedPattern::new();
     let duration_ns = frr_obs::global().histogram("serve.rebuild.duration_ns");
     // One destination per claim and per stop poll.  `rebuild_one` catches
     // every compile panic, so the runner only sees one if the harness itself
@@ -219,7 +230,7 @@ pub fn rebuild_tables(
         |tally, i| {
             let i = i as usize;
             let _span = frr_obs::Span::start(&duration_ns);
-            let outcome = rebuild_one(survivor, spec, destinations[i], cfg, tally);
+            let outcome = rebuild_one(survivor, spec, &pattern, destinations[i], cfg, tally);
             // Each index is claimed exactly once, so the slot is empty.
             let _ = slots[i].set(outcome);
             None::<Infallible>
@@ -330,6 +341,49 @@ mod tests {
             assert_eq!(reference.len(), dests.len());
             for threads in [2, 8] {
                 assert_eq!(run(threads), reference, "{spec:?}, threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_pattern_rebuild_matches_fresh_compiles() {
+        let arpanet = frr_topologies::builtin_topologies()
+            .into_iter()
+            .find(|t| t.name == "Arpanet1972")
+            .expect("catalog has Arpanet1972")
+            .graph;
+        let edges = arpanet.edges();
+        let degraded = arpanet.without_edges([edges[0], edges[7], edges[19]].iter());
+        let graphs = [generators::cycle(6), generators::wheel(7), degraded];
+        for g in &graphs {
+            let dests: Vec<usize> = (0..g.node_count()).collect();
+            for threads in [1, 2, 8] {
+                let cfg = SupervisorConfig {
+                    threads,
+                    backoff_base: Duration::ZERO,
+                    ..SupervisorConfig::default()
+                };
+                for spec in [
+                    PatternSpec::ShortestPath,
+                    PatternSpec::Rotor,
+                    PatternSpec::Hostile(HostileKind::WellBehaved),
+                ] {
+                    let out = rebuild_tables(g, &spec, &dests, &cfg, &StopSignal::none());
+                    for o in &out {
+                        let fresh = spec
+                            .pattern(g)
+                            .compile_destination(g, Node(o.destination))
+                            .map(|t| t.digest());
+                        assert!(fresh.is_some(), "{spec:?} compiles v{}", o.destination);
+                        assert_eq!(o.table.as_ref().map(|t| t.digest()), fresh);
+                        assert_eq!(o.attempts, 1);
+                    }
+                }
+                let panicking = PatternSpec::Hostile(HostileKind::PanicOnCompile);
+                for o in rebuild_tables(g, &panicking, &dests, &cfg, &StopSignal::none()) {
+                    assert_eq!(o.attempts, cfg.max_attempts, "threads = {threads}");
+                    assert!(matches!(o.failure, Some(RebuildFailure::Panicked(_))));
+                }
             }
         }
     }
