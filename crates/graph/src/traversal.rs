@@ -24,23 +24,8 @@ pub fn bfs_order(g: &Graph, start: Node) -> Vec<Node> {
 
 /// Unweighted single-source shortest-path distances (`None` = unreachable).
 pub fn distances_from(g: &Graph, start: Node) -> Vec<Option<usize>> {
-    let mut dist = Vec::new();
-    distances_into(g, start, &mut dist, &mut VecDeque::new());
-    dist
-}
-
-/// [`distances_from`] into caller-owned buffers, so a caller running one
-/// search per node reuses one allocation: `dist` is overwritten with
-/// `node_count` entries and `queue` is left empty.
-pub fn distances_into(
-    g: &Graph,
-    start: Node,
-    dist: &mut Vec<Option<usize>>,
-    queue: &mut VecDeque<Node>,
-) {
-    dist.clear();
-    dist.resize(g.node_count(), None);
-    queue.clear();
+    let mut dist = vec![None; g.node_count()];
+    let mut queue = VecDeque::new();
     dist[start.index()] = Some(0);
     queue.push_back(start);
     while let Some(v) = queue.pop_front() {
@@ -52,6 +37,7 @@ pub fn distances_into(
             }
         }
     }
+    dist
 }
 
 /// Unweighted distance between two nodes (`None` = disconnected).

@@ -831,28 +831,17 @@ pub fn compile_lists<F>(
     g: &Graph,
     model: RoutingModel,
     name: Cow<'static, str>,
-    mut rule: F,
+    rule: F,
 ) -> Option<CompiledPattern>
 where
     F: FnMut(Node, Node, Node, Option<Node>, &mut Vec<Node>),
 {
-    let n = g.node_count();
-    let csr = PortGraph::new(g);
-    if (0..n).any(|v| csr.degree(v) >= 64) {
-        return None;
-    }
-    let headers = header_pairs(model, n);
-    let mut out: Vec<Node> = Vec::new();
-    let mut tables = Vec::with_capacity(headers.len());
-    for &(source, destination) in &headers {
-        tables.push(lists_table(&csr, source, destination, &mut rule, &mut out));
-    }
-    Some(CompiledPattern::new(
+    compile_port_lists(
+        PortGraph::new(g),
         model,
         name,
-        csr,
-        wrap_tables(model, tables),
-    ))
+        node_lists(g.node_count(), rule),
+    )
 }
 
 /// [`compile_lists`] for only destination `t`'s table of a destination-only
@@ -864,22 +853,170 @@ pub fn compile_lists_destination<F>(
     g: &Graph,
     name: Cow<'static, str>,
     t: Node,
-    mut rule: F,
+    rule: F,
 ) -> Option<CompiledPattern>
 where
     F: FnMut(Node, Node, Node, Option<Node>, &mut Vec<Node>),
 {
-    if t.index() >= g.node_count() {
-        return None;
-    }
-    let csr = PortGraph::new(g);
-    if (0..csr.n).any(|v| csr.degree(v) >= 64) {
-        return None;
-    }
+    compile_port_lists_destination(PortGraph::new(g), name, t, node_lists(g.node_count(), rule))
+}
+
+/// [`node_lists`]' entry for a node that is not a neighbor of the current
+/// node.
+const NO_PORT: u32 = u32::MAX;
+
+/// Adapts a node-level list rule of [`compile_lists`] to the port-level
+/// builder.  Each node's entries are translated through a `node → port` map
+/// that is filled in `O(deg)` before the node's states and cleared after
+/// them, so a rule entry costs one bounds-checked lookup; non-neighbors and
+/// ids past the last node map to nothing and are skipped.
+fn node_lists<F>(n: usize, mut rule: F) -> impl FnMut(Node, Node, &mut NodeStates<'_>)
+where
+    F: FnMut(Node, Node, Node, Option<Node>, &mut Vec<Node>),
+{
+    let mut port_at = vec![NO_PORT; n];
     let mut out: Vec<Node> = Vec::new();
+    move |source: Node, destination: Node, states: &mut NodeStates<'_>| {
+        let (v, ports) = (Node(states.node()), states.ports());
+        for (p, &u) in ports.iter().enumerate() {
+            port_at[u as usize] = p as u32;
+        }
+        for inport_idx in 0..=ports.len() {
+            let inport = ports.get(inport_idx).map(|&u| Node(u as usize));
+            out.clear();
+            rule(source, destination, v, inport, &mut out);
+            for u in &out {
+                match port_at.get(u.index()) {
+                    Some(&p) if p != NO_PORT => states.push(p),
+                    _ => {}
+                }
+            }
+            states.end_state();
+        }
+        for &u in ports {
+            port_at[u as usize] = NO_PORT;
+        }
+        debug_assert!(
+            port_at.iter().all(|&p| p == NO_PORT),
+            "port map entry left over from {v}"
+        );
+    }
+}
+
+/// One node's states while its rules are written into a table.  A
+/// port-level rule emits the priority list of every state of the node in
+/// state order — in-ports `0..deg`, then `⊥` — pushing local out-ports and
+/// closing each state with [`NodeStates::end_state`].  Duplicate ports keep
+/// their first position.
+pub(crate) struct NodeStates<'a> {
+    csr: &'a PortGraph,
+    v: usize,
+    rules: &'a mut Vec<u32>,
+    offsets: &'a mut Vec<u32>,
+    /// Ports already in the open state's list.
+    seen: u64,
+}
+
+impl<'a> NodeStates<'a> {
+    /// The node whose states are being written.
+    #[inline]
+    pub(crate) fn node(&self) -> usize {
+        self.v
+    }
+
+    /// The node's ascending neighbor slice (local port `p` leads to
+    /// `ports()[p]`).
+    #[inline]
+    pub(crate) fn ports(&self) -> &'a [u32] {
+        self.csr.ports_of(self.v)
+    }
+
+    /// The node's degree; in-port index `degree()` is the `⊥` state.
+    #[inline]
+    pub(crate) fn degree(&self) -> u32 {
+        self.csr.degree(self.v)
+    }
+
+    /// The node's first state id ([`PortGraph::state_base`]).
+    #[inline]
+    pub(crate) fn state_base(&self) -> usize {
+        self.csr.state_base(self.v) as usize
+    }
+
+    /// The local port leading to `u`, if `u` is a neighbor.
+    #[inline]
+    pub(crate) fn port_of(&self, u: Node) -> Option<u32> {
+        self.csr.port_of(self.v, u.index())
+    }
+
+    /// Appends local port `p` to the open state's list unless it is already
+    /// there.
+    #[inline]
+    pub(crate) fn push(&mut self, p: u32) {
+        debug_assert!(p < self.degree(), "port {p} out of range at {}", self.v);
+        if self.seen & (1u64 << p) == 0 {
+            self.seen |= 1u64 << p;
+            self.rules.push(p);
+        }
+    }
+
+    /// Closes the open state's list; the next push opens the next state.
+    #[inline]
+    pub(crate) fn end_state(&mut self) {
+        self.offsets.push(self.rules.len() as u32);
+        self.seen = 0;
+    }
+}
+
+/// Compiles a pattern whose rules are priority lists of local ports over
+/// `csr` — the builder behind [`compile_lists`] and the port-level compilers
+/// of [`crate::pattern`].  `rule(source, destination, states)` writes every
+/// state of `states.node()` (see [`NodeStates`]); the header pairs follow
+/// the model exactly like [`compile_lists`].
+///
+/// Returns `None` if some node has degree ≥ 64.
+pub(crate) fn compile_port_lists<F>(
+    csr: PortGraph,
+    model: RoutingModel,
+    name: Cow<'static, str>,
+    mut rule: F,
+) -> Option<CompiledPattern>
+where
+    F: FnMut(Node, Node, &mut NodeStates<'_>),
+{
+    let rule_bound = max_list_words(&csr)?;
+    let tables = header_pairs(model, csr.n)
+        .into_iter()
+        .map(|(source, destination)| lists_table(&csr, source, destination, &mut rule, rule_bound))
+        .collect();
+    Some(CompiledPattern::new(
+        model,
+        name,
+        csr,
+        wrap_tables(model, tables),
+    ))
+}
+
+/// [`compile_port_lists`] for only destination `t`'s table of a
+/// destination-only pattern.
+///
+/// Returns `None` if some node has degree ≥ 64 or `t` is out of range.
+pub(crate) fn compile_port_lists_destination<F>(
+    csr: PortGraph,
+    name: Cow<'static, str>,
+    t: Node,
+    mut rule: F,
+) -> Option<CompiledPattern>
+where
+    F: FnMut(Node, Node, &mut NodeStates<'_>),
+{
+    if t.index() >= csr.n {
+        return None;
+    }
+    let rule_bound = max_list_words(&csr)?;
     // Destination-only headers pass `source = t`, exactly like the full
     // compile.
-    let table = lists_table(&csr, t, t, &mut rule, &mut out);
+    let table = lists_table(&csr, t, t, &mut rule, rule_bound);
     Some(CompiledPattern::new(
         RoutingModel::DestinationOnly,
         name,
@@ -891,46 +1028,43 @@ where
     ))
 }
 
-/// Builds one header's rule table from priority lists (the shared body of
-/// [`compile_lists`] and [`compile_lists_destination`]).
+/// The most rule words one list table can hold (every state's list has at
+/// most `deg` distinct ports); `None` if some node has degree ≥ 64.
+fn max_list_words(csr: &PortGraph) -> Option<usize> {
+    (0..csr.n)
+        .map(|v| csr.degree(v) as usize)
+        .try_fold(0, |sum, deg| (deg < 64).then_some(sum + (deg + 1) * deg))
+}
+
+/// Builds one header's rule table from port-level priority lists (the one
+/// list-table builder, shared by every list compile).
 fn lists_table<F>(
     csr: &PortGraph,
     source: Node,
     destination: Node,
     rule: &mut F,
-    out: &mut Vec<Node>,
+    rule_bound: usize,
 ) -> RuleTable
 where
-    F: FnMut(Node, Node, Node, Option<Node>, &mut Vec<Node>),
+    F: FnMut(Node, Node, &mut NodeStates<'_>),
 {
-    // Every state's list holds at most `deg` distinct ports.
-    let rule_bound = (0..csr.n)
-        .map(|v| {
-            let deg = csr.degree(v) as usize;
-            (deg + 1) * deg
-        })
-        .sum();
     let mut offsets: Vec<u32> = Vec::with_capacity(csr.state_count() + 1);
     offsets.push(0);
     let mut rules: Vec<u32> = Vec::with_capacity(rule_bound);
     for v in 0..csr.n {
-        let deg = csr.degree(v);
-        for inport_idx in 0..=deg {
-            let inport =
-                (inport_idx < deg).then(|| Node(csr.ports_of(v)[inport_idx as usize] as usize));
-            out.clear();
-            rule(source, destination, Node(v), inport, out);
-            let mut seen = 0u64;
-            for &u in out.iter() {
-                if let Some(p) = csr.port_of(v, u.index()) {
-                    if seen & (1u64 << p) == 0 {
-                        seen |= 1u64 << p;
-                        rules.push(p);
-                    }
-                }
-            }
-            offsets.push(rules.len() as u32);
-        }
+        let mut states = NodeStates {
+            csr,
+            v,
+            rules: &mut rules,
+            offsets: &mut offsets,
+            seen: 0,
+        };
+        rule(source, destination, &mut states);
+        debug_assert_eq!(
+            offsets.len(),
+            csr.state_base(v) as usize + csr.degree(v) as usize + 2,
+            "node {v} must close exactly deg + 1 states"
+        );
     }
     RuleTable {
         offsets: offsets.into(),
@@ -1379,6 +1513,15 @@ mod tests {
         assert!(tabulate(&g, &p).is_none());
     }
 
+    /// Every state's priority list of `table`, in state order.
+    fn state_lists(table: &RuleTable) -> Vec<Vec<u32>> {
+        table
+            .offsets
+            .windows(2)
+            .map(|w| table.rules[w[0] as usize..w[1] as usize].to_vec())
+            .collect()
+    }
+
     #[test]
     fn compile_lists_skips_non_neighbors_and_duplicates() {
         let g = generators::path(3);
@@ -1399,6 +1542,46 @@ mod tests {
         let r = sim.route(&cp, Node(0), Node(1), 10);
         assert_eq!(r.outcome, Outcome::Delivered);
         assert_eq!(r.path, vec![Node(0), Node(1)]);
+
+        // Entry by entry on K4 (every node has three ports): ids past the
+        // last node (a table row may name any node), the node itself, the
+        // in-port (a legal entry), and a head entry moved up front and
+        // repeated later, as the shortest-path lists do with `t`.
+        let g = generators::complete(4);
+        let cp = compile_lists(
+            &g,
+            RoutingModel::Touring,
+            Cow::Borrowed("edgy"),
+            |_, _, v, inport, out| {
+                let neighbors = g.neighbors_vec(v);
+                let head = *neighbors.last().expect("degree 3");
+                out.extend([Node(usize::MAX), Node(4), Node(4 + 64), v]);
+                out.extend(inport);
+                out.push(head);
+                out.extend(&neighbors);
+                out.extend(inport);
+            },
+        )
+        .expect("degrees below 64");
+        let lists = state_lists(cp.table(Node(0), Node(0)));
+        assert_eq!(lists.len(), cp.csr().state_count());
+        for v in 0..4 {
+            let base = cp.csr().state_base(v) as usize;
+            for inport_idx in 0..=3u32 {
+                // Port 2 is the moved head; the in-port leads when present.
+                let mut expected: Vec<u32> = Vec::new();
+                for p in [inport_idx, 2, 0, 1, 2] {
+                    if p < 3 && !expected.contains(&p) {
+                        expected.push(p);
+                    }
+                }
+                assert_eq!(
+                    lists[base + inport_idx as usize],
+                    expected,
+                    "node {v}, in-port {inport_idx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! only read the [`LocalContext`] (in-port, incident failed links and —
 //! depending on the routing model — source and destination).
 
-use crate::compiled::{compile_lists, compile_lists_destination, CompilePattern, CompiledPattern};
+use crate::compiled::{
+    compile_port_lists, compile_port_lists_destination, CompilePattern, CompiledPattern,
+    NodeStates, PortGraph,
+};
 use crate::model::{LocalContext, RoutingModel};
-use frr_graph::traversal::distances_into;
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
-use std::collections::VecDeque;
 
 /// A static local forwarding function (one rule set per node).
 ///
@@ -176,14 +177,10 @@ impl RotorPattern {
     }
 
     /// The rotor's priority list for `(node, inport)`: the rotation entries
-    /// starting after the in-port position (shared by the interpreter and
-    /// the compiler so they cannot drift).
-    fn sweep_order<'a>(
-        rotation: &'a [Vec<Node>],
-        node: Node,
-        inport: Option<Node>,
-    ) -> impl Iterator<Item = Node> + 'a {
-        let rot = &rotation[node.index()];
+    /// starting after the in-port position (the compilers emit the same
+    /// order in port space, see [`RotationPorts`]).
+    fn sweep_order(&self, node: Node, inport: Option<Node>) -> impl Iterator<Item = Node> + '_ {
+        let rot = &self.rotation[node.index()];
         let start = match inport {
             Some(inport) => rot
                 .iter()
@@ -193,6 +190,22 @@ impl RotorPattern {
             None => 0,
         };
         (0..rot.len()).map(move |step| rot[(start + step) % rot.len()])
+    }
+
+    /// Writes every state of `states.node()` for destination `t`: the
+    /// destination's port when the shortcut is on, then the sweep.
+    fn port_rules(&self, rotation: &RotationPorts, t: Node, states: &mut NodeStates<'_>) {
+        let to_t = self
+            .destination_shortcut
+            .then(|| states.port_of(t))
+            .flatten();
+        for inport_idx in 0..=states.degree() {
+            if let Some(p) = to_t {
+                states.push(p);
+            }
+            rotation.sweep(states, inport_idx);
+            states.end_state();
+        }
     }
 }
 
@@ -205,7 +218,8 @@ impl ForwardingPattern for RotorPattern {
         if self.destination_shortcut && ctx.destination_is_alive_neighbor() {
             return Some(ctx.destination);
         }
-        Self::sweep_order(&self.rotation, ctx.node, ctx.inport).find(|&cand| ctx.is_alive(cand))
+        self.sweep_order(ctx.node, ctx.inport)
+            .find(|&cand| ctx.is_alive(cand))
     }
 
     fn name(&self) -> Cow<'static, str> {
@@ -215,11 +229,10 @@ impl ForwardingPattern for RotorPattern {
 
 impl CompilePattern for RotorPattern {
     fn compile(&self, g: &Graph) -> Option<CompiledPattern> {
-        compile_lists(g, self.model, self.name.clone(), |_s, t, v, inport, out| {
-            if self.destination_shortcut {
-                out.push(t);
-            }
-            out.extend(Self::sweep_order(&self.rotation, v, inport));
+        let csr = PortGraph::new(g);
+        let rotation = RotationPorts::new(&csr, &self.rotation);
+        compile_port_lists(csr, self.model, self.name.clone(), |_s, t, states| {
+            self.port_rules(&rotation, t, states)
         })
     }
 
@@ -227,12 +240,65 @@ impl CompilePattern for RotorPattern {
         if self.model != RoutingModel::DestinationOnly {
             return None;
         }
-        compile_lists_destination(g, self.name.clone(), t, |_s, t, v, inport, out| {
-            if self.destination_shortcut {
-                out.push(t);
-            }
-            out.extend(Self::sweep_order(&self.rotation, v, inport));
+        let csr = PortGraph::new(g);
+        let rotation = RotationPorts::new(&csr, &self.rotation);
+        compile_port_lists_destination(csr, self.name.clone(), t, |_s, t, states| {
+            self.port_rules(&rotation, t, states)
         })
+    }
+}
+
+/// A rotation system resolved to local ports once per compile.  The rotor's
+/// sweep after in-port `i` is the rotation of `v`'s port order that starts
+/// just past `i`'s first occurrence, `order[start..]` then `order[..start]`
+/// (from the front when `i` is `⊥` or absent from the rotation): the same
+/// list [`RotorPattern::sweep_order`] gives, less the entries that are not
+/// neighbors.
+struct RotationPorts {
+    /// `n + 1` offsets into `order`.
+    order_offset: Vec<u32>,
+    /// Every node's rotation as local ports, non-neighbors dropped.
+    order: Vec<u32>,
+    /// Per state id: where that state's sweep starts in its node's order.
+    start: Vec<u32>,
+}
+
+impl RotationPorts {
+    fn new(csr: &PortGraph, rotation: &[Vec<Node>]) -> Self {
+        let n = csr.node_count();
+        let mut order_offset = Vec::with_capacity(n + 1);
+        order_offset.push(0);
+        let mut order = Vec::with_capacity(csr.port_count());
+        let mut start = vec![0u32; csr.state_count()];
+        for (v, rot) in rotation.iter().enumerate().take(n) {
+            let from = order.len();
+            order.extend(rot.iter().filter_map(|&u| csr.port_of(v, u.index())));
+            let base = csr.state_base(v) as usize;
+            // Backwards, so a repeated port keeps its first position.
+            for (k, &p) in order[from..].iter().enumerate().rev() {
+                start[base + p as usize] = k as u32 + 1;
+            }
+            order_offset.push(order.len() as u32);
+        }
+        RotationPorts {
+            order_offset,
+            order,
+            start,
+        }
+    }
+
+    /// Pushes the sweep of state `(states.node(), inport_idx)`.
+    #[inline]
+    fn sweep(&self, states: &mut NodeStates<'_>, inport_idx: u32) {
+        let v = states.node();
+        let order = &self.order[self.order_offset[v] as usize..self.order_offset[v + 1] as usize];
+        let start = self.start[states.state_base() + inport_idx as usize] as usize;
+        for &p in &order[start..] {
+            states.push(p);
+        }
+        for &p in &order[..start] {
+            states.push(p);
+        }
     }
 }
 
@@ -249,7 +315,7 @@ const NO_HOP: u32 = u32::MAX;
 /// serves as the "plausible but imperfect" baseline in the experiments.
 #[derive(Debug, Clone)]
 pub struct ShortestPathPattern {
-    /// `primary[v * n + t]` = next hop from `v` towards destination `t`
+    /// `primary[t * n + v]` = next hop from `v` towards destination `t`
     /// (failure free), [`NO_HOP`] if unreachable or `v == t`.
     primary: Vec<u32>,
     n: usize,
@@ -259,36 +325,76 @@ pub struct ShortestPathPattern {
 impl ShortestPathPattern {
     /// Precomputes shortest-path next hops for every (node, destination) pair.
     pub fn new(g: &Graph) -> Self {
-        let n = g.node_count();
+        let csr = PortGraph::new(g);
+        let n = csr.node_count();
         let mut primary = vec![NO_HOP; n * n];
-        let (mut dist, mut queue) = (Vec::new(), VecDeque::new());
-        for t in g.nodes() {
-            distances_into(g, t, &mut dist, &mut queue);
-            for v in g.nodes() {
-                if v == t {
-                    continue;
+        // One BFS per destination over the CSR (`NO_HOP`: not reached).
+        let mut dist = vec![NO_HOP; n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        for t in 0..n {
+            dist.fill(NO_HOP);
+            dist[t] = 0;
+            queue.clear();
+            queue.push(t as u32);
+            let mut head = 0;
+            while let Some(&v) = queue.get(head) {
+                head += 1;
+                let dv = dist[v as usize];
+                for &u in csr.ports_of(v as usize) {
+                    if dist[u as usize] == NO_HOP {
+                        dist[u as usize] = dv + 1;
+                        queue.push(u);
+                    }
                 }
+            }
+            for v in (0..n).filter(|&v| v != t && dist[v] != NO_HOP) {
                 // Choose the smallest neighbor strictly closer to t.
-                let closer = dist[v.index()].and_then(|dv| {
-                    g.neighbors(v)
-                        .find(|u| dist[u.index()].is_some_and(|du| du + 1 == dv))
-                });
-                if let Some(u) = closer {
-                    primary[v.index() * n + t.index()] = u.index() as u32;
+                let closer = csr
+                    .ports_of(v)
+                    .iter()
+                    .find(|&&u| dist[u as usize] == dist[v] - 1);
+                if let Some(&u) = closer {
+                    primary[t * n + v] = u;
                 }
             }
         }
+        let rotation = (0..n)
+            .map(|v| csr.ports_of(v).iter().map(|&u| Node(u as usize)).collect())
+            .collect();
         ShortestPathPattern {
             primary,
             n,
-            rotor: RotorPattern::clockwise_with_shortcut(g),
+            // The clockwise rotor with shortcut: ascending neighbor order.
+            rotor: RotorPattern::from_rotation(rotation, true),
         }
     }
 
     /// The failure-free next hop from `v` towards `t`.
     fn primary_hop(&self, v: Node, t: Node) -> Option<Node> {
-        let hop = self.primary[v.index() * self.n + t.index()];
+        let hop = self.primary[t.index() * self.n + v.index()];
         (hop != NO_HOP).then_some(Node(hop as usize))
+    }
+
+    /// Writes every state of `states.node()` for destination `t`: the
+    /// destination's port, then the primary hop's port (left out at the
+    /// state entered through it, where it would bounce straight back), then
+    /// the rotor fallback.  Both ports are resolved once per node.
+    fn port_rules(&self, rotation: &RotationPorts, t: Node, states: &mut NodeStates<'_>) {
+        let to_t = states.port_of(t);
+        let primary = self
+            .primary_hop(Node(states.node()), t)
+            .and_then(|u| states.port_of(u));
+        for inport_idx in 0..=states.degree() {
+            if let Some(p) = to_t {
+                states.push(p);
+            }
+            if let Some(p) = primary.filter(|&p| p != inport_idx) {
+                states.push(p);
+            }
+            // The rotor's own shortcut entry would repeat `to_t`.
+            rotation.sweep(states, inport_idx);
+            states.end_state();
+        }
     }
 }
 
@@ -316,38 +422,22 @@ impl ForwardingPattern for ShortestPathPattern {
 
 impl CompilePattern for ShortestPathPattern {
     fn compile(&self, g: &Graph) -> Option<CompiledPattern> {
-        compile_lists(
-            g,
+        let csr = PortGraph::new(g);
+        let rotation = RotationPorts::new(&csr, self.rotor.rotation());
+        compile_port_lists(
+            csr,
             RoutingModel::DestinationOnly,
             self.name(),
-            |_s, t, v, inport, out| {
-                // Adjacent-destination delivery, then the primary next hop
-                // (statically excluded when it would bounce straight back),
-                // then the rotor fallback (whose own shortcut entry is a
-                // harmless duplicate of the first entry).
-                out.push(t);
-                if let Some(primary) = self.primary_hop(v, t) {
-                    if inport != Some(primary) {
-                        out.push(primary);
-                    }
-                }
-                out.push(t);
-                out.extend(RotorPattern::sweep_order(self.rotor.rotation(), v, inport));
-            },
+            |_s, t, states| self.port_rules(&rotation, t, states),
         )
     }
 
     fn compile_destination(&self, g: &Graph, t: Node) -> Option<CompiledPattern> {
-        compile_lists_destination(g, self.name(), t, |_s, t, v, inport, out| {
-            // Same priority lists as `compile`, restricted to one header.
-            out.push(t);
-            if let Some(primary) = self.primary_hop(v, t) {
-                if inport != Some(primary) {
-                    out.push(primary);
-                }
-            }
-            out.push(t);
-            out.extend(RotorPattern::sweep_order(self.rotor.rotation(), v, inport));
+        let csr = PortGraph::new(g);
+        let rotation = RotationPorts::new(&csr, self.rotor.rotation());
+        // Same priority lists as `compile`, restricted to one header.
+        compile_port_lists_destination(csr, self.name(), t, |_s, t, states| {
+            self.port_rules(&rotation, t, states)
         })
     }
 }
@@ -355,6 +445,7 @@ impl CompilePattern for ShortestPathPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::compile_lists;
     use crate::failure::FailureSet;
     use frr_graph::generators;
 
@@ -471,5 +562,56 @@ mod tests {
         let p = RotorPattern::clockwise(&g).with_name("my-rotor");
         assert_eq!(p.name(), "my-rotor");
         assert_eq!(p.rotation().len(), 4);
+    }
+
+    #[test]
+    fn port_level_compilers_emit_the_node_level_lists() {
+        // The rotor and shortest-path compilers write port lists directly;
+        // the node-level lists they used to hand `compile_lists` must give
+        // the same bytes, also for a rotation that is not ascending and
+        // names a non-neighbor, an out-of-range id and a repeated neighbor.
+        let g = generators::wheel(7);
+        let n = g.node_count();
+        let rotation: Vec<Vec<Node>> = g
+            .nodes()
+            .map(|v| {
+                let mut rot = g.neighbors_vec(v);
+                rot.reverse();
+                let shift = v.index() % rot.len();
+                rot.rotate_left(shift);
+                let first = rot[0];
+                rot.insert(1, Node(n + 5));
+                rot.push(first);
+                rot.push(Node((v.index() + 2) % n));
+                rot
+            })
+            .collect();
+        for shortcut in [false, true] {
+            let rotor = RotorPattern::from_rotation(rotation.clone(), shortcut);
+            let by_nodes =
+                compile_lists(&g, rotor.model(), rotor.name(), |_, t, v, inport, out| {
+                    if shortcut {
+                        out.push(t);
+                    }
+                    out.extend(rotor.sweep_order(v, inport));
+                })
+                .expect("compiles");
+            let by_ports = rotor.compile(&g).expect("compiles");
+            assert_eq!(by_ports.digest(), by_nodes.digest());
+        }
+        let sp = ShortestPathPattern::new(&g);
+        let by_nodes = compile_lists(&g, sp.model(), sp.name(), |_, t, v, inport, out| {
+            out.push(t);
+            if let Some(primary) = sp.primary_hop(v, t) {
+                if inport != Some(primary) {
+                    out.push(primary);
+                }
+            }
+            out.push(t);
+            out.extend(sp.rotor.sweep_order(v, inport));
+        })
+        .expect("compiles");
+        let by_ports = sp.compile(&g).expect("compiles");
+        assert_eq!(by_ports.digest(), by_nodes.digest());
     }
 }

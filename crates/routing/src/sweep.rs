@@ -1092,6 +1092,7 @@ impl DeliveryForests {
         let mut succ = vec![NOT_IN_FOREST; states];
         let mut walker = vec![u32::MAX; states];
         let mut child_offset = vec![0u32; states + 1];
+        let mut cursor = vec![0u32; states + 1];
         let mut children = Vec::new();
         let mut order: Vec<u32> = Vec::new();
         let mut size: Vec<u32> = Vec::new();
@@ -1141,7 +1142,7 @@ impl DeliveryForests {
                 child_offset[x + 1] += child_offset[x];
             }
             children.resize(child_offset[states] as usize, 0u32);
-            let mut cursor = child_offset.clone();
+            cursor.copy_from_slice(&child_offset);
             for (x, &p) in succ.iter().enumerate() {
                 if p < DELIVERS {
                     children[cursor[p as usize] as usize] = x as u32;

@@ -203,6 +203,87 @@ fn compiled_pattern_next_hop_agrees_as_forwarding_pattern() {
     }
 }
 
+/// A seeded rotation system that is not ascending: each node's neighbors
+/// shuffled, with a non-neighbor, an id past the last node and a repeated
+/// neighbor mixed in (the rotor skips the first two and sweeps the repeat
+/// at its first position).
+fn scrambled_rotation(g: &Graph, rng: &mut StdRng) -> Vec<Vec<Node>> {
+    let n = g.node_count();
+    g.nodes()
+        .map(|v| {
+            let mut rot = g.neighbors_vec(v);
+            for i in (1..rot.len()).rev() {
+                rot.swap(i, rng.gen_range(0..=i));
+            }
+            let at = rng.gen_range(0..=rot.len());
+            rot.insert(at, Node(n + 3));
+            if let Some(stranger) = g.nodes().find(|&u| u != v && !g.has_edge(v, u)) {
+                rot.insert(rng.gen_range(0..=rot.len()), stranger);
+            }
+            let repeat = rot[rng.gen_range(0..rot.len())];
+            rot.insert(rng.gen_range(0..=rot.len()), repeat);
+            rot
+        })
+        .collect()
+}
+
+/// The rotor and shortest-path compilers emit their lists in port space
+/// without sharing the interpreter's sweep; routing on their tables must
+/// still equal interpreting the pattern, on every pair and sampled mask.
+#[test]
+fn port_level_compilers_match_the_interpreter() {
+    let mut rng = StdRng::seed_from_u64(0x9047);
+    let mut graphs = vec![
+        generators::wheel(5),
+        generators::wheel(8),
+        generators::complete(5),
+        generators::complete(6),
+    ];
+    graphs.extend(random_graphs(0x5EED, 6));
+    for g in &graphs {
+        let max_hops = state_space_bound(g);
+        let rotation = scrambled_rotation(g, &mut rng);
+        let patterns: Vec<Box<dyn CompilePattern>> = vec![
+            Box::new(ShortestPathPattern::new(g)),
+            Box::new(RotorPattern::from_rotation(rotation.clone(), true)),
+            Box::new(RotorPattern::from_rotation(rotation, false)),
+        ];
+        for pattern in &patterns {
+            let cp = pattern.compile(g).expect("degrees below 64");
+            let mut sim = CompiledSim::new(&cp);
+            for mask in sample_masks(g, &mut rng) {
+                let failures = FailureSet::from_mask(&g.edges(), &[mask]);
+                sim.load_failures(&cp, &failures);
+                for s in g.nodes() {
+                    if pattern.model() == RoutingModel::Touring {
+                        assert_eq!(
+                            tour(g, &failures, &cp, s, max_hops),
+                            tour(g, &failures, pattern, s, max_hops),
+                            "graph {g:?}, mask {mask:#b}, start {s}"
+                        );
+                        continue;
+                    }
+                    for t in g.nodes() {
+                        assert_eq!(
+                            sim.route(&cp, s, t, max_hops),
+                            route(g, &failures, pattern, s, t, max_hops),
+                            "graph {g:?}, mask {mask:#b}, {s}->{t}, {}",
+                            pattern.name()
+                        );
+                    }
+                }
+            }
+            if pattern.model() == RoutingModel::DestinationOnly {
+                for t in g.nodes() {
+                    let single = pattern.compile_destination(g, t).expect("compiles");
+                    let slice = cp.compile_destination(g, t).expect("slice");
+                    assert_eq!(single.digest(), slice.digest(), "{} t={t}", pattern.name());
+                }
+            }
+        }
+    }
+}
+
 /// `verdict` with its wall-clock reading zeroed, so two runs compare equal.
 fn timeless(mut verdict: Result<Verdict, WorkerPanicked>) -> Result<Verdict, WorkerPanicked> {
     if let Ok(Verdict::Indeterminate(progress)) = &mut verdict {
