@@ -6,9 +6,13 @@
 //! [--work-budget W]` — `N` limits how many rows of each table are produced
 //! (default: all; CI bench-smoke runs `--count 1` to exercise the simulation
 //! argument cheaply).  When the deadline expires, remaining rows print a
-//! one-line `indeterminate` instead of running.  Topologies past the bounded
-//! sweep limit of [`frr_routing::resilience::BOUNDED_EDGE_LIMIT`] links are
-//! skipped with a one-line notice instead of panicking.
+//! one-line `indeterminate` instead of running.  Topologies with more links
+//! than `--links-limit` (default
+//! [`frr_routing::resilience::BOUNDED_EDGE_LIMIT`]; the largest default row,
+//! `K16`, has 120) are skipped with a one-line notice.  The simulation
+//! argument itself has no link limit: it checks its failure set with one
+//! simulated walk, so the limit only caps the size of the run, like the
+//! other experiment bins' `--links-limit`.
 
 use frr_core::impossibility::{
     bipartite_few_failures_with_budget, complete_few_failures_with_budget, FewFailuresVerdict,
@@ -61,9 +65,8 @@ fn main() {
     }
 }
 
-/// One-line graceful skip for a topology past the bounded sweep limit (the
-/// simulation argument replays the constructed set through the verifier,
-/// whose mask representation is sized for [`BOUNDED_EDGE_LIMIT`] links).
+/// One-line graceful skip for a topology with more than `limit` links (the
+/// run's `--links-limit` size cap, not a limit of the construction).
 fn skip_oversized(label: &str, g: &frr_graph::Graph, limit: usize) -> bool {
     if g.edge_count() > limit {
         let e = EdgeLimitExceeded {

@@ -163,3 +163,21 @@ fn table1_default_row_is_verified() {
         "Thm 1 adversary must defeat shortest-path on K8:\n{text}"
     );
 }
+
+#[test]
+fn fig9_claims_no_impossibility_it_did_not_prove() {
+    // A negative cell only shows that the adversaries defeat the pattern
+    // portfolio; "Impossible" may appear only in the paper's verdicts.
+    let exe = env!("CARGO_BIN_EXE_fig9_landscape");
+    let text = stdout_of(&run_bin(exe, &[]));
+    let rows: Vec<&str> = text.lines().filter(|l| l.contains("[paper:")).collect();
+    assert_eq!(rows.len(), 15, "one row per Figure 9 graph:\n{text}");
+    for row in rows {
+        let (cells, _) = row.split_once("[paper:").expect("filtered on it");
+        assert!(!cells.contains("Impossible"), "overclaiming cell: {row}");
+    }
+    assert!(
+        text.contains("portfolio defeated"),
+        "negative cells must run the adversaries:\n{text}"
+    );
+}

@@ -31,36 +31,28 @@ pub use small_graphs::{
 };
 
 use frr_graph::Graph;
-use frr_routing::adversary::{Adversary, BruteForceAdversary, Counterexample, RandomAdversary};
+use frr_routing::adversary::{Counterexample, RandomAdversary};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::resilience::{Property, EXHAUSTIVE_EDGE_LIMIT};
 
-/// A generic adversary suitable for the source–destination model on a small
-/// graph: random search first (cheap), exhaustive search as a fallback.
-pub fn source_destination_adversary<P: CompilePattern + ?Sized>(
+/// A generic adversary for the source–destination and destination-only
+/// models (they differ only in what the pattern reads): random search first
+/// (cheap), then, on graphs with at most 16 links, the exhaustive
+/// [`check`](frr_routing::resilience::check) of failure sets of at most
+/// `max_failures` links.
+pub fn routing_adversary<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
     max_failures: usize,
 ) -> Option<Counterexample> {
     let random = RandomAdversary::new(4_000, max_failures, 0xC0FFEE);
-    if let Some(ce) = random.find_counterexample(g, pattern) {
-        return Some(ce);
-    }
-    if g.edge_count() <= 16 {
-        return BruteForceAdversary::with_max_failures(max_failures)
-            .find_counterexample(g, pattern);
-    }
-    None
-}
-
-/// A generic adversary for the destination-only model (same search strategy —
-/// the models only differ in what the pattern reads).
-pub fn destination_only_adversary<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-    max_failures: usize,
-) -> Option<Counterexample> {
-    source_destination_adversary(g, pattern, max_failures)
+    random.find_counterexample(g, pattern).or_else(|| {
+        if g.edge_count() <= 16 {
+            crate::refute(g, pattern, Property::bounded(max_failures))
+        } else {
+            None
+        }
+    })
 }
 
 /// A generic adversary for the touring model: exhaustive enumeration where

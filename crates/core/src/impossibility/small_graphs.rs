@@ -15,7 +15,7 @@
 //! counterexample is re-verified by the simulator.
 
 use frr_graph::{generators, Edge, Graph, Node};
-use frr_routing::adversary::{verify_counterexample, Adversary, Counterexample, RandomAdversary};
+use frr_routing::adversary::{verify_counterexample, Counterexample, RandomAdversary};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::failure::FailureSet;
 use frr_routing::resilience::Property;

@@ -24,8 +24,9 @@ pub struct LandscapeEntry {
 /// The graphs of Figure 9 with the verdicts stated in the paper.
 ///
 /// "Sometimes" cells do not occur in Figure 9 (it only charts the named
-/// complete / complete-bipartite family), so every cell is either
-/// [`Feasibility::Possible`] or [`Feasibility::Impossible`].
+/// complete / complete-bipartite family), so every cell is
+/// [`Feasibility::Possible`] or [`Feasibility::Impossible`], except `K6`
+/// source–destination, which the paper leaves [`Feasibility::Unknown`].
 pub fn figure9_entries() -> Vec<LandscapeEntry> {
     use Feasibility::{Impossible, Possible};
     let e = |name, graph, tour, dest, srcdest| LandscapeEntry {

@@ -96,7 +96,5 @@ pub mod prelude {
         K5SourcePattern, OuterplanarDestinationPattern, OuterplanarTouringPattern,
     };
     pub use crate::classify::{classify, Classification, ClassifyBudget, Feasibility};
-    pub use crate::impossibility::{
-        destination_only_adversary, source_destination_adversary, touring_adversary,
-    };
+    pub use crate::impossibility::{routing_adversary, touring_adversary};
 }

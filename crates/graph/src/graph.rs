@@ -59,7 +59,6 @@ impl From<Node> for usize {
 /// use frr_graph::{Edge, Node};
 /// let e = Edge::new(Node(4), Node(1));
 /// assert_eq!(e.endpoints(), (Node(1), Node(4)));
-/// assert!(e.is_incident(Node(4)));
 /// assert_eq!(e.other(Node(1)), Some(Node(4)));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,12 +98,6 @@ impl Edge {
     #[inline]
     pub fn v(self) -> Node {
         self.v
-    }
-
-    /// Returns `true` if `x` is one of the endpoints.
-    #[inline]
-    pub fn is_incident(self, x: Node) -> bool {
-        self.u == x || self.v == x
     }
 
     /// Returns the endpoint different from `x`, or `None` if `x` is not an
@@ -470,9 +463,6 @@ mod tests {
     #[test]
     fn edge_incidence_helpers() {
         let e = Edge::new(Node(1), Node(4));
-        assert!(e.is_incident(Node(1)));
-        assert!(e.is_incident(Node(4)));
-        assert!(!e.is_incident(Node(2)));
         assert_eq!(e.other(Node(1)), Some(Node(4)));
         assert_eq!(e.other(Node(4)), Some(Node(1)));
         assert_eq!(e.other(Node(3)), None);

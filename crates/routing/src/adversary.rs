@@ -1,13 +1,14 @@
-//! Generic adversaries that search for failure scenarios defeating a pattern.
+//! Counterexamples and the randomized adversary that searches for them.
 //!
 //! The paper's impossibility proofs are adversary arguments: given *any*
 //! candidate forwarding pattern, the adversary constructs a failure set under
 //! which the pattern loops or strands the packet even though source and
 //! destination remain connected.  `frr-core` implements the paper's
 //! *constructive* adversaries (K7, K4,4, the `K_{3+5r}` price-of-locality
-//! gadget, …); this module provides the model-agnostic ones — exhaustive and
-//! randomized search — used to cross-check them and to probe patterns on
-//! arbitrary graphs.
+//! gadget, …).  The exhaustive search is [`crate::resilience::check`]; this
+//! module adds the [`Counterexample`] every search returns, its independent
+//! [`verify_counterexample`], and [`RandomAdversary`], a seeded sampler for
+//! graphs too large to sweep.
 
 use crate::budget::{
     sharded_first_controlled, Progress, RunBudget, ShardEvent, StopCause, Verdict, WorkerPanicked,
@@ -15,9 +16,7 @@ use crate::budget::{
 use crate::compiled::{CompilePattern, CompiledSim, Forwarder};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
-use crate::resilience::replay_route;
 use crate::simulator::{route, state_space_bound, Outcome};
-use crate::sweep::{failure_set_at, sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use frr_graph::{Edge, Graph, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,124 +49,6 @@ impl fmt::Display for Counterexample {
             self.failures,
             self.path.len()
         )
-    }
-}
-
-/// An adversary: a strategy for finding a [`Counterexample`] against a
-/// forwarding pattern on a given network.
-///
-/// Adversaries take [`CompilePattern`] candidates: the searches forward
-/// through one [`Forwarder`], so they probe scenarios on the dense tables and
-/// keep the interpreted trait-object path only for patterns whose compile
-/// refuses or panics.
-pub trait Adversary {
-    /// Searches for a failure scenario defeating `pattern` on `g`.
-    fn find_counterexample<P: CompilePattern + ?Sized>(
-        &self,
-        g: &Graph,
-        pattern: &P,
-    ) -> Option<Counterexample>;
-
-    /// Human-readable name for experiment output.
-    fn name(&self) -> String;
-}
-
-/// Exhaustive adversary: enumerates failure sets (optionally bounded in size)
-/// and all source/destination pairs.  Only suitable for small graphs.
-#[derive(Debug, Clone)]
-pub struct BruteForceAdversary {
-    /// Maximum number of failed links to consider (`None` = unbounded).
-    pub max_failures: Option<usize>,
-    /// Maximum number of failure sets to try before giving up.
-    pub max_sets: u64,
-}
-
-impl Default for BruteForceAdversary {
-    fn default() -> Self {
-        BruteForceAdversary {
-            max_failures: None,
-            max_sets: 2_000_000,
-        }
-    }
-}
-
-impl BruteForceAdversary {
-    /// An exhaustive adversary bounded to failure sets of at most `max` links.
-    pub fn with_max_failures(max: usize) -> Self {
-        BruteForceAdversary {
-            max_failures: Some(max),
-            ..Default::default()
-        }
-    }
-}
-
-impl Adversary for BruteForceAdversary {
-    fn find_counterexample<P: CompilePattern + ?Sized>(
-        &self,
-        g: &Graph,
-        pattern: &P,
-    ) -> Option<Counterexample> {
-        match self.search_with_budget(g, pattern, &RunBudget::unlimited()) {
-            Ok(Verdict::Refuted(ce)) => Some(ce),
-            Ok(_) => None,
-            Err(WorkerPanicked {
-                position, message, ..
-            }) => panic!("sweep worker panicked at enumeration position {position}: {message}"),
-        }
-    }
-
-    fn name(&self) -> String {
-        match self.max_failures {
-            Some(k) => format!("brute-force(|F| <= {k})"),
-            None => "brute-force".to_string(),
-        }
-    }
-}
-
-impl BruteForceAdversary {
-    /// Budgeted search: [`Adversary::find_counterexample`]'s enumeration
-    /// under a [`RunBudget`], returning a typed [`Verdict`].
-    ///
-    /// `Proven` means *no counterexample exists in the configured search
-    /// space* (failure sets within `max_failures`) — the full space was
-    /// enumerated, neither `max_sets` nor the budget clipped it.  Any early
-    /// stop (deadline, cancellation, `max_sets`, work budget) is an honest
-    /// [`Verdict::Indeterminate`] with progress; a panicking probe is a
-    /// typed [`WorkerPanicked`] with the offending failure set.
-    pub fn search_with_budget<P: CompilePattern + ?Sized>(
-        &self,
-        g: &Graph,
-        pattern: &P,
-        budget: &RunBudget,
-    ) -> Result<Verdict, WorkerPanicked> {
-        let fwd = Forwarder::new(g, pattern);
-        let mask_budget = self.max_sets.min(budget.work_limit().unwrap_or(u64::MAX));
-        let report = sweep_find_first_budgeted(
-            g,
-            self.max_failures,
-            Some(mask_budget),
-            &budget.stop_signal(),
-            |engine: &mut SweepEngine<'_>| {
-                let (s, t) = engine.first_undelivered(&fwd, 0..g.node_count())?;
-                Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
-            },
-        );
-        match report.end {
-            SweepEnd::Found(ce) => Ok(Verdict::Refuted(ce)),
-            SweepEnd::Exhausted => Ok(Verdict::Proven),
-            SweepEnd::Panicked { position, message } => Err(WorkerPanicked {
-                position,
-                failures: failure_set_at(g, self.max_failures, position),
-                message,
-            }),
-            SweepEnd::Stopped(cause) => Ok(Verdict::Indeterminate(Progress {
-                masks_examined: report.masks_examined,
-                weight_reached: report.max_weight,
-                elapsed: budget.elapsed(),
-                stopped_by: cause,
-                sampled_trials: 0,
-            })),
-        }
     }
 }
 
@@ -262,10 +143,14 @@ impl RandomAdversary {
             path: result.path,
         })
     }
-}
 
-impl Adversary for RandomAdversary {
-    fn find_counterexample<P: CompilePattern + ?Sized>(
+    /// Searches for a failure scenario defeating `pattern` on `g`: the
+    /// counterexample of the smallest trial index, if any trial hits.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a probe panic: the pattern itself is broken.
+    pub fn find_counterexample<P: CompilePattern + ?Sized>(
         &self,
         g: &Graph,
         pattern: &P,
@@ -279,17 +164,8 @@ impl Adversary for RandomAdversary {
         }
     }
 
-    fn name(&self) -> String {
-        format!(
-            "random(trials={}, |F| <= {})",
-            self.trials, self.max_failures
-        )
-    }
-}
-
-impl RandomAdversary {
-    /// Budgeted search: [`Adversary::find_counterexample`]'s trial sweep
-    /// under a [`RunBudget`], returning a typed [`Verdict`].
+    /// Budgeted search: [`RandomAdversary::find_counterexample`]'s trial
+    /// sweep under a [`RunBudget`], returning a typed [`Verdict`].
     ///
     /// A randomized search can refute but never prove, so completing every
     /// trial without a hit is still [`Verdict::Indeterminate`] (with
@@ -381,48 +257,8 @@ pub fn verify_counterexample<P: ForwardingPattern + ?Sized>(
 mod tests {
     use super::*;
     use crate::model::RoutingModel;
-    use crate::pattern::{FnPattern, RotorPattern, ShortestPathPattern};
+    use crate::pattern::{FnPattern, RotorPattern};
     use frr_graph::generators;
-
-    #[test]
-    fn brute_force_finds_nothing_against_resilient_pattern() {
-        let g = generators::cycle(5);
-        let p = RotorPattern::clockwise_with_shortcut(&g);
-        let adv = BruteForceAdversary::default();
-        assert!(adv.find_counterexample(&g, &p).is_none());
-        assert!(adv.name().contains("brute-force"));
-    }
-
-    #[test]
-    fn brute_force_defeats_naive_pattern_on_k4() {
-        // A pattern ignoring the in-port: always forwards to the smallest
-        // alive neighbor that is not the packet's previous node cannot be
-        // expressed without the in-port, so use a plainly broken one instead:
-        // always forward to the smallest alive neighbor.
-        let g = generators::complete(4);
-        let p = FnPattern::new(RoutingModel::DestinationOnly, "smallest-alive", |ctx| {
-            if ctx.destination_is_alive_neighbor() {
-                return Some(ctx.destination);
-            }
-            ctx.alive_neighbors().first().copied()
-        });
-        let adv = BruteForceAdversary::default();
-        let ce = adv
-            .find_counterexample(&g, &p)
-            .expect("the naive pattern must fail");
-        assert!(verify_counterexample(&g, &p, &ce));
-        assert_eq!(ce.outcome, Outcome::Loop);
-    }
-
-    #[test]
-    fn brute_force_respects_failure_bound() {
-        let g = generators::cycle(6);
-        let p = ShortestPathPattern::new(&g);
-        // With at most 1 failure a ring is survivable by this pattern.
-        let adv = BruteForceAdversary::with_max_failures(1);
-        assert!(adv.find_counterexample(&g, &p).is_none());
-        assert!(adv.name().contains("<= 1"));
-    }
 
     #[test]
     fn random_adversary_is_reproducible_and_effective() {
@@ -447,7 +283,6 @@ mod tests {
             .expect("must find a violation");
         assert_eq!(ce1, ce2, "same seed must give the same counterexample");
         assert!(verify_counterexample(&g, &p, &ce1));
-        assert!(adv.name().contains("random"));
     }
 
     #[test]

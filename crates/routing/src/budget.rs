@@ -3,7 +3,7 @@
 //!
 //! Every checker in this workspace answers an exponential question (`2^m`
 //! failure-mask sweeps, budgeted minor search).  The checks built on this
-//! module ([`crate::resilience::check`], the brute-force adversary's
+//! module ([`crate::resilience::check`], the randomized adversary's
 //! budgeted search) are *interruptible* and *fail-safe*:
 //!
 //! * a [`RunBudget`] carries an optional deadline, an optional work-unit

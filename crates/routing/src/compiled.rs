@@ -522,8 +522,8 @@ pub trait CompilePattern: ForwardingPattern {
     /// to serve packets addressed to `t`.
     ///
     /// The provided default tabulates `t`'s table exactly like [`tabulate`];
-    /// patterns with direct compilers override it via
-    /// [`compile_lists_destination`].  For any destination `t`, routing on
+    /// patterns with direct compilers (the rotor and shortest-path
+    /// patterns) override it.  For any destination `t`, routing on
     /// `compile_destination(g, t)` is identical to routing on the `t` slice
     /// of `compile(g)` (pinned by the differential tests).
     fn compile_destination(&self, g: &Graph, t: Node) -> Option<CompiledPattern> {
@@ -842,23 +842,6 @@ where
         name,
         node_lists(g.node_count(), rule),
     )
-}
-
-/// [`compile_lists`] for only destination `t`'s table of a destination-only
-/// pattern — the direct-compiler counterpart of [`tabulate_destination`],
-/// used by patterns overriding [`CompilePattern::compile_destination`].
-///
-/// Returns `None` if some node has degree ≥ 64 or `t` is out of range.
-pub fn compile_lists_destination<F>(
-    g: &Graph,
-    name: Cow<'static, str>,
-    t: Node,
-    rule: F,
-) -> Option<CompiledPattern>
-where
-    F: FnMut(Node, Node, Node, Option<Node>, &mut Vec<Node>),
-{
-    compile_port_lists_destination(PortGraph::new(g), name, t, node_lists(g.node_count(), rule))
 }
 
 /// [`node_lists`]' entry for a node that is not a neighbor of the current
@@ -1419,12 +1402,6 @@ mod tests {
             assert_ne!(slice.digest(), full.digest(), "slice {t}");
             let direct = p.compile_destination(&g, t).expect("compiles");
             assert_eq!(direct.digest(), direct.fresh_digest(), "direct {t}");
-            let lists = compile_lists_destination(&g, p.name(), t, |_s, t, v, _inport, out| {
-                out.push(t);
-                out.extend(g.neighbors(v));
-            })
-            .expect("compiles");
-            assert_eq!(lists.digest(), lists.fresh_digest(), "lists {t}");
         }
     }
 

@@ -25,8 +25,9 @@
 //! * [`resilience`] — the one resilience checker, [`resilience::check`]:
 //!   perfect resilience, `r`-tolerance, bounded failures and touring,
 //!   exhaustive with a reproducible sampling fallback,
-//! * [`adversary`] — generic brute-force and randomized adversaries that
-//!   search for failure scenarios defeating a given pattern,
+//! * [`adversary`] — the [`adversary::Counterexample`] every search returns,
+//!   its independent verifier and a seeded randomized adversary for graphs
+//!   too large to sweep,
 //! * [`budget`] — the run-budget control layer: wall-clock deadlines,
 //!   work-unit budgets, cooperative [`budget::CancelToken`] cancellation and
 //!   the typed [`budget::Verdict`] every check returns,
@@ -72,7 +73,7 @@ pub mod sweep;
 
 /// Convenience prelude bringing the most frequently used items into scope.
 pub mod prelude {
-    pub use crate::adversary::{Adversary, BruteForceAdversary, Counterexample, RandomAdversary};
+    pub use crate::adversary::{Counterexample, RandomAdversary};
     pub use crate::budget::{
         CancelToken, Progress, RunBudget, StopCause, StopSignal, Verdict, WorkerPanicked,
     };

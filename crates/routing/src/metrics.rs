@@ -47,14 +47,6 @@ impl DeliveryStats {
         self.total_hops as f64 / self.total_optimal_hops as f64
     }
 
-    /// Mean hop count over delivered packets.
-    pub fn mean_hops(&self) -> f64 {
-        if self.delivered == 0 {
-            return 0.0;
-        }
-        self.total_hops as f64 / self.delivered as f64
-    }
-
     /// Records one routed packet.
     pub fn record(&mut self, outcome: Outcome, hops: usize, optimal: usize) {
         self.connected_scenarios += 1;
@@ -151,7 +143,6 @@ mod tests {
         let mut s = DeliveryStats::default();
         assert_eq!(s.delivery_ratio(), 1.0);
         assert_eq!(s.mean_stretch(), 1.0);
-        assert_eq!(s.mean_hops(), 0.0);
         s.record(Outcome::Delivered, 4, 2);
         s.record(Outcome::Loop, 7, 2);
         s.record(Outcome::Stuck, 0, 1);
@@ -161,7 +152,6 @@ mod tests {
         assert_eq!(s.stuck, 1);
         assert!((s.delivery_ratio() - 1.0 / 3.0).abs() < 1e-12);
         assert!((s.mean_stretch() - 2.0).abs() < 1e-12);
-        assert!((s.mean_hops() - 4.0).abs() < 1e-12);
         let mut t = DeliveryStats::default();
         t.merge(&s);
         t.merge(&s);

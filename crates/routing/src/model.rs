@@ -20,25 +20,6 @@ pub enum RoutingModel {
     Touring,
 }
 
-impl RoutingModel {
-    /// All three models, from most to least header information.
-    pub const ALL: [RoutingModel; 3] = [
-        RoutingModel::SourceDestination,
-        RoutingModel::DestinationOnly,
-        RoutingModel::Touring,
-    ];
-
-    /// `true` if this model may match the packet source.
-    pub fn matches_source(self) -> bool {
-        self == RoutingModel::SourceDestination
-    }
-
-    /// `true` if this model may match the packet destination.
-    pub fn matches_destination(self) -> bool {
-        self != RoutingModel::Touring
-    }
-}
-
 impl fmt::Display for RoutingModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -115,11 +96,6 @@ mod tests {
 
     #[test]
     fn model_metadata() {
-        assert!(RoutingModel::SourceDestination.matches_source());
-        assert!(!RoutingModel::DestinationOnly.matches_source());
-        assert!(RoutingModel::DestinationOnly.matches_destination());
-        assert!(!RoutingModel::Touring.matches_destination());
-        assert_eq!(RoutingModel::ALL.len(), 3);
         assert_eq!(format!("{}", RoutingModel::Touring), "touring");
     }
 

@@ -165,12 +165,6 @@ impl RotorPattern {
         Self::from_rotation(rotation, true)
     }
 
-    /// Overrides the reported name.
-    pub fn with_name(mut self, name: impl Into<Cow<'static, str>>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// The rotation (cyclic neighbor order) at every node.
     pub fn rotation(&self) -> &[Vec<Node>] {
         &self.rotation
@@ -554,14 +548,6 @@ mod tests {
         // Destination adjacent: deliver directly.
         let c = ctx(&g, Node(1), Some(Node(0)), Node(0), Node(2), &empty);
         assert_eq!(p.next_hop(&c), Some(Node(2)));
-    }
-
-    #[test]
-    fn with_name_overrides_reported_name() {
-        let g = generators::cycle(4);
-        let p = RotorPattern::clockwise(&g).with_name("my-rotor");
-        assert_eq!(p.name(), "my-rotor");
-        assert_eq!(p.rotation().len(), 4);
     }
 
     #[test]

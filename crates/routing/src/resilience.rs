@@ -335,7 +335,7 @@ fn tolerance_violation<P: ForwardingPattern + ?Sized>(
 /// Replays a failing routing scenario through the plain simulator to attach
 /// the packet's path to the counterexample (the sweep hot loop itself never
 /// builds paths).
-pub(crate) fn replay_route<P: ForwardingPattern + ?Sized>(
+fn replay_route<P: ForwardingPattern + ?Sized>(
     g: &Graph,
     pattern: &P,
     failures: FailureSet,
@@ -621,6 +621,30 @@ mod tests {
             }
             v => panic!("an unlimited in-limit check decides: {v}"),
         }
+    }
+
+    #[test]
+    fn check_defeats_naive_pattern_on_k4() {
+        // Always forwarding to the smallest alive neighbor (after the
+        // destination shortcut) ignores the in-port and loops on K4.  The
+        // pattern is a tabulated closure, so the refutation is found on
+        // the dense tables and replayed on the interpreter.
+        use crate::adversary::verify_counterexample;
+        use crate::model::RoutingModel;
+        use crate::pattern::FnPattern;
+        let g = generators::complete(4);
+        let p = FnPattern::new(RoutingModel::DestinationOnly, "smallest-alive", |ctx| {
+            if ctx.destination_is_alive_neighbor() {
+                return Some(ctx.destination);
+            }
+            ctx.alive_neighbors().first().copied()
+        });
+        let verdict = unlimited(&g, &p, Property::PERFECT);
+        let ce = verdict
+            .counterexample()
+            .expect("the naive pattern must fail");
+        assert!(verify_counterexample(&g, &p, ce));
+        assert_eq!(ce.outcome, Outcome::Loop);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! per-test timeout.
 
 use frr_graph::{generators, Node};
-use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
+use frr_routing::adversary::RandomAdversary;
 use frr_routing::budget::{CancelToken, RunBudget, StopCause, Verdict};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::failure::FailureSet;
@@ -139,22 +139,6 @@ fn panicking_pattern_yields_typed_worker_panicked_with_the_mask() {
 }
 
 #[test]
-fn brute_force_adversary_reports_panics_as_typed_errors() {
-    let g = generators::cycle(6);
-    let adversary = BruteForceAdversary::default();
-    let err = adversary
-        .search_with_budget(&g, &PanicPattern, &RunBudget::unlimited())
-        .expect_err("the pattern panics mid-search");
-    assert!(err.failures.is_some());
-    assert!(err.message.contains("hostile pattern panic"));
-    // The unbudgeted entry point must still find counterexamples for honest
-    // hostile patterns (no panic, just misbehavior).
-    assert!(adversary
-        .find_counterexample(&g, &FailedLinkForwarder)
-        .is_some());
-}
-
-#[test]
 fn random_adversary_reports_panics_with_the_reconstructed_trial() {
     let g = generators::cycle(8);
     let adversary = RandomAdversary::new(4096, 3, 0xC0FFEE);
@@ -163,13 +147,6 @@ fn random_adversary_reports_panics_with_the_reconstructed_trial() {
         .expect_err("some trial draws a non-empty failure set");
     let failures = err.failures.as_ref().expect("trial is replayable");
     assert!(!failures.is_empty());
-}
-
-#[test]
-#[should_panic(expected = "sweep worker panicked at enumeration position")]
-fn brute_force_adversary_unbudgeted_search_reraises_a_probe_panic() {
-    let g = generators::cycle(6);
-    BruteForceAdversary::default().find_counterexample(&g, &PanicPattern);
 }
 
 #[test]
@@ -293,10 +270,14 @@ fn panicking_compile_keeps_the_interpreter_in_every_entry_point() {
     // for the same pattern with compilation refused.
     let g = generators::cycle(6);
     let refused = NoCompile(PanicOnCompile);
-    let brute = BruteForceAdversary::with_max_failures(2);
-    let found = brute.find_counterexample(&g, &PanicOnCompile);
-    assert!(found.is_some(), "first-alive forwarding loops on a ring");
-    assert_eq!(found, brute.find_counterexample(&g, &refused));
+    let unlimited = RunBudget::unlimited();
+    let found = check(&g, &PanicOnCompile, Property::bounded(2), &unlimited)
+        .expect("the interpreter does not panic");
+    assert!(found.is_refuted(), "first-alive forwarding loops on a ring");
+    assert_eq!(
+        found,
+        check(&g, &refused, Property::bounded(2), &unlimited).expect("no panic")
+    );
     let random = RandomAdversary::new(256, 2, 5);
     assert_eq!(
         random.find_counterexample(&g, &PanicOnCompile),
