@@ -14,18 +14,12 @@ use frr_core::algorithms::{
 use frr_core::impossibility::{routing_adversary, touring_adversary};
 use frr_core::landscape::figure9_entries;
 use frr_graph::Graph;
-use frr_routing::adversary::Counterexample;
 use frr_routing::compiled::CompilePattern;
 use frr_routing::resilience::Property;
 
-/// Whether `adversary` defeats every pattern of the portfolio on `g`.
-fn portfolio_defeated(
-    g: &Graph,
-    adversary: impl Fn(&dyn CompilePattern) -> Option<Counterexample>,
-) -> bool {
-    pattern_portfolio(g)
-        .iter()
-        .all(|p| adversary(p.as_ref()).is_some())
+/// Whether `defeats` holds for every pattern of the portfolio on `g`.
+fn portfolio_defeated(g: &Graph, defeats: impl Fn(&dyn CompilePattern) -> bool) -> bool {
+    pattern_portfolio(g).iter().all(|p| defeats(p.as_ref()))
 }
 
 fn main() {
@@ -43,7 +37,7 @@ fn main() {
             } else {
                 "Possible? (check failed)"
             }
-        } else if portfolio_defeated(g, |p| touring_adversary(g, p)) {
+        } else if portfolio_defeated(g, |p| touring_adversary(g, p).is_some()) {
             "portfolio defeated"
         } else {
             "undecided here"
@@ -63,7 +57,7 @@ fn main() {
             };
         let dest = if verified {
             "Possible (verified)"
-        } else if portfolio_defeated(g, |p| routing_adversary(g, p, g.edge_count())) {
+        } else if portfolio_defeated(g, |p| routing_adversary(g, p, g.edge_count()).is_refuted()) {
             "portfolio defeated"
         } else {
             "undecided here"
@@ -82,7 +76,7 @@ fn main() {
             } else {
                 "check failed"
             }
-        } else if portfolio_defeated(g, |p| routing_adversary(g, p, 15)) {
+        } else if portfolio_defeated(g, |p| routing_adversary(g, p, 15).is_refuted()) {
             "portfolio defeated"
         } else {
             "open (paper: see Table I)"

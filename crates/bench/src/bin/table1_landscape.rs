@@ -18,15 +18,11 @@ use frr_core::algorithms::{r_tolerant_bipartite_pattern, r_tolerant_complete_pat
 use frr_core::impossibility::r_tolerance_counterexample;
 use frr_core::landscape::table1_tolerance_rows;
 use frr_graph::{generators, Graph, Node};
+use frr_routing::adversary::RandomAdversary;
 use frr_routing::budget::{Progress, RunBudget, Verdict};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::pattern::ShortestPathPattern;
-use frr_routing::resilience::{
-    check, is_r_tolerant_sampled, EdgeLimitExceeded, Property, SamplingBudget,
-    EXHAUSTIVE_EDGE_LIMIT,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use frr_routing::resilience::{check, EdgeLimitExceeded, Property, EXHAUSTIVE_EDGE_LIMIT};
 
 /// Outcome of one positive Table I cell.
 enum CellVerdict {
@@ -37,7 +33,7 @@ enum CellVerdict {
     /// pattern — evidence, not a proof.
     Sampled {
         pair: (Node, Node),
-        draws: usize,
+        draws: u64,
     },
     Failed,
     /// The run budget stopped one pair's sweep; the payload is that sweep's
@@ -74,27 +70,17 @@ fn main() {
         "K_{2r-1,2r-1} possible (Thm 5)",
         "K_{5r+3} impossible (Thm 1)"
     );
-    let mut rng = StdRng::seed_from_u64(1);
     for row in table1_tolerance_rows(args.count) {
         let r = row.r;
         // Positive: K_{2r+1} with the distance-2 pattern.
         let kc = generators::complete(row.complete_possible_nodes);
         let pc = r_tolerant_complete_pattern();
-        let complete_cell = verify_cell(&kc, &pc, Node(0), Node(1), r, links_limit, &run, &mut rng);
+        let complete_cell = verify_cell(&kc, &pc, Node(0), Node(1), r, links_limit, &run);
         // Positive: K_{2r-1,2r-1} with the bipartite distance-3 pattern.
         let part = row.bipartite_possible_part;
         let kb = generators::complete_bipartite(part, part);
         let pb = r_tolerant_bipartite_pattern(&kb);
-        let bipartite_cell = verify_cell(
-            &kb,
-            &pb,
-            Node(0),
-            Node(part),
-            r,
-            links_limit,
-            &run,
-            &mut rng,
-        );
+        let bipartite_cell = verify_cell(&kb, &pb, Node(0), Node(part), r, links_limit, &run);
         // Negative: K_{5r+3} defeated by the Theorem 1 adversary.
         let victim = ShortestPathPattern::new(&generators::complete(row.complete_impossible_nodes));
         let defeated = r_tolerance_counterexample(r, &victim).is_some();
@@ -134,7 +120,6 @@ fn main() {
 /// graph is within the exhaustive edge limit (a one-line skip plus a sampled
 /// check of the single pair `(sample_s, sample_t)` otherwise — never a
 /// panic), each pair's sweep under the run budget.
-#[allow(clippy::too_many_arguments)]
 fn verify_cell<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -143,7 +128,6 @@ fn verify_cell<P: CompilePattern + ?Sized>(
     r: usize,
     links_limit: usize,
     run: &RunBudget,
-    rng: &mut StdRng,
 ) -> CellVerdict {
     if g.edge_count() > links_limit {
         let e = EdgeLimitExceeded {
@@ -151,13 +135,18 @@ fn verify_cell<P: CompilePattern + ?Sized>(
             limit: links_limit,
         };
         println!("    [skip] exhaustive cell: {e}; sampling instead");
-        let budget = SamplingBudget::new(12, 150);
-        return match is_r_tolerant_sampled(g, pattern, sample_s, sample_t, r, budget, rng) {
-            Ok(()) => CellVerdict::Sampled {
+        let property = Property::Tolerance {
+            source: sample_s,
+            destination: sample_t,
+            r,
+        };
+        let sampler = RandomAdversary::new(1950, 12, 1);
+        return match sampler.search_with_budget(g, pattern, property, &RunBudget::unlimited()) {
+            Ok(Verdict::Indeterminate(progress)) => CellVerdict::Sampled {
                 pair: (sample_s, sample_t),
-                draws: budget.draws(),
+                draws: progress.sampled_trials,
             },
-            Err(_) => CellVerdict::Failed,
+            _ => CellVerdict::Failed,
         };
     }
     for s in g.nodes() {

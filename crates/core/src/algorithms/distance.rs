@@ -186,11 +186,10 @@ mod tests {
     use frr_graph::connectivity::same_component;
     use frr_graph::traversal::distance;
     use frr_graph::{generators, Node};
+    use frr_routing::adversary::RandomAdversary;
     use frr_routing::failure::GrayFailureSets;
-    use frr_routing::resilience::{is_r_tolerant_sampled, Property, SamplingBudget};
+    use frr_routing::resilience::Property;
     use frr_routing::simulator::{route, state_space_bound};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Exhaustively checks that `pattern` delivers whenever `s` and `t` are at
     /// distance ≤ `promise` in `G \ F`.
@@ -280,17 +279,13 @@ mod tests {
         // use the reproducible sampled checker.
         let g = generators::complete(7);
         let p = r_tolerant_complete_pattern();
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(is_r_tolerant_sampled(
-            &g,
-            &p,
-            Node(0),
-            Node(6),
-            3,
-            SamplingBudget::new(12, 200),
-            &mut rng
-        )
-        .is_ok());
+        let pair = Property::Tolerance {
+            source: Node(0),
+            destination: Node(6),
+            r: 3,
+        };
+        let sampler = RandomAdversary::new(2600, 12, 7);
+        assert!(sampler.find_counterexample(&g, &p, pair).is_none());
     }
 
     #[test]
@@ -323,27 +318,18 @@ mod tests {
     fn theorem5_k55_is_3_tolerant_sampled() {
         let g = generators::complete_bipartite(5, 5);
         let p = r_tolerant_bipartite_pattern(&g);
-        let mut rng = StdRng::seed_from_u64(11);
-        assert!(is_r_tolerant_sampled(
-            &g,
-            &p,
-            Node(0),
-            Node(9),
-            3,
-            SamplingBudget::new(10, 150),
-            &mut rng
-        )
-        .is_ok());
-        assert!(is_r_tolerant_sampled(
-            &g,
-            &p,
-            Node(0),
-            Node(1),
-            3,
-            SamplingBudget::new(10, 150),
-            &mut rng
-        )
-        .is_ok());
+        let sampler = RandomAdversary::new(1650, 10, 11);
+        for t in [Node(9), Node(1)] {
+            let pair = Property::Tolerance {
+                source: Node(0),
+                destination: t,
+                r: 3,
+            };
+            assert!(
+                sampler.find_counterexample(&g, &p, pair).is_none(),
+                "v0->{t}"
+            );
+        }
     }
 
     #[test]

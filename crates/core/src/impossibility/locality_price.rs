@@ -238,11 +238,9 @@ pub fn theorem2_supergraph_pattern(r: usize) -> (Graph, impl CompilePattern) {
 mod tests {
     use super::*;
     use crate::algorithms::Distance2Pattern;
-    use frr_routing::adversary::verify_counterexample;
+    use frr_routing::adversary::{verify_counterexample, RandomAdversary};
     use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
-    use frr_routing::resilience::{is_r_tolerant_sampled, SamplingBudget};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use frr_routing::resilience::Property;
 
     fn portfolio(g: &Graph) -> Vec<Box<dyn CompilePattern>> {
         vec![
@@ -287,18 +285,15 @@ mod tests {
         let s_prime = Node(3 + 5 * r);
         let t = Node(1);
         // Sampled r-tolerance check for the designated pair on the supergraph.
-        let mut rng = StdRng::seed_from_u64(23);
+        let pair = Property::Tolerance {
+            source: s_prime,
+            destination: t,
+            r,
+        };
         assert!(
-            is_r_tolerant_sampled(
-                &g,
-                &pattern,
-                s_prime,
-                t,
-                r,
-                SamplingBudget::new(6, 300),
-                &mut rng
-            )
-            .is_ok(),
+            RandomAdversary::new(2100, 6, 23)
+                .find_counterexample(&g, &pattern, pair)
+                .is_none(),
             "the supergraph pattern must be r-tolerant for (s', t)"
         );
         // ... while the K_{3+5r} minor admits no r-tolerant pattern: the

@@ -32,27 +32,38 @@ pub use small_graphs::{
 
 use frr_graph::Graph;
 use frr_routing::adversary::{Counterexample, RandomAdversary};
+use frr_routing::budget::{RunBudget, Verdict};
 use frr_routing::compiled::CompilePattern;
-use frr_routing::resilience::{Property, EXHAUSTIVE_EDGE_LIMIT};
+use frr_routing::resilience::{check, Property, EXHAUSTIVE_EDGE_LIMIT};
 
 /// A generic adversary for the source–destination and destination-only
 /// models (they differ only in what the pattern reads): random search first
 /// (cheap), then, on graphs with at most 16 links, the exhaustive
-/// [`check`](frr_routing::resilience::check) of failure sets of at most
-/// `max_failures` links.
+/// [`check`] of failure sets of at most `max_failures` links.
+///
+/// `Refuted` comes from either stage and `Proven` only from the exhaustive
+/// one; on a larger graph a fruitless search is `Indeterminate`, with the
+/// random stage's trial count in `sampled_trials`.
+///
+/// # Panics
+///
+/// Re-raises a probe panic: the pattern itself is broken.
 pub fn routing_adversary<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
     max_failures: usize,
-) -> Option<Counterexample> {
+) -> Verdict {
+    let property = Property::bounded(max_failures);
     let random = RandomAdversary::new(4_000, max_failures, 0xC0FFEE);
-    random.find_counterexample(g, pattern).or_else(|| {
-        if g.edge_count() <= 16 {
-            crate::refute(g, pattern, Property::bounded(max_failures))
-        } else {
-            None
-        }
-    })
+    let verdict = random
+        .search_with_budget(g, pattern, property, &RunBudget::unlimited())
+        .and_then(|sampled| match sampled {
+            Verdict::Indeterminate(_) if g.edge_count() <= 16 => {
+                check(g, pattern, property, &RunBudget::unlimited())
+            }
+            sampled => Ok(sampled),
+        });
+    verdict.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A generic adversary for the touring model: exhaustive enumeration where

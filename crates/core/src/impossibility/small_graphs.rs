@@ -104,7 +104,8 @@ pub fn k7_counterexample<P: CompilePattern + ?Sized>(
 
 /// Like [`k7_counterexample`], but only probes scenarios whose destination is
 /// `destination` (used by the Theorem 14 simulation argument, which must keep
-/// the embedded destination fixed).
+/// the embedded destination fixed) — the randomized fallback samples only
+/// packets towards it.
 pub fn k7_counterexample_for_destination<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -138,10 +139,13 @@ pub fn k7_counterexample_for_destination<P: CompilePattern + ?Sized>(
         }
     }
     // Fallback: randomized search bounded to 15 failures.
+    let property = Property::Routing {
+        max_failures: Some(15),
+        destination,
+    };
     RandomAdversary::new(20_000, 15, 0x5EED)
-        .find_counterexample(g, pattern)
+        .find_counterexample(g, pattern, property)
         .filter(|ce| verify_counterexample(g, pattern, ce))
-        .filter(|ce| destination.is_none_or(|d| ce.destination == d))
 }
 
 /// The final trap walk of Lemma 6 on `K4,4`: the packet loops through
@@ -172,7 +176,8 @@ pub fn k44_counterexample<P: CompilePattern + ?Sized>(
 }
 
 /// Like [`k44_counterexample`], but only probes scenarios whose destination is
-/// `destination` (used by the Theorem 15 simulation argument).
+/// `destination` (used by the Theorem 15 simulation argument) — the
+/// randomized fallback samples only packets towards it.
 pub fn k44_counterexample_for_destination<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -207,10 +212,13 @@ pub fn k44_counterexample_for_destination<P: CompilePattern + ?Sized>(
             }
         }
     }
+    let property = Property::Routing {
+        max_failures: Some(11),
+        destination,
+    };
     RandomAdversary::new(20_000, 11, 0xBEEF)
-        .find_counterexample(g, pattern)
+        .find_counterexample(g, pattern, property)
         .filter(|ce| verify_counterexample(g, pattern, ce))
-        .filter(|ce| destination.is_none_or(|d| ce.destination == d))
 }
 
 /// Searches (exhaustively) for a counterexample to destination-only perfect
@@ -304,6 +312,40 @@ mod tests {
             let ce = k44_counterexample(&g, pattern.as_ref())
                 .unwrap_or_else(|| panic!("{} must be defeated on K4,4^-1", pattern.name()));
             assert!(verify_counterexample(&g, pattern.as_ref(), &ce));
+        }
+    }
+
+    #[test]
+    fn pinned_fallbacks_sample_only_the_pinned_destination() {
+        // On a ring, every scenario of the structured families fails a link
+        // at the source, so a rotor that drops only at an intact source
+        // dodges both families and leaves the randomized fallback to find
+        // it.  Its first unpinned hit is towards one destination; pinned to
+        // another, the fallback must still find a hit there.
+        use frr_routing::model::RoutingModel;
+        use frr_routing::pattern::{FnPattern, ForwardingPattern};
+        for n in [7, 8] {
+            let adversary = |g: &Graph, p: &dyn CompilePattern, d: Option<Node>| match n {
+                7 => k7_counterexample_for_destination(g, p, d),
+                _ => k44_counterexample_for_destination(g, p, d),
+            };
+            let g = generators::cycle(n);
+            let rotor = RotorPattern::clockwise_with_shortcut(&g);
+            let p = FnPattern::new(
+                RoutingModel::DestinationOnly,
+                "drop-at-intact-source",
+                |ctx| {
+                    let intact_source = ctx.inport.is_none() && ctx.failed_neighbors.is_empty();
+                    let drop = intact_source && !ctx.destination_is_alive_neighbor();
+                    (!drop).then(|| rotor.next_hop(ctx)).flatten()
+                },
+            );
+            let first = adversary(&g, &p, None).expect("the fallback catches the drop");
+            let pinned = g.nodes().find(|&d| d != first.destination).expect("n > 1");
+            let ce = adversary(&g, &p, Some(pinned))
+                .unwrap_or_else(|| panic!("no hit towards {pinned} on cycle({n})"));
+            assert_eq!(ce.destination, pinned);
+            assert!(verify_counterexample(&g, &p, &ce));
         }
     }
 

@@ -7,8 +7,9 @@
 //! *constructive* adversaries (K7, K4,4, the `K_{3+5r}` price-of-locality
 //! gadget, …).  The exhaustive search is [`crate::resilience::check`]; this
 //! module adds the [`Counterexample`] every search returns, its independent
-//! [`verify_counterexample`], and [`RandomAdversary`], a seeded sampler for
-//! graphs too large to sweep.
+//! [`verify_counterexample`], and [`RandomAdversary`], the workspace's one
+//! seeded sampler: it searches any [`Property`] on graphs too large to
+//! sweep, and `check` falls back to it when a budget stops the sweep.
 
 use crate::budget::{
     sharded_first_controlled, Progress, RunBudget, ShardEvent, StopCause, Verdict, WorkerPanicked,
@@ -16,7 +17,8 @@ use crate::budget::{
 use crate::compiled::{CompilePattern, CompiledSim, Forwarder};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
-use crate::simulator::{route, state_space_bound, Outcome};
+use crate::resilience::Property;
+use crate::simulator::{route, state_space_bound, tour, Outcome};
 use frr_graph::{Edge, Graph, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,8 +54,10 @@ impl fmt::Display for Counterexample {
     }
 }
 
-/// Randomized adversary: samples failure sets of random sizes and random
-/// source/destination pairs; reproducible via its seed.
+/// Randomized adversary: samples failure sets of random sizes and the
+/// scenarios a [`Property`] asks about; reproducible via its seed.  It is
+/// the workspace's one sampler: [`crate::resilience::check`] falls back to
+/// it when a sweep stops early or the graph is too large to sweep.
 ///
 /// Every trial derives its own RNG from `(seed, trial index)`, so trial `i`
 /// probes the same scenario no matter how the trial range is sharded across
@@ -63,7 +67,8 @@ impl fmt::Display for Counterexample {
 pub struct RandomAdversary {
     /// Number of scenarios to sample.
     pub trials: usize,
-    /// Maximum number of failed links per scenario.
+    /// Maximum number of failed links per scenario (the property's own
+    /// failure cap, if smaller, wins).
     pub max_failures: usize,
     /// RNG seed (the adversary is deterministic given its seed).
     pub seed: u64,
@@ -88,20 +93,26 @@ impl RandomAdversary {
     }
 
     /// Draws trial `trial`'s scenario — the failure set and `(s, t)` pair —
-    /// as a pure function of `(seed, trial)`.  `pool` is a reusable scratch
+    /// as a pure function of `(seed, trial)`: the failure count `k`, a
+    /// partial Fisher–Yates shuffle for the `k` links, then the nodes the
+    /// property leaves open (`s` and `t` for any-pair routing, `s` alone
+    /// under a pinned destination, the start node for touring — returned as
+    /// both ends — and none for tolerance).  `pool` is a reusable scratch
     /// buffer that is **re-initialized from `edges` every call**, so the
     /// scenario is independent of which trials a worker ran before (the
     /// deterministic sharded merge requires this); it is also how the
     /// budgeted search reconstructs the scenario of a panicking trial.
     fn sample_scenario(
         &self,
+        property: Property,
         edges: &[Edge],
         nodes: &[Node],
         pool: &mut Vec<Edge>,
         trial: u64,
     ) -> (FailureSet, Node, Node) {
         let mut rng = self.trial_rng(trial);
-        let k = rng.gen_range(0..=self.max_failures.min(edges.len()));
+        let cap = property.max_failures().unwrap_or(usize::MAX);
+        let k = rng.gen_range(0..=self.max_failures.min(cap).min(edges.len()));
         pool.clear();
         pool.extend_from_slice(edges);
         // Partial Fisher–Yates: the first k entries become a uniform k-subset.
@@ -110,42 +121,27 @@ impl RandomAdversary {
             pool.swap(i, j);
         }
         let failures = FailureSet::from_edges(pool[..k].iter().copied());
-        let s = nodes[rng.gen_range(0..nodes.len())];
-        let t = nodes[rng.gen_range(0..nodes.len())];
-        (failures, s, t)
+        let mut draw = || nodes[rng.gen_range(0..nodes.len())];
+        match property {
+            Property::Routing { destination, .. } => {
+                let s = draw();
+                (failures, s, destination.unwrap_or_else(draw))
+            }
+            Property::Tolerance {
+                source,
+                destination,
+                ..
+            } => (failures, source, destination),
+            Property::Touring { .. } => {
+                let start = draw();
+                (failures, start, start)
+            }
+        }
     }
 
-    /// Probes one trial's scenario ([`RandomAdversary::sample_scenario`])
-    /// through `fwd`, with the worker's scratch pool buffer and forwarding
-    /// scratch.
-    fn probe_trial<P: ForwardingPattern + ?Sized>(
-        &self,
-        g: &Graph,
-        fwd: &Forwarder<'_, P>,
-        nodes: &[Node],
-        edges: &[Edge],
-        (pool, scratch): &mut (Vec<Edge>, Option<CompiledSim>),
-        trial: u64,
-    ) -> Option<Counterexample> {
-        let (failures, s, t) = self.sample_scenario(edges, nodes, pool, trial);
-        if s == t || !failures.keeps_connected(g, s, t) {
-            return None;
-        }
-        let result = fwd.route(scratch, &failures, s, t);
-        if result.outcome.is_delivered() {
-            return None;
-        }
-        Some(Counterexample {
-            failures,
-            source: s,
-            destination: t,
-            outcome: result.outcome,
-            path: result.path,
-        })
-    }
-
-    /// Searches for a failure scenario defeating `pattern` on `g`: the
-    /// counterexample of the smallest trial index, if any trial hits.
+    /// Searches for a failure scenario violating `property` of `pattern` on
+    /// `g`: the counterexample of the smallest trial index, if any trial
+    /// hits.
     ///
     /// # Panics
     ///
@@ -154,8 +150,9 @@ impl RandomAdversary {
         &self,
         g: &Graph,
         pattern: &P,
+        property: Property,
     ) -> Option<Counterexample> {
-        match self.search_with_budget(g, pattern, &RunBudget::unlimited()) {
+        match self.search_with_budget(g, pattern, property, &RunBudget::unlimited()) {
             Ok(Verdict::Refuted(ce)) => Some(ce),
             Ok(_) => None,
             Err(WorkerPanicked {
@@ -169,14 +166,16 @@ impl RandomAdversary {
     ///
     /// A randomized search can refute but never prove, so completing every
     /// trial without a hit is still [`Verdict::Indeterminate`] (with
-    /// [`StopCause::WorkBudget`]: the trial budget was spent).  A panicking
-    /// trial surfaces as [`WorkerPanicked`] carrying the trial's failure set,
-    /// reconstructed by replaying the trial's deterministic
-    /// `(seed, trial)`-derived sampling.
+    /// [`StopCause::WorkBudget`]: the trial budget was spent), and its
+    /// `sampled_trials` counts the trials drawn.  A panicking trial surfaces
+    /// as [`WorkerPanicked`] carrying the trial's failure set, reconstructed
+    /// by replaying the trial's deterministic `(seed, trial)`-derived
+    /// sampling.
     pub fn search_with_budget<P: CompilePattern + ?Sized>(
         &self,
         g: &Graph,
         pattern: &P,
+        property: Property,
         budget: &RunBudget,
     ) -> Result<Verdict, WorkerPanicked> {
         let nodes: Vec<Node> = g.nodes().collect();
@@ -206,13 +205,17 @@ impl RandomAdversary {
             0,
             &stop,
             || (Vec::with_capacity(edges.len()), fwd.scratch()),
-            |worker, trial| self.probe_trial(g, &fwd, &nodes, &edges, worker, trial),
+            |(pool, scratch), trial| {
+                let (failures, s, t) = self.sample_scenario(property, &edges, &nodes, pool, trial);
+                violation(g, &fwd, scratch, property, failures, s, t)
+            },
         );
         match outcome.event {
             Some((_, ShardEvent::Hit(ce))) => Ok(Verdict::Refuted(ce)),
             Some((trial, ShardEvent::Panic(message))) => {
                 let mut pool = Vec::with_capacity(edges.len());
-                let (failures, _, _) = self.sample_scenario(&edges, &nodes, &mut pool, trial);
+                let (failures, _, _) =
+                    self.sample_scenario(property, &edges, &nodes, &mut pool, trial);
                 Err(WorkerPanicked {
                     position: trial,
                     failures: Some(failures),
@@ -230,6 +233,52 @@ impl RandomAdversary {
             None => Ok(indeterminate(outcome.probes, StopCause::WorkBudget)),
         }
     }
+}
+
+/// The counterexample one sampled scenario gives, if any: a tour through
+/// [`tour`] for [`Property::Touring`], otherwise a packet routed through
+/// `fwd` for a pair that the property's promise keeps connected
+/// (1-connected for [`Property::Routing`], `r`-connected for
+/// [`Property::Tolerance`]).
+fn violation<P: ForwardingPattern + ?Sized>(
+    g: &Graph,
+    fwd: &Forwarder<'_, P>,
+    scratch: &mut Option<CompiledSim>,
+    property: Property,
+    failures: FailureSet,
+    s: Node,
+    t: Node,
+) -> Option<Counterexample> {
+    let promise = match property {
+        Property::Touring { .. } => {
+            let result = tour(g, &failures, fwd.pattern(), s, fwd.max_hops());
+            return (!result.covered_component).then_some(Counterexample {
+                failures,
+                source: s,
+                destination: s,
+                outcome: Outcome::Loop,
+                path: result.path,
+            });
+        }
+        Property::Tolerance { r, .. } => r,
+        Property::Routing { .. } => 1,
+    };
+    // Cheapest first, as in the exhaustive tolerance probe: a split pair,
+    // then the packet, then the max-flow promise.
+    if s == t || (promise >= 1 && !failures.keeps_connected(g, s, t)) {
+        return None;
+    }
+    let result = fwd.route(scratch, &failures, s, t);
+    if result.outcome.is_delivered() || !failures.keeps_r_connected(g, s, t, promise) {
+        return None;
+    }
+    Some(Counterexample {
+        failures,
+        source: s,
+        destination: t,
+        outcome: result.outcome,
+        path: result.path,
+    })
 }
 
 /// Verifies that a counterexample is genuine: the failure set keeps source and
@@ -256,8 +305,9 @@ pub fn verify_counterexample<P: ForwardingPattern + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::NoCompile;
     use crate::model::RoutingModel;
-    use crate::pattern::{FnPattern, RotorPattern};
+    use crate::pattern::{FnPattern, RotorPattern, ShortestPathPattern};
     use frr_graph::generators;
 
     #[test]
@@ -276,13 +326,75 @@ mod tests {
         );
         let adv = RandomAdversary::new(500, 2, 42);
         let ce1 = adv
-            .find_counterexample(&g, &p)
+            .find_counterexample(&g, &p, Property::PERFECT)
             .expect("must find a violation");
         let ce2 = adv
-            .find_counterexample(&g, &p)
+            .find_counterexample(&g, &p, Property::PERFECT)
             .expect("must find a violation");
         assert_eq!(ce1, ce2, "same seed must give the same counterexample");
         assert!(verify_counterexample(&g, &p, &ce1));
+    }
+
+    /// The adversary's trials scanned one by one in ascending order, each
+    /// drawn scenario judged on the interpreter.
+    fn sequential_scan(
+        adv: &RandomAdversary,
+        g: &Graph,
+        p: &dyn CompilePattern,
+        property: Property,
+    ) -> Option<Counterexample> {
+        let interpreted = NoCompile(p);
+        let fwd = Forwarder::new(g, &interpreted);
+        let (nodes, edges): (Vec<Node>, _) = (g.nodes().collect(), g.edges());
+        let (mut pool, mut scratch) = (Vec::new(), None);
+        (0..adv.trials as u64).find_map(|trial| {
+            let (failures, s, t) = adv.sample_scenario(property, &edges, &nodes, &mut pool, trial);
+            violation(g, &fwd, &mut scratch, property, failures, s, t)
+        })
+    }
+
+    #[test]
+    fn sharded_search_equals_a_sequential_scan_for_every_property_kind() {
+        // 640 trials shard over several workers; each case is compared
+        // with the ascending scan of the same trials, hit or no hit.
+        let k5 = generators::complete(5);
+        let k4 = generators::complete(4);
+        let ring = generators::cycle(9);
+        let shortest = ShortestPathPattern::new(&k5);
+        let resilient = RotorPattern::clockwise_with_shortcut(&ring);
+        let touring = RotorPattern::clockwise(&k4);
+        let ring_touring = RotorPattern::clockwise(&ring);
+        let pinned = Property::Routing {
+            max_failures: None,
+            destination: Some(Node(4)),
+        };
+        let tolerance = |r| Property::Tolerance {
+            source: Node(0),
+            destination: Node(3),
+            r,
+        };
+        let cases: [(&Graph, &dyn CompilePattern, Property); 8] = [
+            (&k5, &shortest, Property::PERFECT),
+            (&k5, &shortest, Property::bounded(2)),
+            (&k5, &shortest, pinned),
+            (&k5, &shortest, tolerance(1)),
+            (&k5, &shortest, tolerance(4)),
+            (&ring, &resilient, Property::PERFECT),
+            (&k4, &touring, Property::PERFECT_TOURING),
+            (&ring, &ring_touring, Property::bounded_touring(3)),
+        ];
+        let mut hits = 0;
+        for (seed, (g, p, property)) in cases.into_iter().enumerate() {
+            let adv = RandomAdversary::new(640, 6, seed as u64);
+            let sharded = adv.find_counterexample(g, p, property);
+            assert_eq!(
+                sharded,
+                sequential_scan(&adv, g, p, property),
+                "{property:?}"
+            );
+            hits += usize::from(sharded.is_some());
+        }
+        assert_eq!(hits, 4, "both outcomes are compared");
     }
 
     #[test]

@@ -98,6 +98,15 @@ impl RunBudget {
         b
     }
 
+    /// A fresh budget that keeps only this one's cancellation token: no
+    /// deadline, no work cap.
+    pub(crate) fn cancel_only(&self) -> Self {
+        RunBudget {
+            cancel: self.cancel.clone(),
+            ..Self::unlimited()
+        }
+    }
+
     /// `true` if no deadline, work budget or token is armed.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.work.is_none() && self.cancel.is_none()

@@ -40,8 +40,8 @@
 //!   panic guard, and routes on the tables when that succeeds.  A refused
 //!   compile (degree ≥ 64 or tabulation over budget) or a panicking one
 //!   keeps the interpreter, with identical outcomes.  The resilience
-//!   checkers, the routing sampler, the generic adversaries and the delivery
-//!   statistics all route through it; on the sweep engine's overlays,
+//!   checkers, the sampler ([`crate::adversary::RandomAdversary`]), the
+//!   generic adversaries and the delivery statistics all route through it; on the sweep engine's overlays,
 //!   [`crate::sweep::SweepEngine::outcome`],
 //!   [`crate::sweep::SweepEngine::covers`] and
 //!   [`crate::sweep::SweepEngine::first_undelivered`] make the same choice

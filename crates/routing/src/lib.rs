@@ -24,10 +24,12 @@
 //!   deterministic multi-threaded mask-range sharding,
 //! * [`resilience`] — the one resilience checker, [`resilience::check`]:
 //!   perfect resilience, `r`-tolerance, bounded failures and touring,
-//!   exhaustive with a reproducible sampling fallback,
+//!   exhaustive, falling back to the one sampler when a budget stops the
+//!   sweep or the graph is too large for it,
 //! * [`adversary`] — the [`adversary::Counterexample`] every search returns,
-//!   its independent verifier and a seeded randomized adversary for graphs
-//!   too large to sweep,
+//!   its independent verifier and the one sampler,
+//!   [`adversary::RandomAdversary`]: seeded, sharded trials searching the
+//!   same [`resilience::Property`] `check` takes,
 //! * [`budget`] — the run-budget control layer: wall-clock deadlines,
 //!   work-unit budgets, cooperative [`budget::CancelToken`] cancellation and
 //!   the typed [`budget::Verdict`] every check returns,
@@ -82,6 +84,6 @@ pub mod prelude {
     pub use crate::metrics::DeliveryStats;
     pub use crate::model::{LocalContext, RoutingModel};
     pub use crate::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
-    pub use crate::resilience::{check, Property, SamplingBudget};
+    pub use crate::resilience::{check, Property};
     pub use crate::simulator::{route, tour, Outcome, RouteResult, TourResult};
 }

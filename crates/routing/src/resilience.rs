@@ -18,18 +18,15 @@
 //! deterministic earliest-position merge — the counterexample returned is byte-identical to a sequential scan of
 //! the canonical Gray order, at any thread count.
 
-use crate::adversary::Counterexample;
+use crate::adversary::{Counterexample, RandomAdversary};
 use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
 use crate::compiled::{CompilePattern, Forwarder};
-use crate::failure::{random_failure_set, FailureSet};
+use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
 use crate::simulator::{route, state_space_bound, tour, Outcome};
 use crate::sweep::{failure_set_at, sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use frr_graph::connectivity::st_edge_connectivity_filtered;
 use frr_graph::{Graph, Node};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Largest number of links for which [`check`] enumerates the full
 /// failure-set power set (unbounded [`Property::Routing`] and
@@ -140,7 +137,7 @@ impl Property {
     }
 
     /// The popcount cap of the swept failure sets.
-    fn max_failures(self) -> Option<usize> {
+    pub(crate) fn max_failures(self) -> Option<usize> {
         match self {
             Property::Routing { max_failures, .. } | Property::Touring { max_failures } => {
                 max_failures
@@ -171,17 +168,18 @@ impl Property {
 ///   failure cap, [`EXHAUSTIVE_EDGE_LIMIT`] otherwise.  Under
 ///   [`RunBudget::unlimited`] a graph within it always gets `Proven` or
 ///   `Refuted`.
-/// * A deadline or work-budget stop degrades to a reproducible sampler
-///   ([`is_r_tolerant_sampled`] for [`Property::Tolerance`],
-///   [`sampled_touring_violation`] for [`Property::Touring`], a
-///   random-pair sampler for [`Property::Routing`] that keeps a pinned
-///   destination pinned).  A sampled counterexample is `Refuted`; otherwise
-///   the verdict is [`Verdict::Indeterminate`] with the sweep's progress.
-///   A cancelled run skips the sampler.
+/// * A deadline or work-budget stop degrades to the one sampler,
+///   [`RandomAdversary`], searching the same `property` (a pinned
+///   destination or tolerance pair stays pinned) over
+///   [`FALLBACK_SAMPLING_TRIALS`] seeded trials sharded like the sweep.  A
+///   sampled counterexample is `Refuted`; otherwise the verdict is
+///   [`Verdict::Indeterminate`] with the sweep's progress and the trial
+///   count.  A cancelled run skips the sampler.
 /// * A graph beyond the edge limit is never swept: it goes
 ///   straight to the sampler with [`StopCause::EdgeLimit`].
-/// * A probe panic (a misbehaving pattern, a tripped debug assertion)
-///   surfaces as `Err(WorkerPanicked)` with the offending failure set.
+/// * A probe panic (a misbehaving pattern, a tripped debug assertion), in
+///   the sweep or in the sampler, surfaces as `Err(WorkerPanicked)` with
+///   the offending failure set.
 ///
 /// Failure sets flow through the sweep as bitmasks (`&[u64]`, one word per
 /// 64 links; see [`crate::failure`]); a counterexample materializes the
@@ -388,12 +386,15 @@ pub const FALLBACK_SAMPLING_TRIALS: usize = 256;
 const FALLBACK_SAMPLING_SEED: u64 = 0x5EED_FA11;
 
 /// Assembles the [`Verdict`] for a sweep that stopped early (or, for an
-/// oversize graph, never ran): degrade to the property's reproducible
-/// sampler, report honest `Indeterminate` when it finds nothing, and skip
-/// sampling entirely on explicit cancellation — a cancelled caller wants
-/// the run gone, not more work.  A sampler panic maps to a typed
-/// [`WorkerPanicked`] (position 0, no mask: trials have no Gray
-/// enumeration position).
+/// oversize graph, never ran): degrade to the reproducible
+/// [`RandomAdversary`] sampler, report honest `Indeterminate` when it finds
+/// nothing, and skip sampling entirely on explicit cancellation — a
+/// cancelled caller wants the run gone, not more work.  The sampler runs
+/// all [`FALLBACK_SAMPLING_TRIALS`] trials whatever stopped the sweep: it
+/// keeps only the caller's cancellation token.  A tolerance sample fails at
+/// most `2r` links, since larger sets rarely keep the pair `r`-connected.
+/// A sampler panic is a [`WorkerPanicked`] at the trial index, with the
+/// trial's failure set.
 fn stop_verdict<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -405,38 +406,15 @@ fn stop_verdict<P: CompilePattern + ?Sized>(
 ) -> Result<Verdict, WorkerPanicked> {
     let mut sampled_trials = 0u64;
     if cause != StopCause::Cancelled {
-        let mut rng = StdRng::seed_from_u64(FALLBACK_SAMPLING_SEED);
-        let cap = property.max_failures().unwrap_or(g.edge_count());
-        let trials = FALLBACK_SAMPLING_TRIALS;
-        let (draws, found) = catch_unwind(AssertUnwindSafe(|| match property {
-            Property::Routing { destination, .. } => (
-                trials,
-                sampled_resilience_violation(g, pattern, trials, cap, destination, &mut rng),
-            ),
-            Property::Touring { .. } => (
-                trials,
-                sampled_touring_violation(g, pattern, trials, cap, &mut rng),
-            ),
-            Property::Tolerance {
-                source,
-                destination,
-                r,
-            } => {
-                let sampling = SamplingBudget::new((2 * r.max(1)).min(cap), trials / 8);
-                let found =
-                    is_r_tolerant_sampled(g, pattern, source, destination, r, sampling, &mut rng);
-                (sampling.draws(), found.err())
-            }
-        }))
-        .map_err(|payload| WorkerPanicked {
-            position: 0,
-            failures: None,
-            message: crate::budget::panic_message(&*payload),
-        })?;
-        if let Some(ce) = found {
-            return Ok(Verdict::Refuted(ce));
+        let cap = match property {
+            Property::Tolerance { r, .. } => 2 * r.max(1),
+            _ => g.edge_count(),
+        };
+        let sampler = RandomAdversary::new(FALLBACK_SAMPLING_TRIALS, cap, FALLBACK_SAMPLING_SEED);
+        match sampler.search_with_budget(g, pattern, property, &budget.cancel_only())? {
+            Verdict::Indeterminate(p) => sampled_trials = p.sampled_trials,
+            decided => return Ok(decided),
         }
-        sampled_trials = draws as u64;
     }
     Ok(Verdict::Indeterminate(Progress {
         masks_examined,
@@ -447,146 +425,11 @@ fn stop_verdict<P: CompilePattern + ?Sized>(
     }))
 }
 
-/// Sampling effort for [`is_r_tolerant_sampled`]: for every failure count
-/// `k` in `0..=max_failures`, draw `trials` random failure sets of size `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplingBudget {
-    /// Largest failure-set size to sample.
-    pub max_failures: usize,
-    /// Number of random failure sets drawn per size.
-    pub trials: usize,
-}
-
-impl SamplingBudget {
-    /// Creates a budget sampling `trials` sets for each size `0..=max_failures`.
-    pub fn new(max_failures: usize, trials: usize) -> Self {
-        SamplingBudget {
-            max_failures,
-            trials,
-        }
-    }
-
-    /// Total failure sets drawn: `trials` for each size `0..=max_failures`.
-    /// Only those keeping the pair `r`-connected are routed.
-    pub fn draws(&self) -> usize {
-        (self.max_failures + 1) * self.trials
-    }
-}
-
-/// Sampled `r`-tolerance check for larger graphs: draws random failure sets
-/// according to `budget`, keeps those under which `s` and `t` remain
-/// `r`-connected, and verifies delivery.
-pub fn is_r_tolerant_sampled<P: CompilePattern + ?Sized, R: Rng>(
-    g: &Graph,
-    pattern: &P,
-    s: Node,
-    t: Node,
-    r: usize,
-    budget: SamplingBudget,
-    rng: &mut R,
-) -> Result<(), Counterexample> {
-    let fwd = Forwarder::new(g, pattern);
-    let mut scratch = fwd.scratch();
-    for k in 0..=budget.max_failures {
-        for _ in 0..budget.trials {
-            let failures = random_failure_set(g, k, rng);
-            if !failures.keeps_r_connected(g, s, t, r) {
-                continue;
-            }
-            let result = fwd.route(&mut scratch, &failures, s, t);
-            if !result.outcome.is_delivered() {
-                return Err(Counterexample {
-                    failures,
-                    source: s,
-                    destination: t,
-                    outcome: result.outcome,
-                    path: result.path,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Randomly samples failure scenarios and `(s, t)` pairs (with `t` pinned to
-/// `destination` when given) and returns the first violation of resilience
-/// found, if any — [`check`]'s fallback for [`Property::Routing`].
-fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
-    g: &Graph,
-    pattern: &P,
-    trials: usize,
-    max_failures: usize,
-    destination: Option<Node>,
-    rng: &mut R,
-) -> Option<Counterexample> {
-    let nodes: Vec<Node> = g.nodes().collect();
-    if nodes.len() < 2 {
-        return None;
-    }
-    let fwd = Forwarder::new(g, pattern);
-    let mut scratch = fwd.scratch();
-    for _ in 0..trials {
-        let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
-        let failures = random_failure_set(g, k, rng);
-        let s = nodes[rng.gen_range(0..nodes.len())];
-        let t = destination.unwrap_or_else(|| nodes[rng.gen_range(0..nodes.len())]);
-        if s == t || !failures.keeps_connected(g, s, t) {
-            continue;
-        }
-        let result = fwd.route(&mut scratch, &failures, s, t);
-        if !result.outcome.is_delivered() {
-            return Some(Counterexample {
-                failures,
-                source: s,
-                destination: t,
-                outcome: result.outcome,
-                path: result.path,
-            });
-        }
-    }
-    None
-}
-
-/// Randomly samples failure scenarios and start nodes on a (possibly large)
-/// graph and returns the first violation of touring resilience found.  Each
-/// trial tours with the reference interpreter, [`tour`].
-pub fn sampled_touring_violation<P: ForwardingPattern + ?Sized, R: Rng>(
-    g: &Graph,
-    pattern: &P,
-    trials: usize,
-    max_failures: usize,
-    rng: &mut R,
-) -> Option<Counterexample> {
-    let nodes: Vec<Node> = g.nodes().collect();
-    if nodes.is_empty() {
-        return None;
-    }
-    let max_hops = state_space_bound(g);
-    for _ in 0..trials {
-        let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
-        let failures = random_failure_set(g, k, rng);
-        let start = nodes[rng.gen_range(0..nodes.len())];
-        let result = tour(g, &failures, pattern, start, max_hops);
-        if !result.covered_component {
-            return Some(Counterexample {
-                failures,
-                source: start,
-                destination: start,
-                outcome: Outcome::Loop,
-                path: result.path,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::{RotorPattern, ShortestPathPattern};
     use frr_graph::generators;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn unlimited<P: CompilePattern + ?Sized>(g: &Graph, p: &P, property: Property) -> Verdict {
         check(g, p, property, &RunBudget::unlimited()).expect("no probe panics")
@@ -711,17 +554,14 @@ mod tests {
     fn r_tolerance_sampled_matches_exhaustive_on_small_graph() {
         let g = generators::complete(5);
         let p = ShortestPathPattern::new(&g);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert!(is_r_tolerant_sampled(
-            &g,
-            &p,
-            Node(0),
-            Node(4),
-            4,
-            SamplingBudget::new(6, 50),
-            &mut rng
-        )
-        .is_ok());
+        let property = Property::Tolerance {
+            source: Node(0),
+            destination: Node(4),
+            r: 4,
+        };
+        let sampled = RandomAdversary::new(350, 6, 5).find_counterexample(&g, &p, property);
+        assert!(sampled.is_none());
+        assert!(unlimited(&g, &p, property).is_proven());
     }
 
     #[test]
@@ -753,8 +593,10 @@ mod tests {
     fn sampled_violation_search_finds_nothing_on_resilient_pattern() {
         let g = generators::cycle(7);
         let p = RotorPattern::clockwise_with_shortcut(&g);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(sampled_resilience_violation(&g, &p, 200, 3, None, &mut rng).is_none());
+        let sampler = RandomAdversary::new(200, 3, 3);
+        assert!(sampler
+            .find_counterexample(&g, &p, Property::PERFECT)
+            .is_none());
     }
 
     #[test]
@@ -770,8 +612,8 @@ mod tests {
                 None
             }
         });
-        let mut rng = StdRng::seed_from_u64(1);
-        let ce = sampled_resilience_violation(&g, &p, 500, 2, None, &mut rng)
+        let ce = RandomAdversary::new(500, 2, 1)
+            .find_counterexample(&g, &p, Property::PERFECT)
             .expect("the dropping pattern must be caught");
         assert!(ce.failures.keeps_connected(&g, ce.source, ce.destination));
     }

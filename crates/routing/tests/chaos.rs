@@ -143,17 +143,47 @@ fn random_adversary_reports_panics_with_the_reconstructed_trial() {
     let g = generators::cycle(8);
     let adversary = RandomAdversary::new(4096, 3, 0xC0FFEE);
     let err = adversary
-        .search_with_budget(&g, &PanicPattern, &RunBudget::unlimited())
+        .search_with_budget(
+            &g,
+            &PanicPattern,
+            Property::bounded(3),
+            &RunBudget::unlimited(),
+        )
         .expect_err("some trial draws a non-empty failure set");
     let failures = err.failures.as_ref().expect("trial is replayable");
     assert!(!failures.is_empty());
 }
 
 #[test]
+fn fallback_sampler_panic_reports_the_trial_failure_set() {
+    // cycle(200) is past the edge limit, so `check` goes straight to its
+    // sampler; the panicking trial is named with its failure set.
+    let g = generators::cycle(200);
+    let err = check(
+        &g,
+        &PanicPattern,
+        Property::bounded(2),
+        &RunBudget::unlimited(),
+    )
+    .expect_err("some sampled trial fails a link on the packet's way");
+    let failures = err.failures.as_ref().expect("the trial is replayable");
+    assert!(!failures.is_empty() && failures.len() <= 2, "{err}");
+    assert!(
+        err.message.contains("hostile pattern panic"),
+        "got: {}",
+        err.message
+    );
+}
+
+#[test]
 #[should_panic(expected = "sharded worker panicked at index")]
 fn random_adversary_unbudgeted_search_reraises_a_probe_panic() {
     let g = generators::cycle(8);
-    RandomAdversary::new(4096, 3, 0xC0FFEE).find_counterexample(&g, &PanicPattern);
+    RandomAdversary::new(4096, 3, 0xC0FFEE).find_counterexample(
+        &g,
+        &PanicPattern,
+        Property::bounded(3),
+    );
 }
 
 #[test]
@@ -163,7 +193,12 @@ fn random_adversary_never_claims_proven() {
     // randomized search must come back Indeterminate, not Proven.
     let adversary = RandomAdversary::new(64, 2, 7);
     let verdict = adversary
-        .search_with_budget(&g, &RotorPattern::clockwise(&g), &RunBudget::unlimited())
+        .search_with_budget(
+            &g,
+            &RotorPattern::clockwise(&g),
+            Property::bounded(2),
+            &RunBudget::unlimited(),
+        )
         .expect("benign pattern");
     match verdict {
         Verdict::Indeterminate(p) => assert_eq!(p.stopped_by, StopCause::WorkBudget),
@@ -280,8 +315,8 @@ fn panicking_compile_keeps_the_interpreter_in_every_entry_point() {
     );
     let random = RandomAdversary::new(256, 2, 5);
     assert_eq!(
-        random.find_counterexample(&g, &PanicOnCompile),
-        random.find_counterexample(&g, &refused)
+        random.find_counterexample(&g, &PanicOnCompile, Property::bounded(2)),
+        random.find_counterexample(&g, &refused, Property::bounded(2))
     );
     let scenarios = [
         (FailureSet::new(), Node(0), Node(3)),

@@ -19,9 +19,7 @@ use frr_routing::failure::{FailureSet, GrayMasks};
 use frr_routing::hostile::{FailedLinkForwarder, NoCompile, NonNeighborForwarder};
 use frr_routing::model::{LocalContext, RoutingModel};
 use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
-use frr_routing::resilience::{
-    check, check_bounded_r_resilience, sampled_touring_violation, Property,
-};
+use frr_routing::resilience::{check, check_bounded_r_resilience, Property};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::{sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use rand::rngs::StdRng;
@@ -297,7 +295,7 @@ fn checkers_produce_identical_counterexamples_with_and_without_compilation() {
     // The checkers compile internally; a wrapper that refuses compilation
     // forces the interpreted path, and the results must be byte-identical.
     // A one-mask work budget stops every sweep after the empty mask, so the
-    // clipped checks run each property's sampler on both paths.
+    // clipped checks run the fallback sampler on both paths.
     let unlimited = RunBudget::unlimited();
     let clipped = RunBudget::unlimited().with_work_budget(1);
     for g in random_graphs(4242, 6) {
@@ -339,8 +337,8 @@ fn checkers_produce_identical_counterexamples_with_and_without_compilation() {
         }
         let random = RandomAdversary::new(300, 3, 99);
         assert_eq!(
-            random.find_counterexample(&g, &p),
-            random.find_counterexample(&g, &uncompiled),
+            random.find_counterexample(&g, &p, Property::bounded(3)),
+            random.find_counterexample(&g, &uncompiled, Property::bounded(3)),
             "graph {g:?}"
         );
     }
@@ -914,19 +912,20 @@ fn sharded_r2_sweep_loads_every_mask_like_a_sequential_scan() {
 }
 
 #[test]
-fn sampled_touring_violation_finds_the_k4_rotor_counterexample() {
+fn random_adversary_finds_the_k4_rotor_touring_counterexample() {
     // Lemma 3: no pattern tours K4 under every failure set, so the sampler
     // must catch the clockwise rotor.  Pinned for a fixed seed; the
     // counterexample must replay as a tour that misses part of its
     // component.
     let g = generators::complete(4);
     let rotor = RotorPattern::clockwise(&g);
-    let ce = sampled_touring_violation(&g, &rotor, 200, 3, &mut StdRng::seed_from_u64(0))
+    let ce = RandomAdversary::new(200, 3, 0)
+        .find_counterexample(&g, &rotor, Property::bounded_touring(3))
         .expect("K4 defeats the rotor");
     let failed = Edge::new(Node(0), Node(2));
     assert_eq!(ce.failures, FailureSet::from_edges([failed]));
-    assert_eq!((ce.source, ce.destination), (Node(1), Node(1)));
-    assert_eq!(ce.path, [1, 0, 3, 1, 0].map(Node));
+    assert_eq!((ce.source, ce.destination), (Node(2), Node(2)));
+    assert_eq!(ce.path, [2, 1, 3, 2, 1].map(Node));
     let replay = tour(&g, &ce.failures, &rotor, ce.source, state_space_bound(&g));
     assert!(!replay.covered_component);
     assert_eq!(replay.path, ce.path);
