@@ -5,20 +5,26 @@
 //! pipeline.
 //!
 //! The `*_baseline` benchmarks preserve the pre-packed implementation shape —
-//! the `BTreeMap`-quotient minor search that clones every branch state
-//! (`frr_graph::minors::reference`), apex-graph outerplanarity, and one
-//! `g.isolating(t)` clone per destination probe — so one bench run reports
-//! the before/after of the classification rewrite on the same machine.
+//! the `BTreeMap`-quotient minor search that clones every branch state and
+//! apex-graph outerplanarity (both shared with frr-graph's tests, from
+//! `crates/graph/tests/support/`), and one `g.isolating(t)` clone per
+//! destination probe — so one bench run reports the before/after of the
+//! classification rewrite on the same machine.
 //! The headline pair is `zoo_sweep/{packed_batch, clone_baseline}`: the same
 //! topology list through `classify::batch` and through the historical
 //! sequential pipeline.
 
+#[path = "../../graph/tests/support/apex_outerplanar.rs"]
+mod apex_outerplanar;
+#[path = "../../graph/tests/support/minor_reference.rs"]
+mod reference;
+
+use apex_outerplanar::is_outerplanar_via_apex;
 use criterion::{criterion_group, criterion_main, Criterion};
 use frr_core::classify::{
     self, classify_with_budget, fits_in_k33, Classification, ClassifyBudget, Feasibility,
 };
-use frr_graph::minors::{forbidden, reference};
-use frr_graph::outerplanar::is_outerplanar_via_apex;
+use frr_graph::minors::forbidden;
 use frr_graph::planarity::is_planar;
 use frr_graph::{generators, Graph, Node};
 use frr_topologies::{builtin_topologies, synthetic_zoo, Topology, ZooConfig};

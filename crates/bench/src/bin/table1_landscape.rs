@@ -119,7 +119,7 @@ fn main() {
 /// Verifies one positive cell: exhaustively over all `(s, t)` pairs when the
 /// graph is within the exhaustive edge limit (a one-line skip plus a sampled
 /// check of the single pair `(sample_s, sample_t)` otherwise — never a
-/// panic), each pair's sweep under the run budget.
+/// panic), each pair's sweep and the sampler under the run budget.
 fn verify_cell<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -141,7 +141,7 @@ fn verify_cell<P: CompilePattern + ?Sized>(
             r,
         };
         let sampler = RandomAdversary::new(1950, 12, 1);
-        return match sampler.search_with_budget(g, pattern, property, &RunBudget::unlimited()) {
+        return match sampler.search_with_budget(g, pattern, property, run) {
             Ok(Verdict::Indeterminate(progress)) => CellVerdict::Sampled {
                 pair: (sample_s, sample_t),
                 draws: progress.sampled_trials,

@@ -98,6 +98,22 @@ fn table1_skips_oversized_cells_and_falls_back_to_sampling() {
 }
 
 #[test]
+fn table1_sampled_cells_obey_the_work_budget() {
+    let exe = env!("CARGO_BIN_EXE_table1_landscape");
+    let text = stdout_of(&run_bin(exe, &["--work-budget", "1"]));
+    // The r = 3 cells are past the exhaustive edge limit and sampled; the
+    // work budget caps their trials, and the label counts the trials run.
+    assert!(
+        !text.contains("1950 draws"),
+        "the sampler must stop at the work budget:\n{text}"
+    );
+    assert!(
+        text.contains("sampled v0->v1 only, 1 draws"),
+        "a sampled cell must count the trials it ran:\n{text}"
+    );
+}
+
+#[test]
 fn table1_reports_inconclusive_on_an_expired_deadline() {
     let exe = env!("CARGO_BIN_EXE_table1_landscape");
     let text = stdout_of(&run_bin(exe, &["--count", "1", "--deadline-secs", "0"]));

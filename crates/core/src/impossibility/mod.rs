@@ -70,8 +70,7 @@ pub fn routing_adversary<P: CompilePattern + ?Sized>(
 /// affordable, otherwise a bounded-failure search (the paper's touring
 /// counterexamples embed `K4` / `K2,3` and need only a handful of failures —
 /// Lemmas 3/4).  Graphs too large for even the bounded sweep fall back to
-/// [`check`](frr_routing::resilience::check)'s reproducible sampler instead
-/// of aborting.
+/// [`check`]'s reproducible sampler instead of aborting.
 pub fn touring_adversary<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,

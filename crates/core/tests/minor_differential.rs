@@ -1,15 +1,18 @@
 //! Differential suite pinning the packed minor engine against the old
-//! clone-based search (`frr_graph::minors::reference`): on every graph pool
-//! the paper's classification touches — the Fig. 9 landscape, the bundled
-//! real topologies, the synthetic zoo, seeded random graphs, hub-and-spoke
-//! hosts and edge-subdivided random graphs (the shapes the cycle-rank and
-//! degree-dominance bounds cut) — a definite answer from the old engine must
-//! be reproduced exactly, and `Unknown` is only allowed to *shrink* (the
-//! packed engine may decide cases the old engine could not afford, never the
-//! other way around).
+//! clone-based search (frr-graph's `tests/support/minor_reference.rs`): on
+//! every graph pool the paper's classification touches — the Fig. 9
+//! landscape, the bundled real topologies, the synthetic zoo, seeded random
+//! graphs, hub-and-spoke hosts and edge-subdivided random graphs (the shapes
+//! the cycle-rank and degree-dominance bounds cut) — a definite answer from
+//! the old engine must be reproduced exactly, and `Unknown` is only allowed
+//! to *shrink* (the packed engine may decide cases the old engine could not
+//! afford, never the other way around).
+
+#[path = "../../graph/tests/support/minor_reference.rs"]
+mod reference;
 
 use frr_core::landscape::figure9_entries;
-use frr_graph::minors::{forbidden, has_minor_with_budget, reference, MinorAnswer};
+use frr_graph::minors::{forbidden, has_minor_with_budget, MinorAnswer};
 use frr_graph::{generators, Graph, Node};
 use frr_topologies::{builtin_topologies, synthetic_zoo, ZooConfig};
 use rand::rngs::StdRng;

@@ -11,7 +11,6 @@
 use crate::bitgraph::{BitGraph, BitIter};
 use crate::connectivity::bit_blocks;
 use crate::graph::{Graph, Node};
-use crate::planarity::is_planar;
 
 /// Number of bits per adjacency word.
 const WORD_BITS: usize = u64::BITS as usize;
@@ -186,26 +185,6 @@ fn outerplanar_block(g: &BitGraph, block: &[Node], s: &mut OuterplanarScratch, w
         }
     }
     true
-}
-
-/// The pre-bitset apex implementation (`G` is outerplanar iff `G` plus a node
-/// adjacent to everything is planar), kept as the differential-testing
-/// baseline for the peel-based test.  Not part of the supported API.
-#[doc(hidden)]
-pub fn is_outerplanar_via_apex(g: &Graph) -> bool {
-    let n = g.node_count();
-    if n <= 1 {
-        return true;
-    }
-    if n >= 2 && g.edge_count() > 2 * n - 3 {
-        return false;
-    }
-    let mut apex_graph = g.clone();
-    let apex = apex_graph.add_node();
-    for v in g.nodes() {
-        apex_graph.add_edge(apex, v);
-    }
-    is_planar(&apex_graph)
 }
 
 /// An outerplanar embedding: for every node, the cyclic order of its

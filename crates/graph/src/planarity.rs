@@ -388,8 +388,11 @@ mod tests {
         g.add_edge(Node(5), Node(6));
         assert!(is_planar(&g));
 
-        // K5 plus an isolated component: still non-planar.
-        let g = crate::ops::disjoint_union(&generators::complete(5), &generators::path(3));
+        // K5 plus a separate path component: still non-planar.
+        let mut g = generators::complete(5);
+        let (a, b, c) = (g.add_node(), g.add_node(), g.add_node());
+        g.add_edge(a, b);
+        g.add_edge(b, c);
         assert!(!is_planar(&g));
     }
 

@@ -4,18 +4,28 @@
 //! against Wagner's theorem via both minor engines, and a digest pin of the
 //! outerplanar embeddings the right-hand-rule patterns are built on.
 
-use frr_graph::minors::{self, forbidden, reference};
+#[path = "support/apex_outerplanar.rs"]
+mod apex_outerplanar;
+#[path = "support/minor_reference.rs"]
+mod reference;
+
+use apex_outerplanar::is_outerplanar_via_apex;
+use frr_graph::minors::{self, forbidden};
 use frr_graph::outerplanar::{
-    is_outerplanar, is_outerplanar_via_apex, is_outerplanar_without, outerplanar_embedding,
-    OuterplanarScratch,
+    is_outerplanar, is_outerplanar_without, outerplanar_embedding, OuterplanarScratch,
 };
 use frr_graph::planarity::is_planar;
-use frr_graph::{generators, ops, BitGraph, Graph};
+use frr_graph::{generators, BitGraph, Graph, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A deterministic, structurally varied pool of test graphs.
 fn graph_pool() -> Vec<Graph> {
+    // C5 beside the wheel W5, whose nodes follow the cycle's.
+    let mut c5_w5 = Graph::from_edges(11, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+    for e in generators::wheel(5).edges() {
+        c5_w5.add_edge(Node(e.u().index() + 5), Node(e.v().index() + 5));
+    }
     let mut pool = vec![
         Graph::new(0),
         Graph::new(1),
@@ -42,17 +52,17 @@ fn graph_pool() -> Vec<Graph> {
         generators::complete_bipartite_minus(3, 3, 1),
         generators::complete_bipartite_minus(4, 4, 1),
         generators::cycle(70),
-        ops::disjoint_union(&generators::cycle(5), &generators::wheel(5)),
+        c5_w5,
     ];
     // C4 + one chord: a theta graph with a direct strand (outerplanar, and a
     // known trap for naive peel rules).
     let mut c4_chord = generators::cycle(4);
-    c4_chord.add_edge(frr_graph::Node(0), frr_graph::Node(2));
+    c4_chord.add_edge(Node(0), Node(2));
     pool.push(c4_chord);
     // C6 + crossing chords (contains K4): planar but not outerplanar.
     let mut crossed = generators::cycle(6);
-    crossed.add_edge(frr_graph::Node(0), frr_graph::Node(3));
-    crossed.add_edge(frr_graph::Node(1), frr_graph::Node(4));
+    crossed.add_edge(Node(0), Node(3));
+    crossed.add_edge(Node(1), Node(4));
     pool.push(crossed);
 
     let mut rng = StdRng::seed_from_u64(0x0F7E_2026);
@@ -95,10 +105,9 @@ fn overlay_probe_matches_materialized_deletion() {
     for g in graph_pool() {
         let b = BitGraph::from_graph(&g);
         for t in g.nodes() {
-            let (h, _) = ops::delete_node(&g, t);
             assert_eq!(
                 is_outerplanar_without(&b, Some(t), &mut scratch),
-                is_outerplanar_via_apex(&h),
+                is_outerplanar_via_apex(&g.isolating(t)),
                 "overlay probe mismatch on {} minus {t}",
                 g.summary()
             );
@@ -203,7 +212,7 @@ fn outerplanar_embeddings_are_pinned() {
                 for (v, rot) in emb.rotation.iter().enumerate() {
                     let mut sorted = rot.clone();
                     sorted.sort_unstable();
-                    assert_eq!(sorted, g.neighbors_vec(frr_graph::Node(v)));
+                    assert_eq!(sorted, g.neighbors_vec(Node(v)));
                     fnv_word(&mut hash, rot.len() as u64);
                     for u in rot {
                         fnv_word(&mut hash, u.index() as u64);

@@ -193,7 +193,11 @@ impl RandomAdversary {
             return Ok(indeterminate(0, StopCause::WorkBudget));
         }
         let edges = g.edges();
-        let fwd = Forwarder::new(g, pattern);
+        // Touring trials tour on the interpreter and never read the tables.
+        let fwd = match property {
+            Property::Touring { .. } => Forwarder::interpreted(g, pattern),
+            _ => Forwarder::new(g, pattern),
+        };
         let stop = budget.stop_signal();
         // Shard the trial range with the same deterministic smallest-index
         // machinery the mask sweeps use; each worker's state is its scratch
@@ -305,10 +309,12 @@ pub fn verify_counterexample<P: ForwardingPattern + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledPattern;
     use crate::hostile::NoCompile;
-    use crate::model::RoutingModel;
+    use crate::model::{LocalContext, RoutingModel};
     use crate::pattern::{FnPattern, RotorPattern, ShortestPathPattern};
     use frr_graph::generators;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn random_adversary_is_reproducible_and_effective() {
@@ -395,6 +401,41 @@ mod tests {
             hits += usize::from(sharded.is_some());
         }
         assert_eq!(hits, 4, "both outcomes are compared");
+    }
+
+    /// Forwards like the wrapped pattern and counts its `compile` calls.
+    struct CountingCompiles<'a>(&'a dyn CompilePattern, AtomicUsize);
+
+    impl ForwardingPattern for CountingCompiles<'_> {
+        fn model(&self) -> RoutingModel {
+            self.0.model()
+        }
+        fn next_hop(&self, ctx: &LocalContext<'_>) -> Option<Node> {
+            self.0.next_hop(ctx)
+        }
+    }
+
+    impl CompilePattern for CountingCompiles<'_> {
+        fn compile(&self, g: &Graph) -> Option<CompiledPattern> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.compile(g)
+        }
+    }
+
+    #[test]
+    fn touring_searches_compile_no_tables() {
+        let k4 = generators::complete(4);
+        let counting = CountingCompiles(&RotorPattern::clockwise(&k4), AtomicUsize::new(0));
+        let adv = RandomAdversary::new(200, 3, 0);
+        let touring = adv.find_counterexample(&k4, &counting, Property::bounded_touring(3));
+        assert!(
+            touring.is_some(),
+            "the K4 rotor misses part of its component"
+        );
+        assert_eq!(counting.1.load(Ordering::Relaxed), 0);
+        // A routing search still compiles the tables it routes on, once.
+        adv.find_counterexample(&k4, &counting, Property::PERFECT);
+        assert_eq!(counting.1.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1193,9 +1193,18 @@ impl<'a, P: CompilePattern + ?Sized> Forwarder<'a, P> {
             .ok()
             .flatten();
         Forwarder {
+            tables,
+            ..Forwarder::interpreted(g, pattern)
+        }
+    }
+
+    /// A forwarder that never compiles: the interpreter forwards every
+    /// packet.
+    pub(crate) fn interpreted(g: &'a Graph, pattern: &'a P) -> Self {
+        Forwarder {
             graph: g,
             pattern,
-            tables,
+            tables: None,
             max_hops: state_space_bound(g),
             forests: OnceLock::new(),
         }

@@ -73,11 +73,12 @@ impl DeliveryStats {
 }
 
 /// Evaluates a pattern on explicit scenarios (failure set + source +
-/// destination); scenarios whose endpoints are disconnected are skipped.
+/// destination); scenarios whose endpoints coincide or are disconnected are
+/// skipped.
 pub fn evaluate_scenarios<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
-    scenarios: &[(FailureSet, Node, Node)],
+    scenarios: impl IntoIterator<Item = (FailureSet, Node, Node)>,
 ) -> DeliveryStats {
     let fwd = Forwarder::new(g, pattern);
     let mut scratch = fwd.scratch();
@@ -86,11 +87,11 @@ pub fn evaluate_scenarios<P: CompilePattern + ?Sized>(
         if s == t {
             continue;
         }
-        let optimal = match distance_filtered(g, *s, *t, |u, v| !failures.contains(u, v)) {
+        let optimal = match distance_filtered(g, s, t, |u, v| !failures.contains(u, v)) {
             Some(d) => d,
             None => continue,
         };
-        let result = fwd.route(&mut scratch, failures, *s, *t);
+        let result = fwd.route(&mut scratch, &failures, s, t);
         stats.record(result.outcome, result.hops, optimal);
     }
     stats
@@ -106,28 +107,17 @@ pub fn evaluate_random_workload<P: CompilePattern + ?Sized, R: Rng>(
     failures_per_trial: usize,
     rng: &mut R,
 ) -> DeliveryStats {
-    let nodes: Vec<Node> = g.nodes().collect();
-    let mut stats = DeliveryStats::default();
-    if nodes.len() < 2 {
-        return stats;
+    let n = g.node_count();
+    if n < 2 {
+        return DeliveryStats::default();
     }
-    let fwd = Forwarder::new(g, pattern);
-    let mut scratch = fwd.scratch();
-    for _ in 0..trials {
+    let draws = (0..trials).map(|_| {
         let failures = random_failure_set(g, failures_per_trial, rng);
-        let s = nodes[rng.gen_range(0..nodes.len())];
-        let t = nodes[rng.gen_range(0..nodes.len())];
-        if s == t {
-            continue;
-        }
-        let optimal = match distance_filtered(g, s, t, |u, v| !failures.contains(u, v)) {
-            Some(d) => d,
-            None => continue,
-        };
-        let result = fwd.route(&mut scratch, &failures, s, t);
-        stats.record(result.outcome, result.hops, optimal);
-    }
-    stats
+        let s = Node(rng.gen_range(0..n));
+        let t = Node(rng.gen_range(0..n));
+        (failures, s, t)
+    });
+    evaluate_scenarios(g, pattern, draws)
 }
 
 #[cfg(test)]
@@ -169,7 +159,7 @@ mod tests {
             (FailureSet::from_pairs(&[(1, 2)]), Node(0), Node(3)),
             (FailureSet::new(), Node(2), Node(2)),
         ];
-        let stats = evaluate_scenarios(&g, &p, &scenarios);
+        let stats = evaluate_scenarios(&g, &p, scenarios);
         assert_eq!(stats.connected_scenarios, 1);
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.total_hops, 3);

@@ -324,8 +324,8 @@ fn panicking_compile_keeps_the_interpreter_in_every_entry_point() {
         (FailureSet::from_pairs(&[(2, 3)]), Node(4), Node(1)),
     ];
     assert_eq!(
-        evaluate_scenarios(&g, &PanicOnCompile, &scenarios),
-        evaluate_scenarios(&g, &refused, &scenarios)
+        evaluate_scenarios(&g, &PanicOnCompile, scenarios.clone()),
+        evaluate_scenarios(&g, &refused, scenarios)
     );
     let workload = |pattern: &dyn CompilePattern| {
         evaluate_random_workload(&g, pattern, 200, 2, &mut StdRng::seed_from_u64(9))

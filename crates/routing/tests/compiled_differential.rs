@@ -359,7 +359,7 @@ fn metrics_identical_with_and_without_compilation() {
         let t = Node(rng.gen_range(0..6));
         scenarios.push((failures, s, t));
     }
-    let stats = frr_routing::metrics::evaluate_scenarios(&g, &p, &scenarios);
+    let stats = frr_routing::metrics::evaluate_scenarios(&g, &p, scenarios.clone());
     // Replay by hand on the compiled simulator and compare the tallies.
     let mut delivered = 0usize;
     for (failures, s, t) in &scenarios {
