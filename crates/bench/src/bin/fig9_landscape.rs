@@ -44,17 +44,16 @@ fn main() {
         };
 
         // Destination-only cell: try the constructive patterns where they
-        // apply (up to 20 links), otherwise run the adversaries.
-        let verified = g.edge_count() <= 20
-            && if g.node_count() <= 5 && g.edge_count() <= 8 {
-                proven(g, &K5Minus2DestPattern::new(g), Property::PERFECT)
-            } else if g.node_count() <= 6 && g.edge_count() <= 7 {
-                proven(g, &K33Minus2DestPattern::new(g), Property::PERFECT)
-            } else {
-                let p = OuterplanarDestinationPattern::new(g);
-                p.supported_destinations().len() == g.node_count()
-                    && proven(g, &p, Property::PERFECT)
-            };
+        // apply (`proven` is false past the sweep bound), otherwise run the
+        // adversaries.
+        let verified = if g.node_count() <= 5 && g.edge_count() <= 8 {
+            proven(g, &K5Minus2DestPattern::new(g), Property::PERFECT)
+        } else if g.node_count() <= 6 && g.edge_count() <= 7 {
+            proven(g, &K33Minus2DestPattern::new(g), Property::PERFECT)
+        } else {
+            let p = OuterplanarDestinationPattern::new(g);
+            p.supported_destinations().len() == g.node_count() && proven(g, &p, Property::PERFECT)
+        };
         let dest = if verified {
             "Possible (verified)"
         } else if portfolio_defeated(g, |p| routing_adversary(g, p, g.edge_count()).is_refuted()) {

@@ -6,8 +6,9 @@
 //! Usage: `table1_landscape [--count N] [--deadline-secs S] [--work-budget W]
 //! [--metrics]` — `N` is the largest tolerance `r` to verify (default 3; CI
 //! bench-smoke runs `--count 1` for a cheap end-to-end pass over every cell
-//! kind).  An oversized cell (graph past the exhaustive edge limit) prints a
-//! one-line skip and falls back to sampling one `(s, t)` pair instead of
+//! kind).  An oversized cell (more failure masks than `check` sweeps, as
+//! the r = 3 cells have) prints a one-line skip naming its mask count and
+//! the bound, and falls back to sampling one `(s, t)` pair instead of
 //! panicking — its label names that pair and the draw count, never
 //! "verified"; an expired budget marks cells `inconclusive` instead of
 //! fabricating a verdict.
@@ -22,7 +23,7 @@ use frr_routing::adversary::RandomAdversary;
 use frr_routing::budget::{Progress, RunBudget, Verdict};
 use frr_routing::compiled::CompilePattern;
 use frr_routing::pattern::ShortestPathPattern;
-use frr_routing::resilience::{check, EdgeLimitExceeded, Property, EXHAUSTIVE_EDGE_LIMIT};
+use frr_routing::resilience::{check, Property, SWEEP_MASK_LIMIT};
 
 /// Outcome of one positive Table I cell.
 enum CellVerdict {
@@ -58,10 +59,6 @@ impl CellVerdict {
 fn main() {
     let args = frr_bench::parse_experiment_args("table1_landscape", 3);
     let run = args.run_budget();
-    let links_limit = args
-        .links_limit
-        .unwrap_or(EXHAUSTIVE_EDGE_LIMIT)
-        .min(EXHAUSTIVE_EDGE_LIMIT);
     println!("=== Table I: r-tolerance landscape ===");
     println!(
         "{:<3} {:<28} {:<32} {:<30}",
@@ -75,12 +72,12 @@ fn main() {
         // Positive: K_{2r+1} with the distance-2 pattern.
         let kc = generators::complete(row.complete_possible_nodes);
         let pc = r_tolerant_complete_pattern();
-        let complete_cell = verify_cell(&kc, &pc, Node(0), Node(1), r, links_limit, &run);
+        let complete_cell = verify_cell(&kc, &pc, Node(0), Node(1), r, &run);
         // Positive: K_{2r-1,2r-1} with the bipartite distance-3 pattern.
         let part = row.bipartite_possible_part;
         let kb = generators::complete_bipartite(part, part);
         let pb = r_tolerant_bipartite_pattern(&kb);
-        let bipartite_cell = verify_cell(&kb, &pb, Node(0), Node(part), r, links_limit, &run);
+        let bipartite_cell = verify_cell(&kb, &pb, Node(0), Node(part), r, &run);
         // Negative: K_{5r+3} defeated by the Theorem 1 adversary.
         let victim = ShortestPathPattern::new(&generators::complete(row.complete_impossible_nodes));
         let defeated = r_tolerance_counterexample(r, &victim).is_some();
@@ -117,31 +114,36 @@ fn main() {
 }
 
 /// Verifies one positive cell: exhaustively over all `(s, t)` pairs when the
-/// graph is within the exhaustive edge limit (a one-line skip plus a sampled
-/// check of the single pair `(sample_s, sample_t)` otherwise — never a
-/// panic), each pair's sweep and the sampler under the run budget.
+/// tolerance property [fits the sweep](Property::fits_sweep) (a one-line skip
+/// plus a sampled check of the single pair `(sample_s, sample_t)` otherwise —
+/// never a panic), each pair's sweep and the sampler under the run budget.
+/// A sampler the budget stopped before its first draw is inconclusive, not
+/// sampled.
 fn verify_cell<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
     sample_s: Node,
     sample_t: Node,
     r: usize,
-    links_limit: usize,
     run: &RunBudget,
 ) -> CellVerdict {
-    if g.edge_count() > links_limit {
-        let e = EdgeLimitExceeded {
-            links: g.edge_count(),
-            limit: links_limit,
-        };
-        println!("    [skip] exhaustive cell: {e}; sampling instead");
-        let property = Property::Tolerance {
-            source: sample_s,
-            destination: sample_t,
-            r,
-        };
+    let sampled = Property::Tolerance {
+        source: sample_s,
+        destination: sample_t,
+        r,
+    };
+    if !sampled.fits_sweep(g) {
+        println!(
+            "    [skip] exhaustive cell: {} failure masks, past the sweep bound of {}; \
+             sampling instead",
+            sampled.mask_count(g),
+            SWEEP_MASK_LIMIT
+        );
         let sampler = RandomAdversary::new(1950, 12, 1);
-        return match sampler.search_with_budget(g, pattern, property, run) {
+        return match sampler.search_with_budget(g, pattern, sampled, run) {
+            Ok(Verdict::Indeterminate(progress)) if progress.sampled_trials == 0 => {
+                CellVerdict::Inconclusive(progress)
+            }
             Ok(Verdict::Indeterminate(progress)) => CellVerdict::Sampled {
                 pair: (sample_s, sample_t),
                 draws: progress.sampled_trials,

@@ -6,13 +6,9 @@
 //! [--work-budget W]` — `N` limits how many rows of each table are produced
 //! (default: all; CI bench-smoke runs `--count 1` to exercise the simulation
 //! argument cheaply).  When the deadline expires, remaining rows print a
-//! one-line `indeterminate` instead of running.  Topologies with more links
-//! than `--links-limit` (default
-//! [`frr_routing::resilience::BOUNDED_EDGE_LIMIT`]; the largest default row,
-//! `K16`, has 120) are skipped with a one-line notice.  The simulation
-//! argument itself has no link limit: it checks its failure set with one
-//! simulated walk, so the limit only caps the size of the run, like the
-//! other experiment bins' `--links-limit`.
+//! one-line `indeterminate` instead of running.  The simulation argument
+//! has no link limit: it checks its failure set with one simulated walk, so
+//! every row runs whatever its size.
 
 use frr_core::impossibility::{
     bipartite_few_failures_with_budget, complete_few_failures_with_budget, FewFailuresVerdict,
@@ -20,12 +16,10 @@ use frr_core::impossibility::{
 use frr_graph::generators;
 use frr_routing::compiled::CompilePattern;
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
-use frr_routing::resilience::{EdgeLimitExceeded, BOUNDED_EDGE_LIMIT};
 
 fn main() {
     let args = frr_bench::parse_experiment_args("thm14_15_few_failures", usize::MAX);
     let run = args.run_budget();
-    let links_limit = args.links_limit.unwrap_or(BOUNDED_EDGE_LIMIT);
     println!("=== Theorem 14: K_n fails within O(n) failures (paper budget 6n-33) ===");
     println!(
         "{:<5} {:<10} {:<36} {:>10} {:>10}",
@@ -34,9 +28,6 @@ fn main() {
     for n in [8usize, 9, 10, 12, 14, 16].into_iter().take(args.count) {
         let g = generators::complete(n);
         let label = format!("{n}");
-        if skip_oversized(&label, &g, links_limit) {
-            continue;
-        }
         for pattern in patterns(&g) {
             let verdict = complete_few_failures_with_budget(&g, pattern.as_ref(), &run);
             report_row(&label, &g, pattern.as_ref(), verdict, 5);
@@ -55,28 +46,10 @@ fn main() {
     {
         let g = generators::complete_bipartite(a, b);
         let label = format!("{a},{b}");
-        if skip_oversized(&label, &g, links_limit) {
-            continue;
-        }
         for pattern in patterns(&g) {
             let verdict = bipartite_few_failures_with_budget(&g, a, b, pattern.as_ref(), &run);
             report_row(&label, &g, pattern.as_ref(), verdict, 8);
         }
-    }
-}
-
-/// One-line graceful skip for a topology with more than `limit` links (the
-/// run's `--links-limit` size cap, not a limit of the construction).
-fn skip_oversized(label: &str, g: &frr_graph::Graph, limit: usize) -> bool {
-    if g.edge_count() > limit {
-        let e = EdgeLimitExceeded {
-            links: g.edge_count(),
-            limit,
-        };
-        println!("{label:<5} skipped: {e}");
-        true
-    } else {
-        false
     }
 }
 

@@ -24,8 +24,8 @@ use frr_topologies::Topology;
 use std::collections::BTreeMap;
 
 /// The experiment bins' shared command line:
-/// `[--count N] [--deadline-secs S] [--work-budget W] [--links-limit L]
-/// [--threads T] [--metrics]`.
+/// `[--count N] [--deadline-secs S] [--work-budget W] [--threads T]
+/// [--metrics]`.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
     /// Row/instance count limit (`--count`, bin-specific default).
@@ -36,10 +36,6 @@ pub struct ExperimentArgs {
     /// Work-unit budget for the budgeted checks (`--work-budget`, in the
     /// check's own units — failure masks for the sweeps).
     pub work_budget: Option<u64>,
-    /// Override for the exhaustive-sweep link-count limit (`--links-limit`):
-    /// topologies above it get the bins' graceful one-line skip instead of an
-    /// exhaustive run.  Defaults to the checkers' own limits.
-    pub links_limit: Option<usize>,
     /// Worker threads for the sharded drivers (`--threads`, 0 = one per
     /// available core).  Shared by the experiment bins and `frr-serve
     /// replay` instead of per-binary environment variables.
@@ -62,7 +58,7 @@ impl ExperimentArgs {
 pub fn experiment_usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--count N] [--deadline-secs S] [--work-budget W] \
-         [--links-limit L] [--threads T] [--metrics]"
+         [--threads T] [--metrics]"
     )
 }
 
@@ -114,7 +110,6 @@ fn parse_experiment_args_from(
         count: default_count,
         deadline_secs: None,
         work_budget: None,
-        links_limit: None,
         threads: 0,
         metrics: false,
     };
@@ -148,15 +143,6 @@ fn parse_experiment_args_from(
                 parsed.work_budget = Some(v.parse().map_err(|_| {
                     format!(
                         "{bin}: --work-budget needs a number of work units, got {v:?} ({})",
-                        experiment_usage(bin)
-                    )
-                })?);
-            }
-            "--links-limit" => {
-                let v = value("--links-limit", "a number of links")?;
-                parsed.links_limit = Some(v.parse().map_err(|_| {
-                    format!(
-                        "{bin}: --links-limit needs a number of links, got {v:?} ({})",
                         experiment_usage(bin)
                     )
                 })?);

@@ -1,5 +1,5 @@
 //! Smoke tests for the sweeping experiment bins: graceful one-line skips for
-//! oversized topologies, honest `indeterminate` rows under an expired
+//! cells past the sweep bound, honest `indeterminate` rows under an expired
 //! deadline, and a healthy default row — never a panic or a hang.
 
 use std::process::{Command, Output};
@@ -33,21 +33,6 @@ fn thm14_15_produces_a_defeated_row_by_default() {
 }
 
 #[test]
-fn thm14_15_skips_oversized_topologies_with_one_line() {
-    let exe = env!("CARGO_BIN_EXE_thm14_15_few_failures");
-    let text = stdout_of(&run_bin(exe, &["--count", "1", "--links-limit", "10"]));
-    // K8 has 28 links and K4,4 has 16 — both must be skipped gracefully.
-    assert!(
-        text.contains("skipped: bounded exhaustive check limited to 10 links, graph has 28"),
-        "missing K8 skip line:\n{text}"
-    );
-    assert!(
-        text.contains("graph has 16"),
-        "missing K4,4 skip line:\n{text}"
-    );
-}
-
-#[test]
 fn thm14_15_reports_indeterminate_on_an_expired_deadline() {
     let exe = env!("CARGO_BIN_EXE_thm14_15_few_failures");
     let text = stdout_of(&run_bin(exe, &["--count", "1", "--deadline-secs", "0"]));
@@ -63,9 +48,10 @@ fn thm14_15_reports_indeterminate_on_an_expired_deadline() {
 #[test]
 fn table1_skips_oversized_cells_and_falls_back_to_sampling() {
     let exe = env!("CARGO_BIN_EXE_table1_landscape");
-    let text = stdout_of(&run_bin(exe, &["--count", "1", "--links-limit", "2"]));
-    // K3 (3 links) and K8 rows still complete: the oversized positive cells
-    // print the skip notice and sample instead of panicking.
+    let text = stdout_of(&run_bin(exe, &[]));
+    // K7 (21 links) and K5,5 (25 links) have more failure masks than the
+    // sweep bound: the r = 3 positive cells print the skip notice and sample
+    // instead of panicking.
     assert!(
         text.contains("[skip] exhaustive cell:"),
         "missing skip line:\n{text}"
@@ -74,15 +60,17 @@ fn table1_skips_oversized_cells_and_falls_back_to_sampling() {
         text.contains("sampling instead"),
         "missing sampling fallback notice:\n{text}"
     );
-    // K3 (3 links) is sampled: its label names the one pair checked and the
-    // draw count, and never claims "verified".  K1,1 (1 link) stays within
-    // the limit and keeps the exhaustive label.
-    let row = text
-        .lines()
-        .find(|l| l.starts_with("1 "))
-        .unwrap_or_else(|| panic!("missing r = 1 row:\n{text}"));
+    // K7 is sampled: its label names the one pair checked and the draw
+    // count, and never claims "verified".  K5 (10 links, r = 2) of the same
+    // run stays within the bound and keeps the exhaustive label.
+    let row_of = |r: &str| {
+        text.lines()
+            .find(|l| l.starts_with(r))
+            .unwrap_or_else(|| panic!("missing row {r:?}:\n{text}"))
+    };
+    let row = row_of("3 ");
     let sampled_cell =
-        &row[row.find("K3 ").expect("K3 cell")..row.find("K1,1").expect("K1,1 cell")];
+        &row[row.find("K7 ").expect("K7 cell")..row.find("K5,5").expect("K5,5 cell")];
     assert!(
         sampled_cell.contains("sampled v0->v1 only, 1950 draws"),
         "sampled cell must name its pair and draw count:\n{text}"
@@ -92,8 +80,8 @@ fn table1_skips_oversized_cells_and_falls_back_to_sampling() {
         "a sampled cell must not claim verification:\n{text}"
     );
     assert!(
-        row.contains("K1,1 verified r-tolerant"),
-        "the in-limit cell keeps the exhaustive label:\n{text}"
+        row_of("2 ").contains("K5   verified r-tolerant"),
+        "the in-bound cell keeps the exhaustive label:\n{text}"
     );
 }
 
@@ -101,7 +89,7 @@ fn table1_skips_oversized_cells_and_falls_back_to_sampling() {
 fn table1_sampled_cells_obey_the_work_budget() {
     let exe = env!("CARGO_BIN_EXE_table1_landscape");
     let text = stdout_of(&run_bin(exe, &["--work-budget", "1"]));
-    // The r = 3 cells are past the exhaustive edge limit and sampled; the
+    // The r = 3 cells are past the sweep bound and sampled; the
     // work budget caps their trials, and the label counts the trials run.
     assert!(
         !text.contains("1950 draws"),
@@ -126,6 +114,13 @@ fn table1_reports_inconclusive_on_an_expired_deadline() {
     assert!(
         text.contains("fallback samples"),
         "the inconclusive cell must report the sweep's fallback sampling:\n{text}"
+    );
+    // The sampled r = 3 cells draw nothing either: they are inconclusive
+    // too, never a sampled label with no draw behind it.
+    let text = stdout_of(&run_bin(exe, &["--deadline-secs", "0"]));
+    assert!(
+        !text.contains(", 0 draws"),
+        "a sampled label needs draws:\n{text}"
     );
 }
 

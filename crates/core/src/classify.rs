@@ -552,8 +552,8 @@ fn tourable_fraction(b: &BitGraph, max_probes: usize, scratch: &mut OuterplanarS
 /// is run against **every** failure set — on the compiled-rule-table fast
 /// path, which is what makes this affordable as a routine sanity pass.
 ///
-/// Returns the models that were verified (graphs beyond the exhaustive edge
-/// limit, or without a shipped construction for their verdict, are skipped),
+/// Returns the models that were verified (graphs too large for the unbounded
+/// sweep, or without a shipped construction for their verdict, are skipped),
 /// or the first counterexample — which would witness a classification bug.
 pub fn spot_check_possible(
     g: &Graph,
@@ -564,10 +564,10 @@ pub fn spot_check_possible(
     };
     use frr_routing::compiled::CompilePattern;
     use frr_routing::model::RoutingModel;
-    use frr_routing::resilience::{Property, EXHAUSTIVE_EDGE_LIMIT};
+    use frr_routing::resilience::Property;
 
     let mut checked = Vec::new();
-    if g.edge_count() > EXHAUSTIVE_EDGE_LIMIT {
+    if !Property::PERFECT.fits_sweep(g) {
         return Ok(checked);
     }
     let verify = |pattern: &dyn CompilePattern, property| match crate::refute(g, pattern, property)

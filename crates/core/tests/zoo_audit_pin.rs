@@ -4,12 +4,19 @@
 //! The `(counterexamples, exhausted, refused)` counts and an FNV-1a digest
 //! of every counterexample (failure set, pair, outcome and replayed path)
 //! must not move when the sweep or the routing engine is optimized.
-//! A second pin folds the digests of the compiled rule tables themselves.
+//! A second pin folds the digests of the compiled rule tables themselves,
+//! and a third audits the networks past the benchmark wrapper's link limit
+//! exactly.
 
-use frr_routing::adversary::verify_counterexample;
+use frr_routing::adversary::{verify_counterexample, Counterexample};
+use frr_routing::budget::{RunBudget, Verdict};
 use frr_routing::compiled::{CompilePattern, CompiledPattern, Fnv};
+use frr_routing::failure::GrayFailureSets;
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
-use frr_routing::resilience::check_bounded_r_resilience;
+use frr_routing::resilience::{
+    check, check_bounded_r_resilience, EdgeLimitExceeded, Property, BOUNDED_EDGE_LIMIT,
+};
+use frr_routing::simulator::{route, state_space_bound};
 use frr_topologies::{full_zoo, ZooConfig};
 
 /// Networks with more links than this are left out of the pin.
@@ -87,4 +94,53 @@ fn zoo_compiled_tables_are_pinned() {
         }
     }
     assert_eq!(h.finish(), 0x5bf8_95dd_e174_b72f);
+}
+
+/// The networks past [`BOUNDED_EDGE_LIMIT`] have few enough masks at r = 1
+/// for `check` to sweep them: each gets an exact `Refuted`, with the first
+/// counterexample of a sequential scan (Gray-ordered failure sets, then
+/// pairs in `(s, t)` order), while the benchmark's wrapper still refuses
+/// them by link count.
+#[test]
+fn zoo_networks_past_the_link_limit_are_refuted_exactly() {
+    let zoo = full_zoo(&ZooConfig::default());
+    let large: Vec<_> = zoo
+        .iter()
+        .filter(|t| t.graph.edge_count() > BOUNDED_EDGE_LIMIT)
+        .collect();
+    let names: Vec<&str> = large.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["SynMesh026", "SynMesh086", "SynMesh146"]);
+    for t in large {
+        let g = &t.graph;
+        assert!(Property::bounded(1).fits_sweep(g), "{}", t.name);
+        let pattern = ShortestPathPattern::new(g);
+        let max_hops = state_space_bound(g);
+        let reference = GrayFailureSets::with_max_failures(g, Some(1)).find_map(|failures| {
+            g.nodes()
+                .flat_map(|s| g.nodes().map(move |t| (s, t)))
+                .filter(|&(s, t)| s != t && failures.keeps_connected(g, s, t))
+                .find_map(|(s, t)| {
+                    let result = route(g, &failures, &pattern, s, t, max_hops);
+                    (!result.outcome.is_delivered()).then(|| Counterexample {
+                        failures: failures.clone(),
+                        source: s,
+                        destination: t,
+                        outcome: result.outcome,
+                        path: result.path,
+                    })
+                })
+        });
+        let reference = reference.unwrap_or_else(|| panic!("{}: no counterexample", t.name));
+        match check(g, &pattern, Property::bounded(1), &RunBudget::unlimited()) {
+            Ok(Verdict::Refuted(ce)) => assert_eq!(ce, reference, "{}", t.name),
+            other => panic!("{}: expected an exact refutation, got {other:?}", t.name),
+        }
+        assert_eq!(
+            check_bounded_r_resilience(g, &pattern, 1),
+            Err(EdgeLimitExceeded {
+                links: g.edge_count(),
+                limit: BOUNDED_EDGE_LIMIT,
+            })
+        );
+    }
 }

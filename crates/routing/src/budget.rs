@@ -148,9 +148,10 @@ pub enum StopCause {
     WorkBudget,
     /// The [`CancelToken`] was cancelled.
     Cancelled,
-    /// The graph exceeds the exhaustive sweep's edge limit, so only the
-    /// sampling fallback ran.
-    EdgeLimit,
+    /// The sweep would visit more failure masks than
+    /// [`crate::resilience::SWEEP_MASK_LIMIT`], so only the sampling
+    /// fallback ran.
+    MaskLimit,
 }
 
 impl fmt::Display for StopCause {
@@ -159,7 +160,7 @@ impl fmt::Display for StopCause {
             StopCause::Deadline => "deadline expired",
             StopCause::WorkBudget => "work budget spent",
             StopCause::Cancelled => "cancelled",
-            StopCause::EdgeLimit => "edge limit (sampling fallback only)",
+            StopCause::MaskLimit => "mask limit (sampling fallback only)",
         })
     }
 }

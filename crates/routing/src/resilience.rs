@@ -21,28 +21,26 @@
 use crate::adversary::{Counterexample, RandomAdversary};
 use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
 use crate::compiled::{CompilePattern, Forwarder};
-use crate::failure::FailureSet;
+use crate::failure::{capped_mask_count, FailureSet};
 use crate::pattern::ForwardingPattern;
 use crate::simulator::{route, state_space_bound, tour, Outcome};
 use crate::sweep::{failure_set_at, sweep_find_first_budgeted, SweepEnd, SweepEngine};
 use frr_graph::connectivity::st_edge_connectivity_filtered;
 use frr_graph::{Graph, Node};
 
-/// Largest number of links for which [`check`] enumerates the full
-/// failure-set power set (unbounded [`Property::Routing`] and
-/// [`Property::Touring`], and every [`Property::Tolerance`]).
-pub const EXHAUSTIVE_EDGE_LIMIT: usize = 20;
+/// Most failure masks [`check`] sweeps: `2^20`, the whole power set of a
+/// 20-link graph.  A property whose sweep of a graph would visit more (see
+/// [`Property::fits_sweep`]) is answered by the sampler instead.
+pub const SWEEP_MASK_LIMIT: u64 = 1 << 20;
 
-/// Largest number of links for the checks that bound the number of
-/// failures to some `k`: the Gray-code enumeration emits exactly the
-/// `Σ_{i≤k} C(m,i)` small failure masks (no over-cap masks are ever
-/// visited), masks are multi-word, and the per-mask overlay work is one or
-/// two incremental edge toggles — so graphs far past the historical 64-link
-/// single-word wall are affordable.  Mid-size topology-zoo and small
-/// datacenter graphs fit under this limit.
+/// Largest number of links [`check_bounded_r_resilience`] accepts.  Kept,
+/// with [`EdgeLimitExceeded`], only for the frozen benchmark (`perfbench/`),
+/// whose zoo audit counts the graphs it refuses; [`check`] itself bounds
+/// the mask count instead.
 pub const BOUNDED_EDGE_LIMIT: usize = 128;
 
-/// A graph has more links than an exhaustive sweep allows.
+/// A graph has more links than [`check_bounded_r_resilience`] accepts
+/// (kept for `perfbench/`, like [`BOUNDED_EDGE_LIMIT`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeLimitExceeded {
     /// Link count of the offending graph.
@@ -146,14 +144,20 @@ impl Property {
         }
     }
 
-    /// The largest graph [`check`] sweeps exhaustively for this property:
-    /// [`BOUNDED_EDGE_LIMIT`] under a failure cap, [`EXHAUSTIVE_EDGE_LIMIT`]
-    /// otherwise.
-    fn edge_limit(self) -> usize {
-        match self.max_failures() {
-            Some(_) => BOUNDED_EDGE_LIMIT,
-            None => EXHAUSTIVE_EDGE_LIMIT,
-        }
+    /// The number of failure masks [`check`]'s sweep of `g` visits for this
+    /// property: `Σ_{i≤k} C(m, i)` for `m` links under a failure cap `k`,
+    /// `2^m` without one (every [`Property::Tolerance`]), saturating at
+    /// `u64::MAX`.
+    pub fn mask_count(self, g: &Graph) -> u64 {
+        let m = g.edge_count();
+        capped_mask_count(m, self.max_failures().unwrap_or(m))
+    }
+
+    /// Whether [`check`] sweeps `g` exhaustively for this property: its
+    /// [`mask_count`](Self::mask_count) is at most [`SWEEP_MASK_LIMIT`].
+    /// Past the bound, `check` samples and never returns `Proven`.
+    pub fn fits_sweep(self, g: &Graph) -> bool {
+        self.mask_count(g) <= SWEEP_MASK_LIMIT
     }
 }
 
@@ -164,10 +168,9 @@ impl Property {
 ///   and returns the earliest counterexample in `(mask, source,
 ///   destination)` order — the same one at any thread count.  `Proven`
 ///   means the whole configured space was swept.
-/// * The property sets the edge limit: [`BOUNDED_EDGE_LIMIT`] under a
-///   failure cap, [`EXHAUSTIVE_EDGE_LIMIT`] otherwise.  Under
-///   [`RunBudget::unlimited`] a graph within it always gets `Proven` or
-///   `Refuted`.
+/// * The sweep runs when [`Property::fits_sweep`] holds: at most
+///   [`SWEEP_MASK_LIMIT`] failure masks.  Under [`RunBudget::unlimited`]
+///   such a graph always gets `Proven` or `Refuted`.
 /// * A deadline or work-budget stop degrades to the one sampler,
 ///   [`RandomAdversary`], searching the same `property` (a pinned
 ///   destination or tolerance pair stays pinned) over
@@ -175,8 +178,8 @@ impl Property {
 ///   sampled counterexample is `Refuted`; otherwise the verdict is
 ///   [`Verdict::Indeterminate`] with the sweep's progress and the trial
 ///   count.  A cancelled run skips the sampler.
-/// * A graph beyond the edge limit is never swept: it goes
-///   straight to the sampler with [`StopCause::EdgeLimit`].
+/// * A graph past the mask bound is never swept: it goes straight to the
+///   sampler with [`StopCause::MaskLimit`].
 /// * A probe panic (a misbehaving pattern, a tripped debug assertion), in
 ///   the sweep or in the sampler, surfaces as `Err(WorkerPanicked)` with
 ///   the offending failure set.
@@ -202,8 +205,8 @@ pub fn check<P: CompilePattern + ?Sized>(
     property: Property,
     budget: &RunBudget,
 ) -> Result<Verdict, WorkerPanicked> {
-    if g.edge_count() > property.edge_limit() {
-        return stop_verdict(g, pattern, property, budget, 0, 0, StopCause::EdgeLimit);
+    if !property.fits_sweep(g) {
+        return stop_verdict(g, pattern, property, budget, 0, 0, StopCause::MaskLimit);
     }
     // Compile once per sweep; the tables are shared by every worker thread.
     let fwd = Forwarder::new(g, pattern);
@@ -236,14 +239,17 @@ pub fn check<P: CompilePattern + ?Sized>(
 }
 
 /// `r`-bounded resilience in its historical `Result` shape, kept for the
-/// frozen benchmark (`perfbench/`): `Err(EdgeLimitExceeded)` above
-/// [`BOUNDED_EDGE_LIMIT`] links — tested before [`check`] runs, so an
-/// oversize graph never samples — and otherwise [`check`] under
-/// [`RunBudget::unlimited`].
+/// frozen benchmark (`perfbench/`), whose audit gate counts the graphs it
+/// refuses: `Err(EdgeLimitExceeded)` above [`BOUNDED_EDGE_LIMIT`] links —
+/// tested before [`check`] runs, so an oversize graph never samples — and
+/// otherwise [`check`] under [`RunBudget::unlimited`].
 ///
 /// # Panics
 ///
-/// Re-raises a probe panic as a [`WorkerPanicked`] message.
+/// Re-raises a probe panic as a [`WorkerPanicked`] message, and panics when
+/// [`check`] samples without a counterexample because
+/// `Property::bounded(r)` does not [fit the sweep](Property::fits_sweep)
+/// (`r = 4` from 72 links on, fewer links for larger `r`).
 pub fn check_bounded_r_resilience<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -259,12 +265,12 @@ pub fn check_bounded_r_resilience<P: CompilePattern + ?Sized>(
     match verdict.unwrap_or_else(|e| panic!("{e}")) {
         Verdict::Proven => Ok(Ok(())),
         Verdict::Refuted(ce) => Ok(Err(ce)),
-        Verdict::Indeterminate(p) => unreachable!("unbudgeted sweep stopped: {p}"),
+        Verdict::Indeterminate(p) => panic!("bounded({r}) sweep not run: {p}"),
     }
 }
 
-/// [`check`] of `r`-bounded resilience, kept under this name for the
-/// frozen benchmark (`perfbench/`).
+/// [`check`] of `r`-bounded resilience, kept under this name because the
+/// frozen benchmark (`perfbench/`) calls it.
 pub fn check_bounded_r_resilience_with_budget<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -378,15 +384,15 @@ fn replay_tour<P: ForwardingPattern + ?Sized>(
 
 /// Trials the sampling fallback spends after a budgeted sweep stops early
 /// (a [`StopCause::Deadline`] or [`StopCause::WorkBudget`] stop, and
-/// [`StopCause::EdgeLimit`] for oversize graphs).
+/// [`StopCause::MaskLimit`] past the sweep bound).
 pub const FALLBACK_SAMPLING_TRIALS: usize = 256;
 
 /// Seed of the fallback sampler — fixed, so budgeted runs that degrade to
 /// sampling stay reproducible run to run.
 const FALLBACK_SAMPLING_SEED: u64 = 0x5EED_FA11;
 
-/// Assembles the [`Verdict`] for a sweep that stopped early (or, for an
-/// oversize graph, never ran): degrade to the reproducible
+/// Assembles the [`Verdict`] for a sweep that stopped early (or, past the
+/// sweep bound, never ran): degrade to the reproducible
 /// [`RandomAdversary`] sampler, report honest `Indeterminate` when it finds
 /// nothing, and skip sampling entirely on explicit cancellation — a
 /// cancelled caller wants the run gone, not more work.  The sampler runs
@@ -526,6 +532,25 @@ mod tests {
                 reference.is_some()
             ),
         }
+    }
+
+    #[test]
+    fn sweep_bound_counts_masks_not_links() {
+        // Full power sets fit up to 20 links; a failure cap admits far more
+        // links (r = 3 up to 184).
+        let tolerance = Property::Tolerance {
+            source: Node(0),
+            destination: Node(1),
+            r: 1,
+        };
+        for (m, fits) in [(20, true), (21, false)] {
+            let g = generators::cycle(m);
+            assert_eq!(Property::PERFECT.fits_sweep(&g), fits, "m = {m}");
+            assert_eq!(Property::PERFECT_TOURING.fits_sweep(&g), fits, "m = {m}");
+            assert_eq!(tolerance.fits_sweep(&g), fits, "m = {m}");
+        }
+        assert!(Property::bounded(3).fits_sweep(&generators::cycle(184)));
+        assert!(!Property::bounded(3).fits_sweep(&generators::cycle(185)));
     }
 
     #[test]

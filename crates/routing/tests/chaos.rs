@@ -156,18 +156,19 @@ fn random_adversary_reports_panics_with_the_reconstructed_trial() {
 
 #[test]
 fn fallback_sampler_panic_reports_the_trial_failure_set() {
-    // cycle(200) is past the edge limit, so `check` goes straight to its
-    // sampler; the panicking trial is named with its failure set.
+    // cycle(200) at r = 3 is past the sweep bound, so `check` goes straight
+    // to its sampler; the panicking trial is named with its failure set.
     let g = generators::cycle(200);
+    assert!(!Property::bounded(3).fits_sweep(&g));
     let err = check(
         &g,
         &PanicPattern,
-        Property::bounded(2),
+        Property::bounded(3),
         &RunBudget::unlimited(),
     )
     .expect_err("some sampled trial fails a link on the packet's way");
     let failures = err.failures.as_ref().expect("the trial is replayable");
-    assert!(!failures.is_empty() && failures.len() <= 2, "{err}");
+    assert!(!failures.is_empty() && failures.len() <= 3, "{err}");
     assert!(
         err.message.contains("hostile pattern panic"),
         "got: {}",
@@ -262,15 +263,18 @@ fn pre_cancelled_token_returns_indeterminate_without_sampling() {
 
 #[test]
 fn oversize_graph_degrades_to_sampling_instead_of_erroring() {
-    // cycle(200) is past BOUNDED_EDGE_LIMIT: the budgeted API samples and
-    // reports EdgeLimit as the stop cause instead of panicking or erroring.
+    // cycle(200) at r = 3 has 1,333,501 failure masks, past the sweep bound:
+    // the budgeted API samples and reports MaskLimit as the stop cause
+    // instead of panicking or erroring.
     let g = generators::cycle(200);
+    assert_eq!(Property::bounded(3).mask_count(&g), 1_333_501);
+    assert!(!Property::bounded(3).fits_sweep(&g));
     let pattern = RotorPattern::clockwise_with_shortcut(&g);
-    let verdict = check_bounded_r_resilience_with_budget(&g, &pattern, 2, &RunBudget::unlimited())
+    let verdict = check_bounded_r_resilience_with_budget(&g, &pattern, 3, &RunBudget::unlimited())
         .expect("no panic involved");
     match verdict {
         Verdict::Indeterminate(p) => {
-            assert_eq!(p.stopped_by, StopCause::EdgeLimit);
+            assert_eq!(p.stopped_by, StopCause::MaskLimit);
             assert!(p.sampled_trials > 0, "sampler must have run: {p:?}");
         }
         Verdict::Refuted(_) => {}

@@ -237,11 +237,13 @@ fn bounded_touring_sweep_beyond_64_links_matches_simulator_reference() {
 
 #[test]
 fn bounded_checkers_reject_oversized_graphs_gracefully() {
-    // complete(17) has 136 links — past BOUNDED_EDGE_LIMIT.  The Result API
-    // reports the limit instead of panicking; `check` never sweeps it and
-    // names the limit as the stop cause.
+    // complete(17) has 136 links — past BOUNDED_EDGE_LIMIT, and 2^136
+    // failure masks for perfect touring, past the sweep bound.  The Result
+    // API reports the link limit instead of panicking; `check` never sweeps
+    // and names the mask limit as the stop cause.
     let g = generators::complete(17);
     assert!(g.edge_count() > BOUNDED_EDGE_LIMIT);
+    assert!(!Property::PERFECT_TOURING.fits_sweep(&g));
     let p = ShortestPathPattern::new(&g);
     let expected = EdgeLimitExceeded {
         links: g.edge_count(),
@@ -250,9 +252,9 @@ fn bounded_checkers_reject_oversized_graphs_gracefully() {
     assert_eq!(check_bounded_r_resilience(&g, &p, 1).unwrap_err(), expected);
     assert!(expected.to_string().contains("136"));
     let rotor = RotorPattern::clockwise(&g);
-    let one_failure = Property::bounded_touring(1);
-    match check(&g, &rotor, one_failure, &RunBudget::unlimited()).unwrap() {
-        Verdict::Indeterminate(p) => assert_eq!(p.stopped_by, StopCause::EdgeLimit),
+    let touring = Property::PERFECT_TOURING;
+    match check(&g, &rotor, touring, &RunBudget::unlimited()).unwrap() {
+        Verdict::Indeterminate(p) => assert_eq!(p.stopped_by, StopCause::MaskLimit),
         Verdict::Refuted(_) => {}
         Verdict::Proven => panic!("an oversize graph is never swept"),
     }

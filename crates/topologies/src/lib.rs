@@ -26,7 +26,6 @@
 
 pub mod builtin;
 pub mod format;
-pub mod stats;
 pub mod zoo;
 
 pub use builtin::{builtin_topologies, Topology};

@@ -169,6 +169,7 @@ fn dense_core(rng: &mut StdRng, i: usize) -> Topology {
 mod tests {
     use super::*;
     use frr_graph::connectivity::is_connected;
+    use frr_graph::planarity::is_planar;
 
     #[test]
     fn zoo_is_reproducible() {
@@ -205,6 +206,16 @@ mod tests {
         // Most (but not necessarily all) instances are connected.
         let connected = zoo.iter().filter(|t| is_connected(&t.graph)).count();
         assert!(connected * 10 >= zoo.len() * 9);
+    }
+
+    #[test]
+    fn synthetic_zoo_is_mostly_planar_like_the_real_one() {
+        let zoo = synthetic_zoo(&ZooConfig {
+            count: 60,
+            ..Default::default()
+        });
+        let planar = zoo.iter().filter(|t| is_planar(&t.graph)).count();
+        assert!(planar * 2 > zoo.len(), "{planar} of {} planar", zoo.len());
     }
 
     #[test]
